@@ -47,15 +47,12 @@ def _setting(name: str) -> Setting:
 
 
 def _config(args):
-    """Config override from kernel/burst flags (None = shipped defaults).
+    """Config override from burst flags (None = shipped defaults).
 
     Built only when a flag deviates from the shipped default, so default
     invocations keep ``config=None`` and stay on the golden path.
     """
     overrides = {}
-    sched = getattr(args, "scheduler", None)
-    if sched and sched != "heap":
-        overrides["scheduler"] = sched
     burst_k = getattr(args, "burst_k", None)
     if burst_k is not None:
         overrides["burst_k"] = burst_k
@@ -604,19 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: 0.75)")
         return p
 
-    def sched(p):
-        from repro.sim.sched import scheduler_names
-
-        p.add_argument("--scheduler", choices=scheduler_names(),
-                       default="heap", metavar="NAME",
-                       help="kernel pending-queue strategy: "
-                            f"{', '.join(scheduler_names())} "
-                            "(default: heap). All strategies produce "
-                            "identical simulated results; calendar/batch "
-                            "are faster on deep pending sets — see "
-                            "docs/PERFORMANCE.md §5")
-        return p
-
     sub.add_parser("table1", help="Table 1").set_defaults(fn=cmd_table1)
     sub.add_parser("table2", help="Table 2").set_defaults(fn=cmd_table2)
     p = common(sub.add_parser("fig7", help="Figure 7 transaction trace"),
@@ -625,19 +609,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", metavar="FILE", default=None,
                    help="export the full trace as CSV instead of printing")
     p.set_defaults(fn=cmd_fig7, setting="vl")
-    burst(sched(jobs(common(sub.add_parser("fig8", help="Figure 8 speedups"))))
+    burst(jobs(common(sub.add_parser("fig8", help="Figure 8 speedups")))
           ).set_defaults(fn=cmd_fig8)
-    sched(jobs(common(sub.add_parser("fig9", help="Figure 9 breakdown")))
-          ).set_defaults(fn=cmd_fig9)
-    sched(jobs(common(sub.add_parser("fig10a", help="Figure 10a failure rates")))
-          ).set_defaults(fn=cmd_fig10a)
-    sched(jobs(common(sub.add_parser("fig10b", help="Figure 10b bus utilization")))
-          ).set_defaults(fn=cmd_fig10b)
+    jobs(common(sub.add_parser("fig9", help="Figure 9 breakdown"))
+         ).set_defaults(fn=cmd_fig9)
+    jobs(common(sub.add_parser("fig10a", help="Figure 10a failure rates"))
+         ).set_defaults(fn=cmd_fig10a)
+    jobs(common(sub.add_parser("fig10b", help="Figure 10b bus utilization"))
+         ).set_defaults(fn=cmd_fig10b)
     jobs(common(sub.add_parser("fig11", help="Figure 11 sensitivity panel"),
                 workload=True)).set_defaults(fn=cmd_fig11)
-    p = burst(sched(jobs(common(
+    p = burst(jobs(common(
         sub.add_parser("run", help="run one workload under one setting"),
-        workload=True, setting=True))))
+        workload=True, setting=True)))
     p.add_argument("--hook-stats", action="store_true",
                    help="dump per-stage transaction latency histograms "
                         "collected over the instrumentation hook bus")

@@ -20,11 +20,10 @@ document them here so that sensitivity to the substitution can be explored
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.sim.sched import DEFAULT_SCHEDULER
 from repro.units import CACHELINE_BYTES, DEFAULT_CLOCK_HZ, GiB, KiB, MiB
 
 
@@ -200,18 +199,6 @@ class SystemConfig:
     #: ``None`` defers to the device registration's own default.
     default_algorithm: Optional[str] = None
 
-    # ------------------------------------------------------------------ kernel
-    #: Pending-event queue strategy for the simulation kernel (any name in
-    #: :func:`repro.sim.sched.scheduler_names`).  ``ladder`` — the default
-    #: — is the two-tier ladder queue that won both benchmark legs
-    #: (shallow/sim-leg *and* deep stress; the flip evidence lives in the
-    #: committed ``BENCH_kernel.json`` and docs/PERFORMANCE.md §5).
-    #: ``heap`` is the reference binary heap; ``calendar`` (slotted
-    #: per-cycle ring) and ``batch`` (same-timestamp bucket dispatcher)
-    #: are the deep-pending bucket strategies.  Every strategy produces
-    #: identical simulated results — only wall-clock speed differs.
-    scheduler: str = DEFAULT_SCHEDULER
-
     def __post_init__(self) -> None:
         if self.num_cores < 1:
             raise ConfigError(f"need at least one core, got {self.num_cores}")
@@ -307,13 +294,6 @@ class SystemConfig:
             from repro.net.topology import resolve_topology
 
             resolve_topology(self.topology)
-        # The scheduler registry is already imported (DEFAULT_SCHEDULER
-        # comes from it, and repro.sim.sched has no imports back into
-        # config), so every name validates eagerly.
-        if self.scheduler != DEFAULT_SCHEDULER:
-            from repro.sim.sched import resolve_scheduler
-
-            resolve_scheduler(self.scheduler)
         if self.default_algorithm is not None:
             from repro.registry import algorithm_names
 
@@ -346,6 +326,7 @@ class SystemConfig:
                 data[cache_field] = CacheConfig(**data[cache_field])
         if isinstance(data.get("mesh_dims"), list):  # JSON round-trip
             data["mesh_dims"] = tuple(data["mesh_dims"])
+        _reject_unknown_fields(data)
         return cls(**data)
 
     def to_json(self) -> str:
@@ -362,6 +343,7 @@ class SystemConfig:
 
     def with_overrides(self, **kwargs) -> "SystemConfig":
         """Return a copy with the given fields replaced."""
+        _reject_unknown_fields(kwargs)
         return replace(self, **kwargs)
 
     def table1_rows(self) -> Dict[str, str]:
@@ -383,6 +365,15 @@ class SystemConfig:
                 "linkTab, and specBuf"
             ),
         }
+
+
+def _reject_unknown_fields(data: Dict) -> None:
+    """Raise :class:`ConfigError` naming every key of *data* that is not a
+    :class:`SystemConfig` field (a plain ``TypeError`` would not say which
+    keys a batch spec or saved config got wrong)."""
+    unknown = sorted(set(data) - {f.name for f in fields(SystemConfig)})
+    if unknown:
+        raise ConfigError(f"unknown SystemConfig field(s): {', '.join(unknown)}")
 
 
 #: The paper's evaluated configuration.

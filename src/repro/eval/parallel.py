@@ -106,11 +106,6 @@ class RunRequest:
     verify: bool = False
     #: Open-system arrival process, by picklable spec (None = closed batch).
     arrival: Optional[ArrivalSpec] = None
-    #: Kernel pending-queue strategy, by registry name (None = whatever the
-    #: config says, i.e. ``heap`` by default).  Travels as a plain string —
-    #: like device/algorithm names — so a scheduler choice made in the
-    #: parent pickles cleanly into every worker and is re-resolved there.
-    scheduler: Optional[str] = None
 
     @classmethod
     def from_setting(
@@ -125,7 +120,6 @@ class RunRequest:
         validate: bool = True,
         verify: bool = False,
         arrival: Optional[ArrivalSpec] = None,
-        scheduler: Optional[str] = None,
     ) -> "RunRequest":
         """Snapshot a :class:`~repro.eval.runner.Setting` into a request."""
         return cls(
@@ -140,7 +134,6 @@ class RunRequest:
             validate=validate,
             verify=verify,
             arrival=arrival,
-            scheduler=scheduler,
         )
 
     def setting(self) -> Setting:
@@ -157,7 +150,7 @@ class RunRequest:
 
         Every field that can change a run's :class:`RunMetrics` — workload,
         device/algorithm identity, scale, seed, full config, cycle limit,
-        arrival process, scheduler, even the reported ``label`` (it is part
+        arrival process, even the reported ``label`` (it is part
         of the metrics document) — appears here in a stable shape: nested
         dicts serialize with sorted keys, tuples normalize to lists, and
         parameterized factories canonicalize via
@@ -190,7 +183,6 @@ class RunRequest:
                 if self.arrival is not None
                 else None
             ),
-            "scheduler": self.scheduler,
         }
 
     def cache_key(self) -> str:
@@ -213,16 +205,11 @@ def execute_request(request: RunRequest) -> RunMetrics:
     Also the serial path: ``jobs=1`` calls this in-process, which is why
     parallel output cannot drift from serial output.
     """
-    config = request.config
-    if request.scheduler is not None:
-        config = (config or SystemConfig()).with_overrides(
-            scheduler=request.scheduler
-        )
     return run_workload(
         request.workload,
         request.setting(),
         scale=request.scale,
-        config=config,
+        config=request.config,
         seed=request.seed,
         limit=request.limit,
         validate=request.validate,

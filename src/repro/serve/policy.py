@@ -5,7 +5,7 @@ jobs, which runs next?* — every time a worker slot frees up.  Policies
 never touch running jobs (no preemption of in-flight simulations; a
 dispatched run always completes or fails on its own), so a policy is one
 pure selection function over the queued set, registered by name exactly
-like devices, topologies, arrivals and kernel schedulers:
+like devices, topologies and arrival processes:
 
 * ``fifo`` (default) — strict submission order, the rtp-llm
   ``FIFOScheduler`` shape: predictable, starvation-free.

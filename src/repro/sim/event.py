@@ -13,11 +13,9 @@ Events move through three states::
 exception attached; ``PROCESSED`` means its callbacks have run.
 
 Events never talk to the queue structure directly — they go through
-``Environment.schedule``/``schedule_callback`` — so they are agnostic to
-the pending-queue strategy (:mod:`repro.sim.sched`): the same Event
-semantics hold under the heap, ladder, calendar, and batch schedulers.
-Every class here carries ``__slots__``; events are allocated per message
-hop, so the per-instance dict would be the kernel's largest allocation.
+``Environment.schedule``/``schedule_callback``.  Every class here carries
+``__slots__``; events are allocated per message hop, so the per-instance
+dict would be the kernel's largest allocation.
 
 Allocation notes (docs/PERFORMANCE.md §5): most events have exactly zero
 or one subscriber, so the ``callbacks`` slot is *polymorphic* instead of
@@ -141,8 +139,8 @@ class Event:
         elif cbs is PROCESSED:
             # Already processed: schedule an immediate delivery so that the
             # callback still runs from the kernel loop, preserving ordering.
-            # This lands URGENT at the current cycle — the case that forces
-            # batch-draining schedulers to preempt an in-flight bucket.
+            # This lands URGENT at the current cycle, ahead of any NORMAL
+            # work still pending for it.
             self.env.schedule_callback(callback, self)
         elif type(cbs) is list:
             cbs.append(callback)

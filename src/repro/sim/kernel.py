@@ -1,60 +1,46 @@
 """The discrete-event simulation kernel (:class:`Environment`).
 
-Events are stored in a pluggable *scheduler* (see :mod:`repro.sim.sched`)
-keyed by ``(time, priority, sequence)``; :meth:`Environment.step` pops the
-earliest event, advances the clock, and runs its callbacks.  The
+Pending events live in one binary heap (a plain list driven by
+:mod:`heapq`) keyed by ``(time, priority, sequence)``; the dispatch loop
+pops the earliest entry, advances the clock, and runs its callbacks.  The
 ``sequence`` tiebreak makes runs fully deterministic: two events scheduled
-for the same cycle fire in scheduling order.  The default ``heap``
-scheduler is the classic binary heap; the ``calendar`` and ``batch``
-schedulers trade it for O(1) per-cycle buckets that pay off on deep
-pending sets — every scheduler realizes the exact same total order, which
-``tests/test_kernel_equivalence.py`` enforces differentially.
+for the same cycle at the same priority fire in scheduling order.
 
 Time is an integer cycle count.  All device latencies in this package are
 integral, which keeps the queue keys exact (no float comparisons) and runs
 reproducible bit-for-bit across platforms.
 
-Hot-path notes (see docs/PERFORMANCE.md §5): the kernel inlines the queue
-ends of its two fastest strategies rather than paying a Python method
-call per event.  A scheduler exposing a raw ``heap`` list gets the
-historical ``heappush``/``heappop`` loop; one exposing a sorted ``spine``
-list (the default ``ladder``) gets ``bisect.insort``/lane-append pushes
-and cursor-indexed dispatch bound straight into :meth:`Environment.run`
-— both ends are C calls plus an index, so steady-state dispatch executes
-no scheduler-side Python frames at all.  Bucket schedulers (``calendar``/``batch``) go
-through the generic batch-draining protocol instead.  Deferred callbacks
-(:meth:`Environment.schedule_callback`, :meth:`Environment.call_later`)
-ride the queue as plain 5-tuples instead of allocating a shim
-:class:`Event` per call; the ``sequence`` tiebreak guarantees tuple
-comparison never reaches the payload slot, and CPython's internal tuple
-freelist recycles the entries themselves (measured faster than a
-Python-level slab — docs/PERFORMANCE.md §5 records the comparison).
-Event dispatch reads the polymorphic ``callbacks`` slot directly: the
-one-subscriber case calls the bare callable without ever materializing a
-callbacks list (see :mod:`repro.sim.event`).
+Hot-path notes (see docs/PERFORMANCE.md §5): :meth:`Environment.run`,
+:meth:`Environment.run_until_complete` and :meth:`Environment.step` all
+drive the same loop (:meth:`Environment._loop`), with the dispatch body
+inlined so an event costs no kernel-side Python frame.  Deferred
+callbacks (:meth:`Environment.schedule_callback`,
+:meth:`Environment.call_later`) ride the queue as plain 5-tuples instead
+of allocating a shim :class:`Event` per call; the ``sequence`` tiebreak
+guarantees tuple comparison never reaches the payload slot, and CPython's
+internal tuple freelist recycles the entries themselves (measured faster
+than a Python-level slab — docs/PERFORMANCE.md §5 records the
+comparison).  Event dispatch reads the polymorphic ``callbacks`` slot
+directly: the one-subscriber case calls the bare callable without ever
+materializing a callbacks list (see :mod:`repro.sim.event`).
 """
 
 from __future__ import annotations
 
-import heapq
-from bisect import insort
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple, Union
+from heapq import heappop, heappush
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.event import AllOf, AnyOf, Event, PROCESSED, Timeout
 from repro.sim.process import Process
-from repro.sim.sched import (
-    DEFAULT_SCHEDULER,
-    LADDER_COMPACT,
-    LADDER_SPINE_CAP,
-    resolve_scheduler,
-)
-
-_heappush = heapq.heappush
 
 #: Priority levels: URGENT callbacks run before NORMAL ones in the same cycle.
 URGENT = 0
 NORMAL = 1
+
+#: Window bound of an unbounded run: later than any reachable cycle, so
+#: the loop's window test stays one int compare per event.
+_NO_LIMIT = 1 << 62
 
 
 class Environment:
@@ -65,23 +51,11 @@ class Environment:
         env = Environment()
         env.process(my_generator(env))
         env.run(until=1_000_000)
-
-    *scheduler* selects the pending-queue strategy: a registry name
-    (``"ladder"`` — the default, ``"heap"``, ``"calendar"``, ``"batch"``
-    — see :mod:`repro.sim.sched`) or, for tests, a zero-argument factory
-    returning a scheduler instance.  Every strategy dispatches in
-    identical ``(time, priority, seq)`` order; only wall-clock speed
-    differs.
     """
 
     __slots__ = (
         "_now",
-        "_sched",
-        "_heap",
-        "_spine",
-        "_lanes",
-        "_times",
-        "_scheduler_name",
+        "_queue",
         "_seq",
         "_processed",
         "_active_process",
@@ -89,55 +63,22 @@ class Environment:
         "_watchdog_after",
     )
 
-    def __init__(
-        self,
-        initial_time: int = 0,
-        scheduler: Union[str, Callable[[], Any]] = DEFAULT_SCHEDULER,
-    ) -> None:
+    def __init__(self, initial_time: int = 0) -> None:
         self._now: int = int(initial_time)
-        if isinstance(scheduler, str):
-            self._scheduler_name = scheduler
-            self._sched = resolve_scheduler(scheduler)()
-        else:
-            self._sched = scheduler()
-            self._scheduler_name = getattr(
-                self._sched, "registry_name", type(self._sched).__name__
-            )
-        #: Raw heap list when the strategy exposes one (HeapScheduler and
-        #: subclasses); enables the inline fast path so ``heap``
-        #: configurations execute the exact historical dispatch loop.
-        #: Queue entries are ``(time, priority, seq, event)`` for ordinary
-        #: events or ``(time, priority, seq, callback, arg)`` for deferred
-        #: callbacks (see :meth:`schedule_callback`).  ``seq`` is unique,
-        #: so tuple comparisons never reach the payload slots.
-        self._heap: Optional[List[Tuple]] = getattr(self._sched, "heap", None)
-        #: Raw sorted spine when the strategy exposes one (LadderScheduler
-        #: and subclasses); enables the second inline fast path —
-        #: ``insort`` pushes below the ladder boundary, direct lane
-        #: appends past it, and cursor-indexed dispatch.  Exposing
-        #: ``spine`` opts a scheduler into the whole inline contract
-        #: (``boundary``/``cursor``/``lanes``/``times``/``spill``/
-        #: ``refill``); the spine, lanes dict and times heap are mutated
-        #: in place by both sides and never rebound.
-        self._spine: Optional[List[Tuple]] = (
-            None if self._heap is not None
-            else getattr(self._sched, "spine", None)
-        )
-        if self._spine is not None:
-            self._lanes: Optional[dict] = self._sched.lanes
-            self._times: Optional[List[int]] = self._sched.times
-        else:
-            self._lanes = None
-            self._times = None
+        #: The heap.  Entries are ``(time, priority, seq, event)`` for
+        #: ordinary events or ``(time, priority, seq, callback, arg)`` for
+        #: deferred callbacks (see :meth:`schedule_callback`).  ``seq`` is
+        #: unique, so tuple comparisons never reach the payload slots.
+        self._queue: List[Tuple] = []
         self._seq: int = 0
         self._processed: int = 0
         self._active_process: Optional[Process] = None
         # Observe-only watchdog hook: called with the current time by the
         # first dispatch at or past the deadline — the same firing point
-        # whether the dispatch came from step(), run(), or a drained
-        # batch.  It schedules nothing and never mutates kernel state, so
-        # installing one cannot perturb the event sequence — it may only
-        # raise to abort a stalled run.
+        # whether the dispatch came from step(), run(), or
+        # run_until_complete().  It schedules nothing and never mutates
+        # kernel state, so installing one cannot perturb the event
+        # sequence — it may only raise to abort a stalled run.
         self._watchdog: Optional[Callable[[int], None]] = None
         self._watchdog_after: int = 0
 
@@ -146,11 +87,6 @@ class Environment:
     def now(self) -> int:
         """Current simulated time in cycles."""
         return self._now
-
-    @property
-    def scheduler_name(self) -> str:
-        """Registry name of the active pending-queue strategy."""
-        return self._scheduler_name
 
     @property
     def events_processed(self) -> int:
@@ -173,7 +109,7 @@ class Environment:
     @property
     def queue_length(self) -> int:
         """Pending queue entries right now."""
-        return len(self._sched)
+        return len(self._queue)
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -202,49 +138,12 @@ class Environment:
         return AllOf(self, list(events))
 
     # -- scheduling ----------------------------------------------------------
-    # The three scheduling methods repeat the push branch verbatim
-    # instead of sharing a helper: a shared _push() costs one Python
-    # frame per event on every non-heap path, a measured ~8% of the
-    # deep-stress dispatch loop.  The branch order favours the shipped
-    # default: the ladder's test comes first and the heap fast path pays
-    # one extra pointer compare.  Ladder: entries below the boundary
-    # insort straight into the spine's pending section; entries past it
-    # append straight to the cached per-cycle lanes — at stress depths
-    # nearly every push lands there, and the scheduler-frame round trip
-    # was a measured ~10% of the dispatch loop.  The spill cap check is
-    # amortized through the seq counter (one len() per 64 pushes; the
-    # ≤63-entry overshoot is cut back by the next spill).  Everything
-    # else gets the generic push method.
-
     def schedule(self, event: Event, delay: int = 0, priority: int = NORMAL) -> None:
         """Enqueue a triggered *event* for processing ``delay`` cycles ahead."""
         if delay < 0:
             raise SchedulingError(f"cannot schedule into the past (delay={delay})")
         seq = self._seq
-        t = self._now + int(delay)
-        entry = (t, priority, seq, event)
-        spine = self._spine
-        if spine is not None:
-            sched = self._sched
-            if t < sched.boundary:
-                cursor = sched.cursor
-                insort(spine, entry, cursor)
-                if not (seq & 63) and len(spine) - cursor > LADDER_SPINE_CAP:
-                    sched.spill()
-            else:
-                lanes = self._lanes
-                lane = lanes.get(t)
-                if lane is None:
-                    lanes[t] = [entry]
-                    _heappush(self._times, t)
-                else:
-                    lane.append(entry)
-        else:
-            heap = self._heap
-            if heap is not None:
-                heapq.heappush(heap, entry)
-            else:
-                self._sched.push(entry)
+        heappush(self._queue, (self._now + int(delay), priority, seq, event))
         self._seq = seq + 1
 
     def schedule_callback(self, callback: Callable[[Event], None], event: Event) -> None:
@@ -254,35 +153,10 @@ class Environment:
         ``(time, priority, seq, callback, event)`` — so no shim
         :class:`Event` is allocated per call.  It is scheduled URGENT at
         the current cycle, so it runs before any NORMAL work pending for
-        this cycle (bucket schedulers preempt a partially-drained batch to
-        honour this; the ladder insorts it ahead of everything later — no
-        protocol needed; see :mod:`repro.sim.sched`).
+        this cycle.
         """
         seq = self._seq
-        t = self._now
-        entry = (t, URGENT, seq, callback, event)
-        spine = self._spine
-        if spine is not None:
-            sched = self._sched
-            if t < sched.boundary:
-                cursor = sched.cursor
-                insort(spine, entry, cursor)
-                if not (seq & 63) and len(spine) - cursor > LADDER_SPINE_CAP:
-                    sched.spill()
-            else:
-                lanes = self._lanes
-                lane = lanes.get(t)
-                if lane is None:
-                    lanes[t] = [entry]
-                    _heappush(self._times, t)
-                else:
-                    lane.append(entry)
-        else:
-            heap = self._heap
-            if heap is not None:
-                heapq.heappush(heap, entry)
-            else:
-                self._sched.push(entry)
+        heappush(self._queue, (self._now, URGENT, seq, callback, event))
         self._seq = seq + 1
 
     def call_later(
@@ -297,36 +171,13 @@ class Environment:
         The event-free counterpart of :meth:`schedule`: the deferred call
         rides the queue as the same 5-tuple form :meth:`schedule_callback`
         uses, so no :class:`Event` is allocated at all.  Useful for
-        periodic housekeeping and kernel micro-benchmarks where the full
-        event lifecycle would only add constant overhead.
+        periodic housekeeping where the full event lifecycle would only
+        add constant overhead.
         """
         if delay < 0:
             raise SchedulingError(f"cannot schedule into the past (delay={delay})")
         seq = self._seq
-        t = self._now + int(delay)
-        entry = (t, priority, seq, callback, arg)
-        spine = self._spine
-        if spine is not None:
-            sched = self._sched
-            if t < sched.boundary:
-                cursor = sched.cursor
-                insort(spine, entry, cursor)
-                if not (seq & 63) and len(spine) - cursor > LADDER_SPINE_CAP:
-                    sched.spill()
-            else:
-                lanes = self._lanes
-                lane = lanes.get(t)
-                if lane is None:
-                    lanes[t] = [entry]
-                    _heappush(self._times, t)
-                else:
-                    lane.append(entry)
-        else:
-            heap = self._heap
-            if heap is not None:
-                heapq.heappush(heap, entry)
-            else:
-                self._sched.push(entry)
+        heappush(self._queue, (self._now + int(delay), priority, seq, callback, arg))
         self._seq = seq + 1
 
     # -- watchdog ------------------------------------------------------------
@@ -334,9 +185,9 @@ class Environment:
         """Install the observe-only stall watchdog.
 
         *callback(now)* runs inside the first dispatch whose event time is
-        at or past *deadline* — :meth:`step` and the :meth:`run` loops
-        share the firing point, since both funnel through
-        :meth:`_dispatch`.  The callback must either raise (aborting the
+        at or past *deadline* — :meth:`step`, :meth:`run` and
+        :meth:`run_until_complete` share the firing point, since all three
+        drive the same loop.  The callback must either raise (aborting the
         run, e.g. with :class:`~repro.errors.SimDeadlockError`) or call
         :meth:`defer_watchdog` to arm the next deadline; returning without
         deferring re-fires it every dispatch.
@@ -358,83 +209,65 @@ class Environment:
     # -- execution -----------------------------------------------------------
     def peek(self) -> Optional[int]:
         """Time of the next event, or None if the queue is empty."""
-        heap = self._heap
-        if heap is not None:
-            return heap[0][0] if heap else None
-        return self._sched.peek_time()
+        queue = self._queue
+        return queue[0][0] if queue else None
 
-    def _dispatch(self, entry: Tuple) -> None:
-        """Advance the clock to *entry* and run its payload (one event)."""
-        when = entry[0]
-        if when < self._now:  # pragma: no cover - queue invariant guard
-            raise SchedulingError("event queue corrupted: time went backwards")
-        self._now = when
-        if self._watchdog is not None and when >= self._watchdog_after:
-            self._watchdog(when)
-        self._processed += 1
-        if len(entry) == 5:
-            # Deferred callback (schedule_callback/call_later): no Event
-            # was allocated.
-            entry[3](entry[4])
-            return
-        event = entry[3]
-        cbs = event.callbacks
-        event.callbacks = PROCESSED
-        if cbs is not None:
-            if cbs.__class__ is list:
-                for callback in cbs:
-                    callback(event)
-            else:
-                # Single subscriber stored as a bare callable — the common
-                # case; no list was ever allocated for this event.
-                cbs(event)
-        if not event.ok and not event.defused:
-            # A failed event nobody handled: surface the error loudly.
-            raise event.value
+    def _loop(self, limit: int, target: Optional[Event], count: int) -> None:
+        """The dispatch loop behind :meth:`run`, :meth:`step` and
+        :meth:`run_until_complete`.
 
-    def _dispatch_batch(self, sched: Any, batch: List[Tuple]) -> None:
-        """Dispatch a FIFO batch sharing one ``(time, priority)`` key.
-
-        If a callback schedules an entry that must fire before the rest of
-        the batch (an URGENT call at the current cycle), the scheduler
-        raises its ``preempted`` flag and the undispatched remainder is
-        handed back via ``reclaim`` — the next pop returns the preempting
-        lane first, reproducing heap order exactly.  The remainder is also
-        reclaimed if a dispatch raises (watchdog abort, unhandled failed
-        event), so the queue stays intact for post-mortem inspection.
+        Dispatches entries in ``(time, priority, seq)`` order and stops
+        when the queue is empty, the next entry lies past *limit*,
+        *target* has triggered, or *count* entries have run (a negative
+        *count* never runs out).  Callers read the stop reason off the
+        queue and the target.  Each entry leaves the queue before its
+        payload runs, so a raising watchdog or an unhandled failed event
+        consumes exactly that entry and leaves the rest intact.
         """
-        dispatch = self._dispatch
-        i = 0
-        n = len(batch)
-        try:
-            while i < n:
-                entry = batch[i]
-                i += 1
-                dispatch(entry)
-                if sched.preempted:
-                    break
-        finally:
-            if i < n:
-                sched.reclaim(batch, i)
+        queue = self._queue
+        while queue:
+            if target is not None and target.triggered:
+                return
+            entry = queue[0]
+            when = entry[0]
+            if when > limit:
+                return
+            heappop(queue)
+            self._now = when
+            if self._watchdog is not None and when >= self._watchdog_after:
+                self._watchdog(when)
+            self._processed += 1
+            if len(entry) == 5:
+                # Deferred callback (schedule_callback/call_later): no
+                # Event was allocated.
+                entry[3](entry[4])
+            else:
+                event = entry[3]
+                cbs = event.callbacks
+                event.callbacks = PROCESSED
+                if cbs is not None:
+                    if cbs.__class__ is list:
+                        for callback in cbs:
+                            callback(event)
+                    else:
+                        # Single subscriber stored as a bare callable — the
+                        # common case; no list was ever allocated for it.
+                        cbs(event)
+                if not event._ok and not event._defused:
+                    # A failed event nobody handled: surface the error loudly.
+                    raise event._value
+            count -= 1
+            if not count:
+                return
 
     def step(self) -> None:
         """Process the single earliest event.
 
-        Shares :meth:`_dispatch` with the :meth:`run` loops, so watchdog
-        firing and failed-event propagation behave identically whether a
-        simulation is driven step-by-step or in bulk.  Raises
-        :class:`SimulationError` on an empty queue.
+        Raises :class:`SimulationError` on an empty queue.
         """
-        heap = self._heap
-        if heap is not None:
-            if not heap:
-                raise SimulationError("step() on an empty event queue")
-            self._dispatch(heapq.heappop(heap))
-            return
-        sched = self._sched
-        if not len(sched):
+        if not self._queue:
             raise SimulationError("step() on an empty event queue")
-        self._dispatch(sched.pop())
+        self._loop(_NO_LIMIT, None, 1)
 
     def run(self, until: Optional[int] = None) -> int:
         """Run until the queue drains or the clock passes *until*.
@@ -447,183 +280,30 @@ class Environment:
         ``time == now``), leaves strictly-later events queued, and returns
         with the clock unchanged.
         """
-        if until is not None and until < self._now:
+        if until is None:
+            self._loop(_NO_LIMIT, None, -1)
+        elif until < self._now:
             raise SchedulingError(f"until={until} is in the past (now={self._now})")
-        heap = self._heap
-        if heap is not None:
-            # Hot loop: queue/heappop/dispatch bound to locals (a run is
-            # millions of iterations; schedule() mutates the same list
-            # object in place).
-            queue = heap
-            pop = heapq.heappop
-            dispatch = self._dispatch
-            while queue:
-                if until is not None and queue[0][0] > until:
-                    break
-                dispatch(pop(queue))
-        elif self._spine is not None:
-            # Ladder hot loop: dispatch by advancing a cursor over the
-            # sorted spine — an index and an attribute store per event,
-            # no pop, no memmove.  The cursor is mirrored in a local;
-            # the store *before* each dispatch is load-bearing (callbacks
-            # push via `insort(spine, entry, sched.cursor)`).  Retired
-            # entries compact away in one del-slice per LADDER_COMPACT
-            # events.  Like the batch-draining loops below, this assumes
-            # callbacks never re-enter run()/step().
-            # The dispatch body is inlined here (verbatim from
-            # :meth:`_dispatch`, which stays the single source for
-            # step()/run_until_complete()/the batch loops): one Python
-            # frame per event is the single largest remaining cost at
-            # shallow depths, and this loop is the steady-state path of
-            # the shipped default.  Counter and clock stores happen
-            # before the payload call, exactly as in _dispatch, so
-            # callbacks and watchdogs observe identical state.
-            sched = self._sched
-            spine = self._spine
-            refill = sched.refill
-            cursor = sched.cursor
-            compact = LADDER_COMPACT
-            # A no-window run uses an unreachable sentinel so the window
-            # test stays one int compare per event (no None check).
-            limit = (1 << 62) if until is None else until
-            while True:
-                try:
-                    # Zero-cost try (3.11+): the exhausted-spine case
-                    # is rarer than one per refill chunk, so indexing
-                    # and catching beats a len() compare per event.
-                    entry = spine[cursor]
-                except IndexError:
-                    if refill():
-                        cursor = 0
-                        continue
-                    break
-                when = entry[0]
-                if when > limit:
-                    break
-                if when < self._now:  # pragma: no cover - invariant guard
-                    raise SchedulingError(
-                        "event queue corrupted: time went backwards"
-                    )
-                sched.cursor = cursor + 1
-                self._now = when
-                if self._watchdog is not None and when >= self._watchdog_after:
-                    self._watchdog(when)
-                self._processed += 1
-                if len(entry) == 5:
-                    entry[3](entry[4])
-                else:
-                    event = entry[3]
-                    cbs = event.callbacks
-                    event.callbacks = PROCESSED
-                    if cbs is not None:
-                        if cbs.__class__ is list:
-                            for callback in cbs:
-                                callback(event)
-                        else:
-                            cbs(event)
-                    if not event.ok and not event.defused:
-                        raise event.value
-                cursor += 1
-                if cursor >= compact:
-                    del spine[:cursor]
-                    cursor = 0
-                    sched.cursor = 0
         else:
-            sched = self._sched
-            pop_batch = sched.pop_batch
-            dispatch_batch = self._dispatch_batch
-            if until is None:
-                while True:
-                    batch = pop_batch()
-                    if batch is None:
-                        break
-                    dispatch_batch(sched, batch)
-            else:
-                peek = sched.peek_time
-                while True:
-                    when = peek()
-                    if when is None or when > until:
-                        break
-                    dispatch_batch(sched, pop_batch())
-        if until is not None:
+            self._loop(until, None, -1)
             self._now = max(self._now, int(until))
         return self._now
 
-    def run_until_complete(self, process: Process, limit: Optional[int] = None) -> Any:
+    def run_until_complete(self, process: Event, limit: Optional[int] = None) -> Any:
         """Run until *process* terminates; returns its value.
 
         Raises :class:`SimulationError` if the queue drains (deadlock) or the
         optional *limit* is reached before the process completes.
         """
-        if self._heap is not None:
-            queue = self._heap
-            pop = heapq.heappop
-            dispatch = self._dispatch
-            while not process.triggered:
-                if not queue:
-                    raise SimulationError(
-                        f"deadlock: event queue drained before {process!r} finished"
-                    )
-                if limit is not None and queue[0][0] > limit:
-                    raise SimulationError(
-                        f"simulation limit {limit} reached before {process!r} finished"
-                    )
-                dispatch(pop(queue))
-        elif self._spine is not None:
-            sched = self._sched
-            spine = self._spine
-            refill = sched.refill
-            dispatch = self._dispatch
-            cursor = sched.cursor
-            while not process.triggered:
-                if cursor >= len(spine):
-                    if not refill():
-                        raise SimulationError(
-                            f"deadlock: event queue drained before {process!r} finished"
-                        )
-                    cursor = 0
-                entry = spine[cursor]
-                if limit is not None and entry[0] > limit:
-                    raise SimulationError(
-                        f"simulation limit {limit} reached before {process!r} finished"
-                    )
-                sched.cursor = cursor + 1
-                dispatch(entry)
-                cursor += 1
-                if cursor >= LADDER_COMPACT:
-                    del spine[:cursor]
-                    cursor = 0
-                    sched.cursor = 0
-        else:
-            sched = self._sched
-            pop_batch = sched.pop_batch
-            dispatch = self._dispatch
-            while not process.triggered:
-                when = sched.peek_time()
-                if when is None:
-                    raise SimulationError(
-                        f"deadlock: event queue drained before {process!r} finished"
-                    )
-                if limit is not None and when > limit:
-                    raise SimulationError(
-                        f"simulation limit {limit} reached before {process!r} finished"
-                    )
-                batch = pop_batch()
-                i = 0
-                n = len(batch)
-                try:
-                    while i < n:
-                        entry = batch[i]
-                        i += 1
-                        dispatch(entry)
-                        # Same stop condition as the heap loop checks
-                        # before each pop: the target completing mid-batch
-                        # leaves the remainder queued.
-                        if sched.preempted or process.triggered:
-                            break
-                finally:
-                    if i < n:
-                        sched.reclaim(batch, i)
+        self._loop(_NO_LIMIT if limit is None else limit, process, -1)
+        if not process.triggered:
+            if self._queue:
+                raise SimulationError(
+                    f"simulation limit {limit} reached before {process!r} finished"
+                )
+            raise SimulationError(
+                f"deadlock: event queue drained before {process!r} finished"
+            )
         if not process.ok:
             raise process.value
         return process.value

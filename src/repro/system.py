@@ -68,11 +68,7 @@ class System:
         metrics: Optional["MetricsRegistry"] = None,
     ) -> None:
         self.config = config or DEFAULT_CONFIG
-        #: The pending-event queue strategy is part of the config surface
-        #: (default ``"ladder"``; see docs/PERFORMANCE.md §5) — every
-        #: strategy dispatches in bit-identical order, so this knob trades
-        #: wall time only, never simulated results.
-        self.env = Environment(scheduler=self.config.scheduler)
+        self.env = Environment()
         self.rng = RngPool(seed)
         #: One instrumentation bus shared by every component of the system.
         self.hooks = hooks if hooks is not None else HookBus()

@@ -35,10 +35,11 @@ def test_parse_spec_fills_defaults():
         {"scale": 0},
         {"config": {"bus_latency": -1}},
         {"config": {"no_such_field": 1}},
+        {"config": {"scheduler": "heap"}},
     ],
 )
 def test_parse_spec_rejects_bad_input(bad):
-    with pytest.raises((ConfigError, TypeError)):
+    with pytest.raises(ConfigError):
         parse_spec(bad)
 
 

@@ -66,7 +66,6 @@ def test_equal_keys_mean_byte_identical_metrics():
         {"validate": False},
         {"verify": True},
         {"arrival": ArrivalSpec.make("poisson", rate=0.001)},
-        {"scheduler": "calendar"},
     ],
     ids=lambda o: next(iter(o)),
 )

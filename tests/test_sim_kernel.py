@@ -152,9 +152,9 @@ def test_peek_reports_next_event_time(env):
 
 
 # -- step()-vs-run() watchdog symmetry ---------------------------------------
-# step() is public but historically only the inlined run() loops were
-# exercised by the stall-watchdog tests; both funnel through _dispatch, and
-# these tests pin that shared firing point directly.
+# step() is public but the stall-watchdog tests drive run(); all entry
+# points share one dispatch loop, and these tests pin that shared firing
+# point directly.
 
 
 def test_step_fires_watchdog_at_deadline(env):

@@ -78,6 +78,15 @@ def test_with_overrides_returns_new_config():
     assert DEFAULT_CONFIG.num_cores == 16
 
 
+def test_unknown_fields_raise_config_error_naming_them():
+    with pytest.raises(ConfigError, match="no_such_field, scheduler"):
+        DEFAULT_CONFIG.with_overrides(**{"scheduler": "heap", "no_such_field": 1})
+    data = DEFAULT_CONFIG.to_dict()
+    data["scheduler"] = "ladder"
+    with pytest.raises(ConfigError, match="unknown SystemConfig field.*scheduler"):
+        SystemConfig.from_dict(data)
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
