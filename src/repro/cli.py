@@ -135,22 +135,14 @@ def cmd_fig11(args) -> None:
 
 
 def cmd_run(args) -> None:
-    hist = None
     verify = getattr(args, "verify", False)
     jobs = getattr(args, "jobs", None)
     captured = {}
 
     def on_system(system) -> None:
         captured["system"] = system
-        if hist is not None:
-            hist.attach(system.hooks)
 
-    if getattr(args, "hook_stats", False):
-        from repro.eval.metrics import StageLatencyHistogram
-
-        hist = StageLatencyHistogram()
-
-    if jobs not in (None, 1) and hist is None:
+    if jobs not in (None, 1):
         # Route the run through the multiprocess executor — same metrics,
         # exercised worker path (handy as a parallel-executor smoke test).
         from repro.eval.parallel import RunRequest, run_requests
@@ -190,10 +182,6 @@ def cmd_run(args) -> None:
         # before the metrics crossed the process boundary.
         print()
         print("verification: PASS (checked in worker process)")
-    if hist is not None:
-        print()
-        print("per-stage transaction latency histograms (cycles)")
-        print(hist.render())
 
 
 def cmd_obs(args) -> None:
@@ -311,7 +299,7 @@ def _autotune_burst(args) -> None:
     r = autotune_burst(
         args.workload, ks=ks, p_mins=p_mins, scale=args.scale,
         seed=args.seed, rho=args.rho, jobs=getattr(args, "jobs", None),
-        executor=_serve_executor(args),
+        executor=_cache_executor(args),
     )
     unit = "p99 sojourn" if r.rho is not None else "exec cycles"
     rows = [
@@ -342,14 +330,16 @@ def cmd_replicate(args) -> None:
                        title=f"Figure 8 geomeans over {args.seeds} seeds"))
 
 
-def _serve_executor(args):
-    """A remote ServeExecutor when ``--serve SPOOL`` was given, else None."""
-    spool = getattr(args, "serve", None)
-    if not spool:
+def _cache_executor(args):
+    """``run_requests`` through a result cache when ``--cache DIR`` was
+    given, else None (the driver's own ``run_requests``)."""
+    if not args.cache:
         return None
-    from repro.serve import ServeExecutor
+    import functools
 
-    return ServeExecutor.remote(spool)
+    from repro.eval.parallel import ResultCache, run_requests
+
+    return functools.partial(run_requests, cache=ResultCache(args.cache))
 
 
 def cmd_batch(args) -> None:
@@ -357,7 +347,7 @@ def cmd_batch(args) -> None:
 
     report = run_batch_file(args.spec, report_path=args.out,
                             jobs=getattr(args, "jobs", None),
-                            executor=_serve_executor(args))
+                            executor=_cache_executor(args))
     print(format_table(["workload", "setting", "mean speedup"],
                        summarize_report(report),
                        title=f"Batch study: {report['name']}"))
@@ -409,7 +399,7 @@ def cmd_load(args) -> None:
         churn=args.churn,
         jobs=getattr(args, "jobs", None),
         base=_config(args),
-        executor=_serve_executor(args),
+        executor=_cache_executor(args),
     )
     print(result.render())
     if args.out:
@@ -417,144 +407,6 @@ def cmd_load(args) -> None:
             fh.write(result.to_json())
             fh.write("\n")
         print(f"\nwrote JSON report to {args.out}")
-
-
-# --------------------------------------------------------------------- serve
-#: The serve smoke grid: the fig8 smoke matrix at obs smoke scale.
-SERVE_GRIDS = {"fig8-quick": ("ping-pong", "incast")}
-SERVE_GRID_SETTINGS = ("vl", "tuned")
-SERVE_GRID_SCALE = 0.05
-
-
-def _serve_grid_requests(grid: str, scale: float, seed: int):
-    from repro.eval.parallel import RunRequest
-
-    workloads = SERVE_GRIDS[grid]
-    return [
-        RunRequest.from_setting(workload, _setting(name), scale=scale,
-                                seed=seed)
-        for workload in workloads
-        for name in SERVE_GRID_SETTINGS
-    ]
-
-
-def cmd_serve_start(args) -> None:
-    """Run the daemon in the foreground until stopped (``repro serve stop``)."""
-    from repro.serve import ServeDaemon, Spool
-
-    spool = Spool(args.spool)
-    daemon = ServeDaemon(
-        spool=spool,
-        jobs=args.jobs,
-        policy=args.policy,
-        max_depth=args.max_depth,
-        cache=not args.no_cache,
-    )
-    print(f"serving spool {spool.root} "
-          f"(policy={args.policy}, workers={daemon.workers}, "
-          f"max-depth={args.max_depth}, "
-          f"cache={'off' if args.no_cache else 'on'})",
-          flush=True)
-    daemon.serve_forever(poll_s=args.poll)
-
-
-def cmd_serve_submit(args) -> None:
-    """Submit one run — or a named grid — and optionally wait for results."""
-    import dataclasses
-    import json as _json
-
-    from repro.serve import ServeClient
-
-    client = ServeClient(args.spool)
-    if args.grid:
-        requests = _serve_grid_requests(args.grid, args.scale, args.seed)
-    else:
-        if not args.workload:
-            raise SystemExit("serve submit needs a workload or --grid")
-        from repro.eval.parallel import RunRequest
-
-        requests = [
-            RunRequest.from_setting(args.workload, _setting(args.setting),
-                                    scale=args.scale, seed=args.seed)
-        ]
-    job_ids = [
-        client.submit(request, priority=args.priority) for request in requests
-    ]
-    for request, job_id in zip(requests, job_ids):
-        print(f"submitted {job_id}  {request.workload}/{request.label}")
-    if not args.wait:
-        return
-
-    metrics_list = client.results(job_ids, timeout=args.timeout)
-    hits = sum(
-        1 for job_id in job_ids
-        if client.status(job_id).get("cache_hit", False)
-    )
-    print(f"cache hits: {hits}/{len(job_ids)}")
-    doc = {
-        "cells": [
-            {
-                "workload": request.workload,
-                "setting": metrics.setting,
-                "seed": request.seed,
-                "scale": request.scale,
-                "metrics": dataclasses.asdict(metrics),
-            }
-            for request, metrics in zip(requests, metrics_list)
-        ]
-    }
-    if args.out:
-        # Sim-deterministic content only: byte-diffs clean across passes
-        # whether cells were computed or served from the cache.
-        with open(args.out, "w") as fh:
-            _json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote results to {args.out}")
-    else:
-        rows = [
-            [cell["workload"], cell["setting"],
-             cell["metrics"]["exec_cycles"]]
-            for cell in doc["cells"]
-        ]
-        print(format_table(["workload", "setting", "exec cycles"], rows,
-                           title="serve results"))
-
-
-def cmd_serve_status(args) -> None:
-    import json as _json
-
-    from repro.serve import ServeClient
-
-    client = ServeClient(args.spool)
-    status = client.stats()
-    if status is None:
-        print(f"no daemon heartbeat on spool {args.spool}")
-        raise SystemExit(1)
-    print(_json.dumps(status, indent=2, sort_keys=True))
-
-
-def cmd_serve_result(args) -> None:
-    import dataclasses
-    import json as _json
-
-    from repro.serve import ServeClient
-
-    metrics = ServeClient(args.spool).result(args.job_id, timeout=args.timeout)
-    print(_json.dumps(dataclasses.asdict(metrics), indent=2, sort_keys=True))
-
-
-def cmd_serve_drain(args) -> None:
-    from repro.serve import ServeClient
-
-    ServeClient(args.spool).drain(timeout=args.timeout)
-    print("drained: all accepted jobs finished")
-
-
-def cmd_serve_stop(args) -> None:
-    from repro.serve import ServeClient
-
-    ServeClient(args.spool).stop(timeout=args.timeout, wait=not args.no_wait)
-    print("stopped" if not args.no_wait else "stop requested")
 
 
 def cmd_list(_args) -> None:
@@ -622,9 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = burst(jobs(common(
         sub.add_parser("run", help="run one workload under one setting"),
         workload=True, setting=True)))
-    p.add_argument("--hook-stats", action="store_true",
-                   help="dump per-stage transaction latency histograms "
-                        "collected over the instrumentation hook bus")
     p.add_argument("--verify", action="store_true",
                    help="attach the live invariant checker (FIFO order, "
                         "message conservation, cacheline/transaction "
@@ -741,90 +590,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: closed batch, scored by exec cycles)")
     p.set_defaults(fn=cmd_autotune)
 
-    # ------------------------------------------------------------------ serve
-    from repro.serve import DEFAULT_MAX_DEPTH, DEFAULT_POLICY, sched_policy_names
-
-    serve = sub.add_parser(
-        "serve",
-        help="long-lived experiment service: warm pool + result cache "
-             "(see docs/SERVING.md)")
-    serve_sub = serve.add_subparsers(dest="serve_command", required=True)
-
-    def spool(p, timeout: bool = False):
-        p.add_argument("--spool", required=True, metavar="DIR",
-                       help="spool directory shared by daemon and clients")
-        if timeout:
-            p.add_argument("--timeout", type=float, default=300.0,
-                           help="seconds to wait before giving up "
-                                "(default: 300)")
-        return p
-
-    p = spool(serve_sub.add_parser(
-        "start", help="run the daemon in the foreground on a spool"))
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="worker processes in the persistent pool "
-                        "(0 = all cores; default: all cores)")
-    p.add_argument("--policy", choices=sched_policy_names(),
-                   default=DEFAULT_POLICY,
-                   help=f"scheduling policy (default: {DEFAULT_POLICY})")
-    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH,
-                   help="admission bound: queued jobs beyond this are "
-                        f"rejected (default: {DEFAULT_MAX_DEPTH})")
-    p.add_argument("--poll", type=float, default=0.05,
-                   help="idle poll interval in seconds (default: 0.05)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the content-addressed result cache")
-    p.set_defaults(fn=cmd_serve_start)
-
-    p = spool(serve_sub.add_parser(
-        "submit", help="submit one run or a named grid"), timeout=True)
-    p.add_argument("workload", nargs="?", default=None,
-                   choices=workload_names(),
-                   help="workload for a single run (or use --grid)")
-    p.add_argument("--setting", choices=_setting_names(), default="tuned")
-    p.add_argument("--grid", choices=sorted(SERVE_GRIDS), default=None,
-                   help="submit a named grid instead: fig8-quick = "
-                        "ping-pong/incast x vl/tuned")
-    p.add_argument("--scale", type=float, default=SERVE_GRID_SCALE,
-                   help="message-count scale factor (default: 0.05)")
-    p.add_argument("--seed", type=lambda v: int(v, 0), default=0xC0FFEE)
-    p.add_argument("--priority", type=int, default=0,
-                   help="job priority (higher runs first under --policy "
-                        "priority)")
-    p.add_argument("--wait", action="store_true",
-                   help="block for results; prints the cache-hit count")
-    p.add_argument("--out", metavar="FILE", default=None,
-                   help="with --wait: write sim-deterministic results JSON "
-                        "(byte-identical across cached and fresh passes)")
-    p.set_defaults(fn=cmd_serve_submit)
-
-    spool(serve_sub.add_parser("status", help="print the daemon heartbeat")
-          ).set_defaults(fn=cmd_serve_status)
-    p = spool(serve_sub.add_parser(
-        "result", help="fetch one job's metrics (or re-raise its error)"),
-        timeout=True)
-    p.add_argument("job_id")
-    p.set_defaults(fn=cmd_serve_result)
-    spool(serve_sub.add_parser(
-        "drain", help="block until every accepted job has finished"),
-        timeout=True).set_defaults(fn=cmd_serve_drain)
-    p = spool(serve_sub.add_parser(
-        "stop", help="stop the daemon (finishes in-flight jobs)"),
-        timeout=True)
-    p.add_argument("--no-wait", action="store_true",
-                   help="leave the stop marker without waiting for the "
-                        "daemon to exit")
-    p.set_defaults(fn=cmd_serve_stop)
-
-    def serve_flag(p):
-        p.add_argument("--serve", metavar="SPOOL", default=None,
-                       help="route the grid through a running `repro serve "
-                            "start` daemon on this spool (warm pool + "
-                            "result cache)")
-        return p
-
     for name in ("batch", "load", "autotune"):
-        serve_flag(sub.choices[name])
+        sub.choices[name].add_argument(
+            "--cache", metavar="DIR", default=None,
+            help="content-addressed result cache: cells already in DIR "
+                 "are served from it (byte-identical to a fresh run), "
+                 "new ones are run and stored there")
 
     sub.add_parser("list", help="available workloads and settings").set_defaults(
         fn=cmd_list)

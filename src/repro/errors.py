@@ -84,38 +84,6 @@ class RegistrationError(DeviceError):
     """Raised for invalid endpoint or specBuf registrations."""
 
 
-class ServeError(ReproError):
-    """Raised by the experiment service (:mod:`repro.serve`)."""
-
-
-class AdmissionError(ServeError):
-    """Raised when the serve job queue refuses a submission.
-
-    The admission gate bounds queue depth: rather than queueing without
-    bound (and letting every submitted sweep's latency grow unboundedly),
-    the daemon rejects with this typed error carrying the observed
-    ``depth`` and the configured ``limit`` so callers can back off and
-    resubmit.  Also raised for submissions to a draining or stopped
-    daemon (``depth``/``limit`` then describe the gate that refused).
-    """
-
-    def __init__(self, message: str, depth: int = 0, limit: int = 0) -> None:
-        super().__init__(message)
-        self.depth = int(depth)
-        self.limit = int(limit)
-
-    def __reduce__(self):
-        # See SimDeadlockError.__reduce__: serve results cross process
-        # boundaries (spool files, worker pickles) and the default
-        # BaseException reduction would drop depth/limit.
-        return (type(self), (self.args[0] if self.args else "",
-                             self.depth, self.limit))
-
-
-class JobNotFoundError(ServeError):
-    """Raised when a serve client names a job the daemon never accepted."""
-
-
 class WorkloadError(ReproError):
     """Raised when a workload is mis-specified (bad topology, thread count)."""
 

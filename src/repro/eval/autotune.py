@@ -254,9 +254,10 @@ def autotune_burst(
     arrival process at that offered load, scored by p99 sojourn — the
     saturated-tail question the frontier exists to answer.
 
-    *executor* is any ``run_requests``-shaped callable (e.g. a
-    :class:`~repro.serve.executor.ServeExecutor`); the grid routes
-    through it so repeated frontier sweeps hit the daemon's result cache.
+    *executor* is any ``run_requests``-shaped callable (e.g.
+    ``functools.partial(run_requests, cache=ResultCache(dir))``, which
+    is ``repro autotune --burst --cache DIR``); the grid routes through
+    it so repeated frontier sweeps hit the result cache.
     """
     from repro.eval.load import arrival_spec_for
     from repro.eval.parallel import RunRequest, run_requests

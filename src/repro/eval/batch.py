@@ -82,11 +82,10 @@ def run_batch(
     worker processes (0 = all cores; default serial); the report is
     bit-identical either way because results merge in submission order.
 
-    *executor* is any ``run_requests``-shaped callable — pass a
-    :class:`~repro.serve.executor.ServeExecutor` to route the grid
-    through a serve daemon (warm pool + result cache) instead of the
-    per-call process pool; the report stays bit-identical by the same
-    determinism argument.
+    *executor* is any ``run_requests``-shaped callable — e.g.
+    ``functools.partial(run_requests, cache=ResultCache(dir))`` to serve
+    repeated cells from a result cache (``repro batch --cache DIR``); the
+    report stays bit-identical by the same determinism argument.
     """
     norm = parse_spec(spec)
     config = SystemConfig().with_overrides(**norm["config"])

@@ -194,9 +194,9 @@ def load_experiment(
 ) -> LoadResult:
     """Calibrate then sweep; bit-identical across ``jobs`` values.
 
-    *executor* is any ``run_requests``-shaped callable (e.g. a
-    :class:`~repro.serve.executor.ServeExecutor`): both phases route
-    through it, so a serve daemon's warm pool runs the sweep and its
+    *executor* is any ``run_requests``-shaped callable (e.g.
+    ``functools.partial(run_requests, cache=ResultCache(dir))``, which
+    is ``repro load --cache DIR``): both phases route through it, so a
     result cache makes every repeated cell — including the calibration
     runs a later sweep repeats — free.
     """

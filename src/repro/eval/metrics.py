@@ -15,7 +15,7 @@ workload completes and feeds every figure:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 from repro.units import cycles_to_ms
 
@@ -128,89 +128,3 @@ class RunMetrics:
         if baseline.push_energy <= 0:
             raise ValueError("baseline consumed no push energy")
         return self.push_energy / baseline.push_energy
-
-
-class StageLatencyHistogram:
-    """Per-stage transaction latency histograms, fed by the hook bus.
-
-    Subscribes to :class:`~repro.sim.hooks.TransactionHook` and, at each
-    terminal transition, folds the record's
-    :meth:`~repro.sim.transaction.TransactionRecord.stage_durations` into
-    per-edge histograms (``pushed->mapped``, ``stashed->responded``, …).
-    Attach one before a run (the CLI's ``--hook-stats``)::
-
-        hist = StageLatencyHistogram()
-        hist.attach(system.hooks)
-        ...  # run
-        print(hist.render())
-    """
-
-    #: States after which a message/request record is complete.
-    TERMINAL = ("retired", "matched", "coalesced", "dropped")
-
-    def __init__(self, bucket_width: int = 16) -> None:
-        if bucket_width < 1:
-            raise ValueError("bucket_width must be >= 1")
-        self.bucket_width = bucket_width
-        #: stage label -> {bucket index -> count}
-        self.histograms: Dict[str, Dict[int, int]] = {}
-        #: stage label -> (count, total cycles) for mean reporting.
-        self.totals: Dict[str, Tuple[int, int]] = {}
-        self._subscription = None
-
-    # ------------------------------------------------------------------ wiring
-    def attach(self, bus) -> "StageLatencyHistogram":
-        """Subscribe to *bus*; returns self for chaining."""
-        from repro.sim.hooks import TransactionHook
-
-        if self._subscription is None:
-            self._subscription = bus.subscribe(TransactionHook, self._on_hook)
-        return self
-
-    def detach(self, bus) -> None:
-        if self._subscription is not None:
-            bus.unsubscribe(self._subscription)
-            self._subscription = None
-
-    def _on_hook(self, event) -> None:
-        if event.record is None or event.state.value not in self.TERMINAL:
-            return
-        self.add_record(event.record)
-
-    # --------------------------------------------------------------- recording
-    def add_record(self, record) -> None:
-        """Fold one completed transaction record into the histograms."""
-        for stage, cycles in record.stage_durations():
-            bucket = max(0, int(cycles)) // self.bucket_width
-            per_stage = self.histograms.setdefault(stage, {})
-            per_stage[bucket] = per_stage.get(bucket, 0) + 1
-            count, total = self.totals.get(stage, (0, 0))
-            self.totals[stage] = (count + 1, total + max(0, int(cycles)))
-
-    # ----------------------------------------------------------------- queries
-    def stages(self) -> List[str]:
-        return sorted(self.histograms)
-
-    def mean(self, stage: str) -> Optional[float]:
-        count, total = self.totals.get(stage, (0, 0))
-        return total / count if count else None
-
-    def render(self, max_bar: int = 40) -> str:
-        """Plain-text histograms, one block per stage (CLI ``--hook-stats``)."""
-        if not self.histograms:
-            return "no transactions observed (is tracing enabled?)"
-        lines: List[str] = []
-        for stage in self.stages():
-            count, total = self.totals[stage]
-            mean = total / count if count else 0.0
-            lines.append(f"{stage}  (n={count}, mean={mean:.1f} cycles)")
-            buckets = self.histograms[stage]
-            peak = max(buckets.values())
-            for bucket in sorted(buckets):
-                lo = bucket * self.bucket_width
-                hi = lo + self.bucket_width - 1
-                n = buckets[bucket]
-                bar = "#" * max(1, round(n / peak * max_bar))
-                lines.append(f"  [{lo:>6}-{hi:>6}] {n:>6} {bar}")
-            lines.append("")
-        return "\n".join(lines).rstrip()

@@ -24,6 +24,11 @@ across pickling (``__reduce__`` in :mod:`repro.errors`), and
 :func:`execute_requests` captures one run's failure without losing the
 other runs' results.
 
+The same determinism makes result caching exact: :class:`ResultCache`
+stores each run's metrics under :meth:`RunRequest.cache_key`, and
+``run_requests(..., cache=...)`` serves every hit verbatim and runs only
+the misses.
+
 See ``docs/PERFORMANCE.md`` for the design and determinism argument.
 """
 
@@ -37,7 +42,8 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.config import SystemConfig
 from repro.errors import ConfigError
@@ -190,8 +196,8 @@ class RunRequest:
 
         Bit-wise determinism (pinned since the parallel executor landed)
         means equal keys imply byte-identical :class:`RunMetrics`, which is
-        what makes the :class:`repro.serve.cache.ResultCache` provably
-        exact: a repeated sweep cell can return the cached pickle verbatim.
+        what makes the :class:`ResultCache` provably exact: a repeated
+        sweep cell can return the cached pickle verbatim.
         """
         canonical = json.dumps(
             self.cache_payload(), sort_keys=True, separators=(",", ":")
@@ -257,32 +263,6 @@ def _mp_context():
     return None
 
 
-def _warm_token(token: int) -> int:
-    """Trivial worker task: forces the pool to actually start a process."""
-    return token
-
-
-def make_pool(
-    jobs: Optional[int] = None, warm: bool = True
-) -> ProcessPoolExecutor:
-    """A live executor pool for reuse across :func:`run_requests` calls.
-
-    ``ProcessPoolExecutor`` starts workers lazily, so a freshly built pool
-    still pays the spawn cost on its first batch; ``warm=True`` runs one
-    trivial task per worker up front, moving that cost to pool creation.
-    Back-to-back sweeps that pass the same live pool to
-    :func:`run_requests`/:func:`execute_requests` then pay it once instead
-    of once per call — the small-host overhead that made ``--jobs`` a loss
-    on 1–2 core machines (docs/PERFORMANCE.md §7).  The caller owns the
-    pool and must ``shutdown()`` it (or use it as a context manager).
-    """
-    workers = resolve_jobs(jobs)
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=_mp_context())
-    if warm:
-        list(pool.map(_warm_token, range(workers)))
-    return pool
-
-
 def _check_picklable(requests: Sequence[RunRequest]) -> None:
     for request in requests:
         try:
@@ -297,24 +277,8 @@ def _check_picklable(requests: Sequence[RunRequest]) -> None:
             ) from exc
 
 
-def _harvest(
-    requests: Sequence[RunRequest], pool: ProcessPoolExecutor
-) -> List[RunOutcome]:
-    """Fan *requests* over *pool* and merge results in submission order."""
-    outcomes: List[RunOutcome] = []
-    futures = [pool.submit(execute_request, request) for request in requests]
-    for index, (request, future) in enumerate(zip(requests, futures)):
-        try:
-            outcomes.append(RunOutcome(index, request, metrics=future.result()))
-        except Exception as exc:  # noqa: BLE001 - captured per-run by design
-            outcomes.append(RunOutcome(index, request, error=exc))
-    return outcomes
-
-
 def execute_requests(
-    requests: Sequence[RunRequest],
-    jobs: Optional[int] = None,
-    pool: Optional[ProcessPoolExecutor] = None,
+    requests: Sequence[RunRequest], jobs: Optional[int] = None
 ) -> List[RunOutcome]:
     """Run every request; never raises for a failing *run*.
 
@@ -322,16 +286,8 @@ def execute_requests(
     order, one per request: a crashed or deadlocked run yields its typed
     exception in :attr:`RunOutcome.error` while every other run's metrics
     are preserved.
-
-    *pool* is an optional **live** executor (see :func:`make_pool`): when
-    given it is used as-is and left running afterwards, so back-to-back
-    sweeps amortize worker spawn instead of paying it per call.  ``jobs``
-    is ignored in that case — the pool's own worker count governs.
     """
     requests = list(requests)
-    if pool is not None:
-        _check_picklable(requests)
-        return _harvest(requests, pool)
     workers = min(resolve_jobs(jobs), len(requests)) if requests else 1
     outcomes: List[RunOutcome] = []
     if workers <= 1:
@@ -344,14 +300,131 @@ def execute_requests(
                 outcomes.append(RunOutcome(index, request, error=exc))
         return outcomes
     _check_picklable(requests)
-    with ProcessPoolExecutor(max_workers=workers, mp_context=_mp_context()) as owned:
-        return _harvest(requests, owned)
+    with ProcessPoolExecutor(max_workers=workers, mp_context=_mp_context()) as pool:
+        futures = [pool.submit(execute_request, request) for request in requests]
+        for index, (request, future) in enumerate(zip(requests, futures)):
+            try:
+                outcomes.append(RunOutcome(index, request, metrics=future.result()))
+            except Exception as exc:  # noqa: BLE001 - captured per-run by design
+                outcomes.append(RunOutcome(index, request, error=exc))
+    return outcomes
+
+
+def metrics_bytes(metrics: RunMetrics) -> bytes:
+    """The canonical cached serialization of one run's metrics."""
+    return pickle.dumps(metrics, protocol=CACHE_PICKLE_PROTOCOL)
+
+
+class ResultCache:
+    """Content-addressed ``cache_key -> pickled RunMetrics`` store.
+
+    Bit-wise determinism makes the cache exact, not heuristic: equal
+    :meth:`RunRequest.cache_key` values mean byte-identical metrics, so a
+    hit returns the exact bytes (:func:`metrics_bytes`) a fresh run would
+    serialize to.  Entries live in an in-memory dict and, when a
+    *directory* is given, one ``<sha256>.pkl`` file per key, written
+    atomically (tmp + rename) so an interrupted run never leaves a
+    truncated entry and a later process warms from disk.
+    """
+
+    def __init__(self, directory: Optional[os.PathLike] = None) -> None:
+        self._memory: Dict[str, bytes] = {}
+        self._dir: Optional[Path] = None
+        #: Lifetime hit/miss/store counters.
+        self.hits = 0
+        self.misses = 0
+        self.stores = 0
+        if directory is not None:
+            self._dir = Path(directory)
+            self._dir.mkdir(parents=True, exist_ok=True)
+
+    # ------------------------------------------------------------------ lookup
+    def get_bytes(self, key: str) -> Optional[bytes]:
+        """The cached pickle for *key*, or None; counts the hit/miss."""
+        payload = self._memory.get(key)
+        if payload is None and self._dir is not None:
+            path = self._dir / f"{key}.pkl"
+            if path.exists():
+                payload = path.read_bytes()
+                self._memory[key] = payload
+        if payload is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        return payload
+
+    def get(self, key: str) -> Optional[RunMetrics]:
+        """The cached metrics object for *key*, or None."""
+        payload = self.get_bytes(key)
+        return pickle.loads(payload) if payload is not None else None
+
+    def lookup(self, request: RunRequest) -> Optional[RunMetrics]:
+        """One-call convenience: key the request, then :meth:`get`."""
+        return self.get(request.cache_key())
+
+    def contains(self, key: str) -> bool:
+        """Membership test that does not disturb the hit/miss counters."""
+        if key in self._memory:
+            return True
+        return self._dir is not None and (self._dir / f"{key}.pkl").exists()
+
+    # ------------------------------------------------------------------- store
+    def put(self, key: str, metrics: RunMetrics) -> bytes:
+        """Store *metrics* under *key*; returns the canonical bytes."""
+        payload = metrics_bytes(metrics)
+        self._memory[key] = payload
+        self.stores += 1
+        if self._dir is not None:
+            path = self._dir / f"{key}.pkl"
+            tmp = self._dir / f".{key}.{os.getpid()}.tmp"
+            tmp.write_bytes(payload)
+            os.replace(tmp, path)
+        return payload
+
+    # ----------------------------------------------------------------- queries
+    def __len__(self) -> int:
+        if self._dir is not None:
+            on_disk = {p.stem for p in self._dir.glob("*.pkl")}
+            return len(on_disk | set(self._memory))
+        return len(self._memory)
+
+    @property
+    def hit_rate(self) -> float:
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    def stats(self) -> Dict[str, float]:
+        return {
+            "entries": len(self),
+            "hits": self.hits,
+            "misses": self.misses,
+            "stores": self.stores,
+            "hit_rate": round(self.hit_rate, 4),
+        }
+
+
+def _run_cached(
+    requests: List[RunRequest], jobs: Optional[int], cache: ResultCache
+) -> List[RunMetrics]:
+    """:func:`run_requests` through *cache*: only the misses run."""
+    keys = [request.cache_key() for request in requests]
+    results: List[Optional[RunMetrics]] = [cache.get(key) for key in keys]
+    misses = [index for index, metrics in enumerate(results) if metrics is None]
+    outcomes = execute_requests([requests[i] for i in misses], jobs=jobs)
+    for index, outcome in zip(misses, outcomes):
+        if outcome.ok:
+            cache.put(keys[index], outcome.metrics)
+            results[index] = outcome.metrics
+    for outcome in outcomes:
+        if outcome.error is not None:
+            raise outcome.error
+    return results
 
 
 def run_requests(
     requests: Sequence[RunRequest],
     jobs: Optional[int] = None,
-    pool: Optional[ProcessPoolExecutor] = None,
+    cache: Optional[ResultCache] = None,
 ) -> List[RunMetrics]:
     """Run every request and return metrics in submission order.
 
@@ -360,15 +433,22 @@ def run_requests(
     ``SimDeadlockError.tick``/``.blocked`` and ``VerificationError
     .violations`` intact even when the failure happened in a worker.
     Callers that need the surviving results around a failure use
-    :func:`execute_requests` instead.  A live *pool* (:func:`make_pool`)
-    is reused and left running, exactly as in :func:`execute_requests`.
+    :func:`execute_requests` instead.
+
+    With a *cache*, every request's key is looked up in this process and
+    only the misses run (serially or on a pool, per *jobs*), so a call
+    whose requests all hit starts no pool.  Each successful run is
+    stored; a failed one stores nothing and its error is re-raised after
+    the other misses have been stored.
     """
     requests = list(requests)
-    if pool is None and min(resolve_jobs(jobs), len(requests) or 1) <= 1:
+    if cache is not None:
+        return _run_cached(requests, jobs, cache)
+    if min(resolve_jobs(jobs), len(requests) or 1) <= 1:
         # Pure serial fast path: no outcome wrappers, abort at first error
         # exactly like the historical per-figure loops.
         return [execute_request(request) for request in requests]
-    outcomes = execute_requests(requests, jobs=jobs, pool=pool)
+    outcomes = execute_requests(requests, jobs=jobs)
     for outcome in outcomes:
         if outcome.error is not None:
             raise outcome.error

@@ -289,9 +289,11 @@ def run_workload(
     """Run one (workload, setting) pair end to end and return its metrics.
 
     *on_system* is called with the freshly built :class:`System` before the
-    run starts — the hook point for attaching instrumentation (e.g. the
-    CLI's ``--hook-stats`` stage-latency histograms) without threading
-    subscriber objects through every caller.
+    run starts — the hook point for attaching instrumentation without
+    threading subscriber objects through every caller.  For per-stage
+    transaction latencies use ``repro obs <workload> --setting S
+    --summary``, whose collector records the ``txn.stage.<edge>``
+    histograms.
 
     ``verify=True`` attaches the live invariant checker
     (:mod:`repro.verify.invariants`) and raises

@@ -93,7 +93,6 @@ class DeviceSpec:
         network,
         *,
         algorithm=None,
-        trace=None,
         hooks=None,
         security=None,
     ):
@@ -103,7 +102,7 @@ class DeviceSpec:
                 raise ConfigError(
                     f"device {self.name!r} needs a delay algorithm"
                 )
-            kwargs: Dict[str, Any] = {"trace": trace, "hooks": hooks}
+            kwargs: Dict[str, Any] = {"hooks": hooks}
             if self.accepts_security:
                 kwargs["security"] = security
             return self.factory(env, config, network, algorithm, **kwargs)
@@ -112,7 +111,7 @@ class DeviceSpec:
                 f"a delay algorithm only applies to devices that speculate; "
                 f"device {self.name!r} does not take one"
             )
-        return self.factory(env, config, network, trace=trace, hooks=hooks)
+        return self.factory(env, config, network, hooks=hooks)
 
 
 _DEVICES: Dict[str, DeviceSpec] = {}
@@ -128,8 +127,8 @@ def register_device(
 ) -> Callable:
     """Class decorator: make a routing device constructible by *name*.
 
-    The decorated class must accept ``(env, config, network, trace=, hooks=)``
-    — plus a positional ``algorithm`` after the network when registered with
+    The decorated class must accept ``(env, config, network, hooks=)`` —
+    plus a positional ``algorithm`` after the network when registered with
     ``accepts_algorithm=True``, and a ``security=`` keyword with
     ``accepts_security=True``.
     """

@@ -117,8 +117,8 @@ class TraceRecorder:
         instead of being called directly from device hot paths.  Disabled
         recorders do not subscribe at all, so publishers skip constructing
         events entirely (``bus.wants(TraceHook)`` stays False).  Attaching
-        the same bus twice is a no-op — a system's devices share one bus
-        and one recorder.
+        the same bus twice is a no-op.  :class:`~repro.system.System`
+        attaches its recorder to its bus once, before building devices.
         """
         if not self.enabled or any(b is bus for b in self._attached):
             return

@@ -25,7 +25,6 @@ from repro.config import SystemConfig
 from repro.mem.bus import CoherenceNetwork
 from repro.registry import register_device
 from repro.sim.hooks import HookBus
-from repro.sim.trace import TraceRecorder
 from repro.spamer.delay import DelayAlgorithm
 from repro.spamer.policy import SpecBufSpeculation
 from repro.spamer.security import SecurityPolicy
@@ -57,7 +56,6 @@ class SpamerRoutingDevice(VirtualLinkRoutingDevice):
         config: SystemConfig,
         network: CoherenceNetwork,
         algorithm: DelayAlgorithm,
-        trace: Optional[TraceRecorder] = None,
         security: Optional[SecurityPolicy] = None,
         hooks: Optional[HookBus] = None,
     ) -> None:
@@ -66,7 +64,7 @@ class SpamerRoutingDevice(VirtualLinkRoutingDevice):
         self.algorithm = algorithm
         self.specbuf = SpecBuf(config.specbuf_entries)
         self.security = security or SecurityPolicy()
-        super().__init__(env, config, network, trace=trace, hooks=hooks)
+        super().__init__(env, config, network, hooks=hooks)
 
     def _make_speculation(self) -> SpeculationPolicy:
         # Burst (multi-push) speculation turns on when either the config

@@ -89,13 +89,15 @@ class System:
             algorithm = self.config.default_algorithm or spec.default_algorithm
         if isinstance(algorithm, str):
             algorithm = algorithm_by_name(algorithm)
+        # The Figure-7 recorder is a bus subscriber; attaching it before
+        # any device subscribes keeps the TraceHook delivery order.
+        self.trace.attach(self.hooks)
         self.devices: List[VirtualLinkRoutingDevice] = [
             spec.build(
                 self.env,
                 self.config,
                 self.network,
                 algorithm=algorithm,
-                trace=self.trace,
                 hooks=self.hooks,
                 security=security,
             )

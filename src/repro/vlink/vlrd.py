@@ -37,7 +37,7 @@ from repro.registry import register_device
 from repro.sim.hooks import HookBus
 from repro.sim.resources import Resource
 from repro.sim.stats import Counter
-from repro.sim.trace import EventKind, TraceRecorder
+from repro.sim.trace import EventKind
 from repro.sim.transaction import TxnState
 from repro.vlink.linktab import LinkTab
 from repro.vlink.packets import ConsRequest, Message, ProdEntry
@@ -71,16 +71,12 @@ class VirtualLinkRoutingDevice:
         env: "Environment",
         config: SystemConfig,
         network: CoherenceNetwork,
-        trace: Optional[TraceRecorder] = None,
         hooks: Optional[HookBus] = None,
     ) -> None:
         self.env = env
         self.config = config
         self.network = network
         self.hooks = hooks if hooks is not None else HookBus()
-        self.trace = trace or TraceRecorder(env, enabled=False)
-        # Tracing is a bus subscriber, not a hard-wired call site.
-        self.trace.attach(self.hooks)
         self.linktab = LinkTab(config.linktab_entries)
         self.stats = Counter()
         self.pipeline = MappingPipeline(

@@ -16,12 +16,13 @@ from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.eval.parallel import (
     CACHE_PICKLE_PROTOCOL,
+    ResultCache,
     RunRequest,
     execute_request,
+    metrics_bytes,
 )
 from repro.eval.runner import setting_by_name, tuned_setting
 from repro.spamer.delay import TunedParams
-from repro.serve import ResultCache, metrics_bytes
 from repro.workloads.arrival import ArrivalSpec
 
 SCALE = 0.02

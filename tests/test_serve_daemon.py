@@ -1,28 +1,21 @@
-"""Daemon lifecycle: warm pool, cache hits, crash isolation, spool protocol.
+"""Cached runs: hits skip the simulator, failures are never stored.
 
-The daemon's polling loop (:meth:`ServeDaemon.step`) is driven directly so
-every scenario — including worker death and deadlocked simulations — runs
-deterministically in-process; the spool tests cover the same loop the
-``repro serve start`` process runs.
+``run_requests(..., cache=...)`` looks every key up in the calling
+process and runs only the misses, so these tests count
+:func:`~repro.eval.parallel.execute_request` calls directly.
 """
-
-import json
-import os
-import pickle
 
 import pytest
 
-from repro.errors import AdmissionError, ServeError, SimDeadlockError
-from repro.eval.parallel import RunRequest, run_requests
-from repro.eval.runner import setting_by_name
-from repro.serve import (
-    JobState,
+import repro.eval.parallel as parallel
+from repro.errors import SimDeadlockError
+from repro.eval.parallel import (
     ResultCache,
-    ServeClient,
-    ServeDaemon,
-    Spool,
+    RunRequest,
     metrics_bytes,
+    run_requests,
 )
+from repro.eval.runner import setting_by_name
 
 SCALE = 0.05
 SEED = 0xC0FFEE
@@ -34,204 +27,69 @@ def _request(workload="ping-pong", setting="tuned", seed=SEED, **kwargs):
     )
 
 
-def _die(request):
-    """A runner whose worker process dies hard (no exception to pickle)."""
-    os._exit(13)
+@pytest.fixture
+def runs(monkeypatch):
+    """The requests the simulator actually ran (serial path only)."""
+    ran = []
+    real = parallel.execute_request
+
+    def counting(request):
+        ran.append(request)
+        return real(request)
+
+    monkeypatch.setattr(parallel, "execute_request", counting)
+    return ran
 
 
-# --------------------------------------------------------------- lifecycle
-def test_daemon_runs_jobs_and_matches_run_requests():
+def _bytes(metrics_list):
+    return [metrics_bytes(m) for m in metrics_list]
+
+
+def test_daemon_runs_jobs_and_matches_run_requests(tmp_path):
+    # A cold cache on a pool: every cell misses, runs in a worker, comes
+    # back byte-identical to an uncached serial run, and lands on disk.
     requests = [_request("ping-pong"), _request("incast")]
-    with ServeDaemon(jobs=1) as daemon:
-        jobs = [daemon.submit(r) for r in requests]
-        daemon.drain()
-    expected = run_requests(requests)
-    assert [j.state for j in jobs] == [JobState.DONE, JobState.DONE]
-    assert [j.metrics for j in jobs] == expected
-    for job in jobs:
-        assert job.wait_s is not None and job.wait_s >= 0
-        assert job.service_s is not None and job.service_s >= 0
+    cache = ResultCache(tmp_path)
+    cached = run_requests(requests, jobs=2, cache=cache)
+    assert _bytes(cached) == _bytes(run_requests(requests))
+    reopened = ResultCache(tmp_path)
+    assert len(reopened) == 2
+    assert [reopened.get_bytes(r.cache_key()) for r in requests] == _bytes(cached)
 
 
-def test_cache_hit_is_byte_identical_and_skips_the_queue():
+def test_cache_hit_is_byte_identical_and_skips_the_queue(runs):
     request = _request()
-    with ServeDaemon(jobs=1) as daemon:
-        first = daemon.submit(request)
-        daemon.drain()
-        assert not first.cache_hit
-        hit = daemon.submit(request)
-        assert hit.cache_hit
-        assert hit.state is JobState.DONE
-        # Born terminal: no queue depth consumed, nothing to drain.
-        assert daemon.queue.depth == 0
-        assert metrics_bytes(hit.metrics) == metrics_bytes(first.metrics)
-        assert daemon.cache.hits == 1
-        counters = daemon.metrics.as_dict()["counters"]
-        assert counters["serve.cache.hits"] == 1
-        assert counters["serve.cache.misses"] == 1
+    cache = ResultCache()
+    (first,) = run_requests([request], cache=cache)
+    assert len(runs) == 1
+    (hit,) = run_requests([request], cache=cache)
+    assert len(runs) == 1  # nothing ran the second time
+    assert metrics_bytes(hit) == metrics_bytes(first)
+    assert (cache.hits, cache.misses, cache.stores) == (1, 1, 1)
 
 
-def test_cache_disabled_daemon_recomputes():
+def test_cache_disabled_daemon_recomputes(runs):
     request = _request()
-    with ServeDaemon(jobs=1, cache=False) as daemon:
-        daemon.submit(request)
-        daemon.drain()
-        again = daemon.submit(request)
-        daemon.drain()
-        assert not again.cache_hit
-        assert again.state is JobState.DONE
+    first = run_requests([request], cache=None)
+    again = run_requests([request], cache=None)
+    assert len(runs) == 2
+    assert _bytes(again) == _bytes(first)
 
 
-def test_stop_is_idempotent_and_cancels_backlog():
-    daemon = ServeDaemon(jobs=1)
-    daemon.start()
-    job = daemon.submit(_request())
-    daemon.stop()
-    daemon.stop()  # second call is a no-op
-    assert daemon.stopped
-    assert job.state in (JobState.DONE, JobState.CANCELLED)
-    with pytest.raises(AdmissionError):
-        daemon.submit(_request())
-
-
-def test_drain_finishes_in_flight_jobs():
-    with ServeDaemon(jobs=1) as daemon:
-        jobs = [daemon.submit(_request()) for _ in range(3)]
-        # Dispatch without harvesting, then drain: everything completes.
-        daemon.step()
-        daemon.drain()
-        assert all(j.state is JobState.DONE for j in jobs)
-
-
-# ---------------------------------------------------------- crash isolation
-def test_deadlock_fails_typed_and_daemon_keeps_serving():
+def test_deadlock_fails_typed_and_daemon_keeps_serving(runs):
     # The `never` ablation on fetch-skipping consumers deadlocks by
-    # construction; the daemon must fail that job with the typed error —
-    # .tick/.blocked intact across the process boundary — and keep going.
-    with ServeDaemon(jobs=1) as daemon:
-        bad = daemon.submit(_request("incast", setting="never"))
-        good = daemon.submit(_request("ping-pong"))
-        daemon.drain()
-        assert bad.state is JobState.FAILED
-        assert isinstance(bad.error, SimDeadlockError)
-        assert bad.error.tick > 0
-        assert bad.error.blocked
-        assert good.state is JobState.DONE
-        counters = daemon.metrics.as_dict()["counters"]
-        assert counters["serve.jobs.failed"] == 1
-        assert counters["serve.jobs.completed"] == 1
-
-
-def test_worker_death_fails_job_and_rebuilds_pool():
-    daemon = ServeDaemon(jobs=1, runner=_die)
-    daemon.start()
-    job = daemon.submit(_request())
-    daemon.drain()
-    assert job.state is JobState.FAILED
-    assert isinstance(job.error, ServeError)
-    assert "worker died" in str(job.error)
-    counters = daemon.metrics.as_dict()["counters"]
-    assert counters["serve.pool.rebuilds"] == 1
-    # The rebuilt pool serves the next job (with a working runner again).
-    from repro.eval.parallel import execute_request
-
-    daemon._runner = execute_request
-    recovered = daemon.submit(_request())
-    daemon.drain()
-    assert recovered.state is JobState.DONE
-    daemon.stop()
-
-
-# -------------------------------------------------------------------- spool
-def test_spool_round_trip_submit_to_result(tmp_path):
-    spool = Spool(tmp_path / "spool")
-    request = _request()
-    job_id = spool.submit(request)
-    daemon = ServeDaemon(spool=spool, jobs=1)
-    daemon.start()
-    daemon.drain()
-    payload = spool.read_result(job_id)
-    assert payload is not None
-    assert payload["state"] == "done"
-    assert payload["error"] is None
-    metrics = pickle.loads(payload["metrics_bytes"])
-    assert metrics == run_requests([request])[0]
-    # The cache landed on disk under the spool, so a *fresh* daemon on
-    # the same spool serves the repeat as a hit.
-    daemon.stop()
-    second = ServeDaemon(spool=spool, jobs=1)
-    second.start()
-    repeat_id = spool.submit(request)
-    second.drain()
-    repeat = spool.read_result(repeat_id)
-    assert repeat["cache_hit"] is True
-    assert repeat["metrics_bytes"] == payload["metrics_bytes"]
-    second.stop()
-
-
-def test_spool_rejection_travels_typed(tmp_path):
-    spool = Spool(tmp_path / "spool")
-    ids = [spool.submit(_request(seed=SEED + i)) for i in range(4)]
-    daemon = ServeDaemon(spool=spool, jobs=1, max_depth=1, cache=False)
-    daemon.start()
-    daemon._ingest()  # first fills the queue; the rest hit the gate
-    rejected = [
-        job_id for job_id in ids
-        if (payload := spool.read_result(job_id)) is not None
-        and payload["state"] == "rejected"
-    ]
-    assert rejected
-    error = spool.read_result(rejected[0])["error"]
-    assert isinstance(error, AdmissionError)
-    assert error.limit == 1
-    # The client surface re-raises it typed.
-    client = ServeClient(spool)
-    with pytest.raises(AdmissionError):
-        client.result(rejected[0], timeout=1.0)
-    daemon.stop()
-
-
-def test_client_status_and_stats(tmp_path):
-    spool = Spool(tmp_path / "spool")
-    client = ServeClient(spool)
-    assert not client.ping()
-    job_id = client.submit(_request())
-    assert client.status(job_id)["state"] == "pending"
-    daemon = ServeDaemon(spool=spool, jobs=1)
-    daemon.start()
-    daemon.drain()
-    status = client.status(job_id)
-    assert status["state"] == "done"
-    assert status["cache_hit"] is False
-    spool.write_status(daemon.status())
-    stats = client.stats()
-    assert stats["completed"] == 1
-    assert stats["cache"]["stores"] == 1
-    daemon.stop()
-
-
-# -------------------------------------------------------------- observability
-def test_event_log_records_the_job_lifecycle(tmp_path):
-    events_path = tmp_path / "events.jsonl"
-    with ServeDaemon(jobs=1, events_path=events_path) as daemon:
-        job = daemon.submit(_request())
-        daemon.drain()
-    lines = [json.loads(line) for line in events_path.read_text().splitlines()]
-    by_event = {line["event"] for line in lines}
-    assert {"start", "submitted", "dispatched", "done", "drained"} <= by_event
-    done = next(l for l in lines if l["event"] == "done")
-    assert done["job"] == job.job_id
-    assert done["service_ms"] >= 0
-
-
-def test_serve_metrics_separate_wait_from_service():
-    with ServeDaemon(jobs=1) as daemon:
-        daemon.submit(_request())
-        daemon.drain()
-        doc = daemon.metrics.as_dict()
-        assert "serve.job.wait_ms" in doc["histograms"]
-        assert "serve.job.service_ms" in doc["histograms"]
-        assert doc["gauges"]["serve.pool.workers"] == 1.0
-        status = daemon.status()
-        assert status["workers"] == 1
-        assert status["completed"] == 1
+    # construction: the call must re-raise the typed error with
+    # .tick/.blocked intact, store nothing for that cell, and still
+    # store (and later serve) the good cell submitted alongside it.
+    bad, good = _request("incast", setting="never"), _request("ping-pong")
+    cache = ResultCache()
+    with pytest.raises(SimDeadlockError) as failure:
+        run_requests([bad, good], cache=cache)
+    assert failure.value.tick > 0
+    assert failure.value.blocked
+    assert not cache.contains(bad.cache_key())
+    assert cache.contains(good.cache_key())
+    ran = len(runs)
+    (served,) = run_requests([good], cache=cache)
+    assert len(runs) == ran
+    assert _bytes([served]) == _bytes(run_requests([good]))

@@ -1,25 +1,29 @@
-"""ServeExecutor: the run_requests-shaped surface over the serve layer.
+"""The cached executor: ``run_requests`` with a result cache behind ``executor=``.
 
 The contract under test is substitution: anywhere ``run_requests`` goes —
 ``repro batch``, the load sweep, the burst autotuner — a
-:class:`~repro.serve.ServeExecutor` must produce byte-identical results,
-embedded or over a spool, cached or fresh.  Plus the warm-pool satellite:
-``run_requests(pool=...)`` reuses a live executor without changing a bit.
+``functools.partial(run_requests, cache=ResultCache(...))`` must produce
+byte-identical results, cached or fresh, serial or on a pool.
 """
 
-import dataclasses
-import threading
+import functools
+from pathlib import Path
 
 import pytest
 
-from repro.errors import AdmissionError, ConfigError
+from repro.cli import main
 from repro.eval.batch import run_batch
-from repro.eval.parallel import RunRequest, make_pool, run_requests
+from repro.eval.parallel import (
+    ResultCache,
+    RunRequest,
+    metrics_bytes,
+    run_requests,
+)
 from repro.eval.runner import setting_by_name
-from repro.serve import ServeDaemon, ServeExecutor, Spool
 
 SCALE = 0.05
 SEED = 0xC0FFEE
+QUICK_STUDY = Path(__file__).resolve().parents[1] / "examples/specs/quick_study.json"
 
 
 def _requests(n=4):
@@ -33,27 +37,40 @@ def _requests(n=4):
     ]
 
 
+def _cached(cache=None):
+    # Not `cache or ...`: an empty ResultCache is falsy (it has __len__).
+    return functools.partial(
+        run_requests, cache=cache if cache is not None else ResultCache()
+    )
+
+
 def _snap(metrics_list):
-    return [dataclasses.asdict(m) for m in metrics_list]
+    return [metrics_bytes(m) for m in metrics_list]
 
 
-# ---------------------------------------------------------------- embedded
+# ------------------------------------------------------------------ cached
 def test_embedded_executor_matches_run_requests():
     requests = _requests()
     expected = _snap(run_requests(requests))
-    with ServeExecutor.local(jobs=1) as executor:
-        assert _snap(executor(requests)) == expected
-        # Second pass: pure cache hits, still byte-identical.
-        assert _snap(executor(requests)) == expected
-        assert executor.daemon.cache.hits == len(requests)
+    cache = ResultCache()
+    executor = _cached(cache)
+    assert _snap(executor(requests)) == expected
+    assert (cache.hits, cache.stores) == (0, len(requests))
+    # Second pass: pure cache hits, still byte-identical.
+    assert _snap(executor(requests)) == expected
+    assert cache.hits == len(requests)
 
 
-def test_embedded_executor_retries_past_the_admission_gate():
+def test_cached_pool_run_mixes_hits_and_misses_in_submission_order(tmp_path):
     requests = _requests()
-    # max_depth=1 guarantees mid-grid rejections; the executor must treat
-    # them as flow control and still return every result in order.
-    with ServeExecutor.local(jobs=1, max_depth=1) as executor:
-        assert _snap(executor(requests)) == _snap(run_requests(requests))
+    expected = _snap(run_requests(requests, jobs=1))
+    cache = ResultCache(tmp_path)
+    # Warm two non-adjacent cells, then run the full grid on a pool: the
+    # two misses go to the workers, the hits come from the cache, and the
+    # merge must still follow submission order.
+    run_requests([requests[0], requests[2]], jobs=1, cache=cache)
+    assert _snap(run_requests(requests, jobs=2, cache=cache)) == expected
+    assert (cache.hits, cache.misses, cache.stores) == (2, 4, 4)
 
 
 def test_executor_reraises_the_first_typed_failure():
@@ -62,40 +79,33 @@ def test_executor_reraises_the_first_typed_failure():
     bad = RunRequest.from_setting(
         "incast", setting_by_name("never"), scale=SCALE, seed=SEED
     )
-    with ServeExecutor.local(jobs=1) as executor:
-        with pytest.raises(SimDeadlockError):
-            executor([_requests(1)[0], bad])
+    with pytest.raises(SimDeadlockError):
+        _cached()([_requests(1)[0], bad])
 
 
-def test_executor_constructor_contracts():
-    with pytest.raises(ConfigError):
-        ServeExecutor()  # neither backend
-    daemon = ServeDaemon(jobs=1)
-    try:
-        with pytest.raises(ConfigError):
-            ServeExecutor(daemon=daemon, client=object())  # both
-        with pytest.raises(ConfigError):
-            ServeExecutor(daemon=daemon, chunk=0)
-    finally:
-        daemon.stop()
+# --------------------------------------------------------------------- CLI
+def test_remote_executor_matches_run_requests(tmp_path, capsys, monkeypatch):
+    # `repro batch --cache DIR` twice: the second pass is all hits (runs
+    # no simulation) and prints and writes byte-identical output.
+    import repro.eval.parallel as parallel
 
-
-# ------------------------------------------------------------------ remote
-def test_remote_executor_matches_run_requests(tmp_path):
-    requests = _requests(2)
-    expected = _snap(run_requests(requests))
-    spool = Spool(tmp_path / "spool")
-    daemon = ServeDaemon(spool=spool, jobs=1)
-    thread = threading.Thread(target=daemon.serve_forever,
-                              kwargs={"poll_s": 0.01}, daemon=True)
-    thread.start()
-    try:
-        executor = ServeExecutor.remote(spool, timeout=120.0)
-        assert _snap(executor(requests)) == expected
-    finally:
-        spool.request_stop()
-        thread.join(timeout=30.0)
-    assert not thread.is_alive()
+    runs = []
+    real = parallel.execute_request
+    monkeypatch.setattr(
+        parallel, "execute_request",
+        lambda request: runs.append(request) or real(request),
+    )
+    cache_dir, report = tmp_path / "cache", tmp_path / "report.json"
+    passes = []
+    for _ in range(2):
+        assert main(["batch", str(QUICK_STUDY), "--cache", str(cache_dir),
+                     "--out", str(report)]) == 0
+        passes.append((capsys.readouterr().out, report.read_bytes(), len(runs)))
+    (out1, report1, runs1), (out2, report2, runs2) = passes
+    assert runs1 == 9 and runs2 == runs1
+    assert len(ResultCache(cache_dir)) == 9
+    assert out1 == out2
+    assert report1 == report2
 
 
 # ------------------------------------------------------------- eval routing
@@ -107,9 +117,9 @@ def test_run_batch_routes_through_the_executor():
         "scale": SCALE,
     }
     direct = run_batch(spec)
-    with ServeExecutor.local(jobs=1) as executor:
-        served = run_batch(spec, executor=executor)
-    assert served == direct
+    cache = ResultCache()
+    assert run_batch(spec, executor=_cached(cache)) == direct
+    assert cache.stores == 2
 
 
 def test_load_experiment_routes_through_the_executor():
@@ -120,9 +130,10 @@ def test_load_experiment_routes_through_the_executor():
         topologies=("single-bus",), rhos=(0.5,), scale=SCALE,
     )
     direct = load_experiment(**kwargs)
-    with ServeExecutor.local(jobs=1) as executor:
-        served = load_experiment(executor=executor, **kwargs)
+    cache = ResultCache()
+    served = load_experiment(executor=_cached(cache), **kwargs)
     assert served.to_json() == direct.to_json()
+    assert cache.stores > 0
 
 
 def test_autotune_burst_routes_through_the_executor():
@@ -130,33 +141,11 @@ def test_autotune_burst_routes_through_the_executor():
 
     kwargs = dict(ks=(1, 2), p_mins=(0.75,), scale=0.02)
     direct = autotune_burst("incast", **kwargs)
-    with ServeExecutor.local(jobs=1) as executor:
-        served = autotune_burst("incast", executor=executor, **kwargs)
+    cache = ResultCache()
+    served = autotune_burst("incast", executor=_cached(cache), **kwargs)
     assert _snap([p.metrics for p in served.points]) == _snap(
         [p.metrics for p in direct.points]
     )
     assert served.best.score == direct.best.score
     assert served.baseline_score == direct.baseline_score
-
-
-# --------------------------------------------------------------- warm pool
-def test_run_requests_reuses_a_live_pool_byte_identically():
-    requests = _requests(2)
-    expected = _snap(run_requests(requests, jobs=2))
-    pool = make_pool(2)
-    try:
-        first = run_requests(requests, pool=pool)
-        second = run_requests(requests, pool=pool)
-        assert _snap(first) == expected
-        assert _snap(second) == expected
-    finally:
-        pool.shutdown(wait=True)
-
-
-def test_make_pool_is_prewarmed():
-    pool = make_pool(2, warm=True)
-    try:
-        # Warmed pools have already spawned their full complement.
-        assert len(pool._processes) == 2
-    finally:
-        pool.shutdown(wait=True)
+    assert cache.stores > 0

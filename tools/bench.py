@@ -323,143 +323,6 @@ def run_load_benchmark(
     }
 
 
-def run_serve_benchmark(
-    workloads: Optional[Sequence[str]] = None,
-    settings: Optional[Sequence[str]] = None,
-    scale: float = QUICK_SCALE,
-    seed: int = 0xC0FFEE,
-    jobs: int = 0,
-    quick: bool = False,
-    clock=time.perf_counter,
-) -> Dict:
-    """Wall-clock the serve layer against cold ``run_requests`` — the
-    BENCH_serve.json document.
-
-    Four passes over the same matrix, equality-asserted byte-wise (the
-    pickled-metrics bytes the result cache stores) before anything is
-    recorded:
-
-    * **cold ×2** — ``run_requests(requests, jobs=N)`` twice, each call
-      spawning and tearing down its own process pool.  This is what
-      back-to-back sweeps pay without the serve layer: the worker spawn
-      cost lands on every call.
-    * **warm** — the same requests through
-      :class:`~repro.serve.ServeExecutor` on an embedded daemon whose
-      pool was started (and warmed) before the clock: the steady-state
-      submit-to-result latency a resident daemon gives every sweep after
-      the first.
-    * **cached** — the same requests again on the same daemon: every
-      cell is a content-addressed cache hit, asserted 100%, and the
-      bytes returned are the exact bytes the warm pass stored.
-
-    Timings are records, not thresholds, like every BENCH_*.json — but
-    the warm-vs-cold comparison is the serve layer's reason to exist, so
-    the document calls it out as ``speedup_warm_vs_cold``.
-    """
-    import pickle
-
-    from repro.serve import ServeExecutor
-
-    workloads = list(workloads or (QUICK_WORKLOADS if quick else workload_names()))
-    settings = list(settings or (QUICK_SETTINGS if quick else FIG8_SETTINGS))
-    effective_jobs = resolve_jobs(jobs)
-    requests = build_requests(workloads, settings, scale, seed)
-
-    def snapshot(metrics_list):
-        from repro.eval.parallel import CACHE_PICKLE_PROTOCOL
-
-        return [
-            pickle.dumps(m, protocol=CACHE_PICKLE_PROTOCOL)
-            for m in metrics_list
-        ]
-
-    # Untimed warm-up: imports, registries, bytecode specialization land
-    # here rather than on the first timed pass.
-    run_requests(requests[:1], jobs=1)
-
-    cold_walls = []
-    cold_snapshot = None
-    for _ in range(2):
-        start = clock()
-        metrics = run_requests(requests, jobs=jobs)
-        cold_walls.append(clock() - start)
-        blobs = snapshot(metrics)
-        assert cold_snapshot is None or blobs == cold_snapshot, (
-            "cold passes diverged byte-wise"
-        )
-        cold_snapshot = blobs
-
-    with ServeExecutor.local(jobs=jobs) as executor:
-        start = clock()
-        warm_metrics = executor(requests)
-        warm_wall = clock() - start
-        assert snapshot(warm_metrics) == cold_snapshot, (
-            "warm-pool metrics diverged byte-wise from cold run_requests"
-        )
-
-        start = clock()
-        cached_metrics = executor(requests)
-        cached_wall = clock() - start
-        assert snapshot(cached_metrics) == cold_snapshot, (
-            "cached metrics diverged byte-wise from cold run_requests"
-        )
-        cache_stats = executor.daemon.cache.stats()
-
-    hits = cache_stats["hits"]
-    assert hits >= len(requests), (
-        f"second serve pass was not fully cached: {hits} hits for "
-        f"{len(requests)} requests"
-    )
-
-    cold_wall = min(cold_walls)
-    n = len(requests)
-    return {
-        "name": "serve-wallclock",
-        "generated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "matrix": {
-            "workloads": workloads,
-            "settings": settings,
-            "scale": scale,
-            "seed": seed,
-            "runs": n,
-        },
-        "jobs": effective_jobs,
-        "cold": {
-            "wall_s": [round(w, 4) for w in cold_walls],
-            "best_wall_s": round(cold_wall, 4),
-            "latency_ms_per_run": (
-                round(1000.0 * cold_wall / n, 2) if n else None
-            ),
-        },
-        "warm": {
-            "wall_s": round(warm_wall, 4),
-            "latency_ms_per_run": (
-                round(1000.0 * warm_wall / n, 2) if n else None
-            ),
-        },
-        "cached": {
-            "wall_s": round(cached_wall, 4),
-            "latency_ms_per_run": (
-                round(1000.0 * cached_wall / n, 2) if n else None
-            ),
-            "hit_rate": cache_stats["hit_rate"],
-        },
-        "cache": cache_stats,
-        "speedup_warm_vs_cold": (
-            round(cold_wall / warm_wall, 3) if warm_wall else None
-        ),
-        "speedup_cached_vs_cold": (
-            round(cold_wall / cached_wall, 3) if cached_wall else None
-        ),
-        "identical": True,
-    }
-
-
 def run_benchmark(
     workloads: Optional[Sequence[str]] = None,
     settings: Optional[Sequence[str]] = None,
@@ -546,11 +409,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="bench the open-system load sweep "
                              "(repro load: tail latency vs offered load) "
                              "instead of the Fig-8 grid")
-    parser.add_argument("--serve", action="store_true",
-                        help="bench the serve layer: cold run_requests vs "
-                             "warm-pool daemon vs 100%%-cached second pass, "
-                             "byte-identity asserted across all legs "
-                             "(writes BENCH_serve.json with --out)")
     parser.add_argument("--obs-gate", type=int, default=0, metavar="N",
                         help="run the observability overhead gate instead "
                              "(best-of-N legs; fails if the disabled-"
@@ -578,14 +436,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 1
         return 0
 
-    if args.serve:
-        result = run_serve_benchmark(
-            scale=args.scale if args.scale is not None else QUICK_SCALE,
-            seed=args.seed,
-            jobs=args.jobs,
-            quick=args.quick,
-        )
-    elif args.load:
+    if args.load:
         result = run_load_benchmark(
             scale=args.scale if args.scale is not None else (
                 QUICK_SCALE if args.quick else 0.25
