@@ -20,6 +20,7 @@ document them here so that sensitivity to the substitution can be explored
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Tuple
 
@@ -37,6 +38,8 @@ class CacheConfig:
     hit_latency: int = 4  # cycles
 
     def __post_init__(self) -> None:
+        if _cycle_count(self, "hit_latency") < 0:
+            raise ConfigError("hit_latency must be >= 0")
         if self.size_bytes <= 0 or self.associativity <= 0 or self.line_bytes <= 0:
             raise ConfigError(f"invalid cache geometry: {self}")
         if self.size_bytes % (self.associativity * self.line_bytes) != 0:
@@ -231,7 +234,7 @@ class SystemConfig:
             "spin_threshold",
             "yield_penalty",
         ):
-            if getattr(self, name) < 0:
+            if _cycle_count(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if self.lines_per_endpoint < 1:
             raise ConfigError("lines_per_endpoint must be >= 1")
@@ -365,6 +368,25 @@ class SystemConfig:
                 "linkTab, and specBuf"
             ),
         }
+
+
+def _cycle_count(config: object, name: str) -> int:
+    """Coerce field *name* of a frozen *config* to a plain ``int``.
+
+    Model processes sleep by yielding latency fields as bare ``int``
+    delays, so an integral value of another type (a numpy integer) is
+    stored as an ``int`` and a non-integral one is rejected here rather
+    than mid-run.
+    """
+    value = getattr(config, name)
+    try:
+        cycles = operator.index(value)
+    except TypeError:
+        raise ConfigError(
+            f"{name} must be an integer cycle count, got {value!r}"
+        ) from None
+    object.__setattr__(config, name, cycles)
+    return cycles
 
 
 def _reject_unknown_fields(data: Dict) -> None:

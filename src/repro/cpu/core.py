@@ -53,12 +53,16 @@ class Core:
         self.instructions_issued += 1
         return self.env.timeout(self._costs[instruction.opcode])
 
-    def compute(self, cycles: int):
-        """Model *cycles* of pure computation between queue operations."""
+    def compute(self, cycles: int) -> int:
+        """Model *cycles* of pure computation between queue operations.
+
+        Returns the delay as an ``int`` for the calling thread to
+        ``yield`` (a process sleep; no event is allocated).
+        """
         if cycles < 0:
             raise WorkloadError(f"negative compute time {cycles}")
         self.instructions_issued += max(1, cycles)  # ~1 IPC abstraction
-        return self.env.timeout(cycles)
+        return int(cycles)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Core {self.core_id} thread={self.thread_name!r}>"

@@ -66,7 +66,7 @@ class ThreadContext:
     # -- computation ------------------------------------------------------------
     def compute(self, cycles: int) -> Generator:
         """Burn *cycles* of work on this thread's core."""
-        yield self.core.compute(int(cycles))
+        yield self.core.compute(cycles)
 
     def compute_jittered(self, base: int, fraction: float = 0.1) -> Generator:
         """Burn ``base ± fraction`` cycles, drawn from this thread's stream."""
@@ -74,7 +74,7 @@ class ThreadContext:
         yield self.core.compute(cycles)
 
     def wait_until(self, tick: int) -> Generator:
-        """Sleep (off-core, plain timeout) until absolute *tick*.
+        """Sleep (off-core, a plain ``yield delay``) until absolute *tick*.
 
         No-op when *tick* is already past — an open-system session that
         falls behind its arrival schedule admits the next request
@@ -82,7 +82,7 @@ class ThreadContext:
         """
         delay = int(tick) - self.env.now
         if delay > 0:
-            yield self.env.timeout(delay)
+            yield delay
 
     @property
     def now(self) -> int:

@@ -129,7 +129,7 @@ class CoherentMemorySystem:
         entry = cache.lookup(addr)
         if entry is not None:
             self.counters.add("load_hits")
-            yield self.env.timeout(self.config.l1d.hit_latency)
+            yield self.config.l1d.hit_latency
             return self.values.get(addr, 0)
 
         self.counters.add("load_misses")
@@ -152,7 +152,7 @@ class CoherentMemorySystem:
         else:
             l2_entry = self.l2.lookup(addr)
             if l2_entry is not None:
-                yield self.env.timeout(self.config.l2.hit_latency)
+                yield self.config.l2.hit_latency
                 self.counters.add("l2_hits")
             else:
                 yield self.dram.read()
@@ -167,7 +167,7 @@ class CoherentMemorySystem:
             else MoesiState.EXCLUSIVE
         )
         self._handle_victim(cache.install(addr, new_state))
-        yield self.env.timeout(self.config.l1d.hit_latency)
+        yield self.config.l1d.hit_latency
         return self.values.get(addr, 0)
 
     # ------------------------------------------------------------------- store
@@ -175,7 +175,7 @@ class CoherentMemorySystem:
         """``yield from`` generator: performs a coherent store."""
         yield from self._acquire_writable(core, addr)
         self.values[addr] = value
-        yield self.env.timeout(self.config.l1d.hit_latency)
+        yield self.config.l1d.hit_latency
 
     def _acquire_writable(self, core: int, addr: int) -> Generator:
         """Bring the line into M in *core*'s L1 (the store-miss path).
@@ -223,7 +223,7 @@ class CoherentMemorySystem:
             else:
                 l2_entry = self.l2.lookup(addr)
                 if l2_entry is not None:
-                    yield self.env.timeout(self.config.l2.hit_latency)
+                    yield self.config.l2.hit_latency
                     self.counters.add("l2_hits")
                 else:
                     yield self.dram.read()
@@ -239,7 +239,7 @@ class CoherentMemorySystem:
         """Atomic compare-and-swap; returns True on success."""
         self.counters.add("atomics")
         yield from self._acquire_writable(core, addr)
-        yield self.env.timeout(self.config.l1d.hit_latency)
+        yield self.config.l1d.hit_latency
         current = self.values.get(addr, 0)
         if current == expected:
             self.values[addr] = new
@@ -250,7 +250,7 @@ class CoherentMemorySystem:
         """Atomic fetch-and-add; returns the previous value."""
         self.counters.add("atomics")
         yield from self._acquire_writable(core, addr)
-        yield self.env.timeout(self.config.l1d.hit_latency)
+        yield self.config.l1d.hit_latency
         previous = self.values.get(addr, 0)
         self.values[addr] = previous + amount
         return previous

@@ -26,6 +26,12 @@ allocates one ``Event`` and nothing else; the per-event callbacks list
 only exists for genuine fan-out (``AllOf``/``AnyOf`` children with extra
 watchers).  Use :meth:`Event.subscribe` to add callbacks — never touch
 the ``callbacks`` slot directly.
+
+A process that only sleeps allocates no event at all: it yields a bare
+non-negative ``int`` delay and the kernel queues its wake as an
+event-free entry (:mod:`repro.sim.process`).  :class:`Timeout` is for
+delays something subscribes to or composes (``AnyOf``/``AllOf``, a bus
+service completion, a network transit).
 """
 
 from __future__ import annotations

@@ -16,11 +16,12 @@ drive the same loop (:meth:`Environment._loop`), with the dispatch body
 inlined so an event costs no kernel-side Python frame.  Deferred
 callbacks (:meth:`Environment.schedule_callback`,
 :meth:`Environment.call_later`) ride the queue as plain 5-tuples instead
-of allocating a shim :class:`Event` per call; the ``sequence`` tiebreak
-guarantees tuple comparison never reaches the payload slot, and CPython's
-internal tuple freelist recycles the entries themselves (measured faster
-than a Python-level slab — docs/PERFORMANCE.md §5 records the
-comparison).  Event dispatch reads the polymorphic ``callbacks`` slot
+of allocating a shim :class:`Event` per call, and so does every process
+sleep (a bare ``yield delay``, see :mod:`repro.sim.process`); the
+``sequence`` tiebreak guarantees tuple comparison never reaches the
+payload slot, and CPython's internal tuple freelist recycles the entries
+themselves (measured faster than a Python-level slab —
+docs/PERFORMANCE.md §5 records the comparison).  Event dispatch reads the polymorphic ``callbacks`` slot
 directly: the one-subscriber case calls the bare callable without ever
 materializing a callbacks list (see :mod:`repro.sim.event`).
 """
@@ -31,7 +32,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.event import AllOf, AnyOf, Event, PROCESSED, Timeout
+from repro.sim.event import _PENDING, AllOf, AnyOf, Event, PROCESSED, Timeout
 from repro.sim.process import Process
 
 #: Priority levels: URGENT callbacks run before NORMAL ones in the same cycle.
@@ -226,7 +227,7 @@ class Environment:
         """
         queue = self._queue
         while queue:
-            if target is not None and target.triggered:
+            if target is not None and target._value is not _PENDING:
                 return
             entry = queue[0]
             when = entry[0]

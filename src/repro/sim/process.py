@@ -1,9 +1,21 @@
 """Generator-based simulation processes.
 
-A :class:`Process` drives a Python generator: each ``yield`` hands the kernel
-an :class:`~repro.sim.event.Event`; the process sleeps until that event fires
-and is resumed with the event's value (or the event's exception thrown into
-the generator, letting process code use ordinary ``try``/``except``).
+A :class:`Process` drives a Python generator.  Each ``yield`` hands the
+kernel one of two things:
+
+* an :class:`~repro.sim.event.Event` — the process sleeps until that event
+  fires and is resumed with the event's value (or the event's exception
+  thrown into the generator, letting process code use ordinary
+  ``try``/``except``);
+* a non-negative ``int`` *delay* — a plain sleep.  The process resumes
+  exactly *delay* cycles later with ``None``, and no event is allocated:
+  the wake rides the kernel queue as one
+  :meth:`~repro.sim.kernel.Environment.call_later` entry.  ``yield d``
+  dispatches under the same ``(time, priority, seq)`` key that
+  ``yield env.timeout(d)`` would have, because the wake takes its
+  sequence number at the yield, just as the timeout took it when it was
+  built in the yield expression.  Use ``env.timeout()`` only for a delay
+  that is subscribed to or composed (``AnyOf``/``AllOf``).
 
 A process is itself an event that fires when the generator returns, so
 processes can wait on each other (fork/join) by yielding the child process.
@@ -11,7 +23,7 @@ processes can wait on each other (fork/join) by yielding the child process.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, TYPE_CHECKING
+from typing import Generator, Optional, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.sim.event import Event
@@ -38,15 +50,10 @@ class Process(Event):
             )
         super().__init__(env, name=name or getattr(generator, "__name__", "process"))
         self.generator = generator
-        #: The event this process currently waits on (None when runnable).
         self._target: Optional[Event] = None
-        # Kick the process off via an immediately-triggered init event so its
-        # first slice runs from the kernel loop, not from the constructor.
-        init = Event(env, name=f"init:{self.name}")
-        init.callbacks = self._resume  # sole subscriber — no list needed
-        init._ok = True
-        init._value = None
-        env.schedule(init)
+        # The first slice runs from the kernel loop, not from the
+        # constructor: a zero-delay wake, like every sleep.
+        env.call_later(0, Process._resume, self)
 
     @property
     def is_alive(self) -> bool:
@@ -55,26 +62,36 @@ class Process(Event):
 
     @property
     def target(self) -> Optional[Event]:
-        """The event the process is currently suspended on."""
+        """The event the process is currently suspended on.
+
+        ``None`` while the process is runnable, and also while it sleeps
+        on a bare ``yield delay``: a sleep has no event to report.
+        """
         return self._target
 
-    def _resume(self, event: Event) -> None:
+    def _resume(self, event: Optional[Event] = None) -> None:
         """Advance the generator by one slice (kernel callback).
 
-        Hot path: runs once per yield across every process in the
-        simulation, so ``self.env`` is hoisted to a local (slotted
-        attribute loads are cheap but not free, and this method takes
-        four of them).
+        *event* is the event the process waited on, or ``None`` when a
+        sleep (or the start) is over, which sends ``None``.  Hot path: runs
+        once per yield across every process in the simulation, so the
+        event's slots are read directly rather than through its
+        properties, and the sleep test comes first.  The wake is queued
+        through :meth:`Environment.call_later` with the unbound function
+        and ``self`` as its argument; a bound method cached on the
+        process would be a reference cycle.
         """
         env = self.env
         self._target = None
         env._active_process = self
         try:
-            if event.ok:
-                result = self.generator.send(event.value)
+            if event is None:
+                result = self.generator.send(None)
+            elif event._ok:
+                result = self.generator.send(event._value)
             else:
-                event.defuse()
-                result = self.generator.throw(event.value)
+                event._defused = True
+                result = self.generator.throw(event._value)
         except StopIteration as stop:
             env._active_process = None
             self.succeed(stop.value)
@@ -85,15 +102,19 @@ class Process(Event):
             return
         env._active_process = None
 
+        if result.__class__ is int and result >= 0:
+            env.call_later(result, Process._resume, self)
+            return
         if not isinstance(result, Event):
             self.fail(
                 SimulationError(
                     f"process {self.name!r} yielded {result!r}; processes must "
-                    "yield Event instances (timeout(), another process, ...)"
+                    "yield an Event (env.timeout(), another process, ...) or "
+                    "a non-negative int delay"
                 )
             )
             return
-        if result.env is not self.env:
+        if result.env is not env:
             self.fail(SimulationError("yielded an event from a different Environment"))
             return
         self._target = result

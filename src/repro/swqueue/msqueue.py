@@ -87,7 +87,7 @@ class SoftwareQueue:
                     return True
             elif seq < ticket:
                 # Ring full: the consumer has not recycled this slot yet.
-                yield self.memory.env.timeout(16)
+                yield 16
             # Otherwise another producer advanced the tail; retry.
 
     # ------------------------------------------------------------------ dequeue
@@ -110,7 +110,7 @@ class SoftwareQueue:
                     return value
             elif seq <= ticket:
                 # Empty: wait for a producer to publish.
-                yield self.memory.env.timeout(16)
+                yield 16
 
     def try_dequeue(self, core: int) -> Generator:
         """Single-attempt dequeue; returns None when the queue looks empty."""

@@ -158,7 +158,7 @@ class QueueLibrary:
         cost = cfg.line_write_cost + cfg.push_instruction_cost
         if not cfg.inline_library:
             cost += cfg.call_overhead
-        yield self.env.timeout(cost)
+        yield cost
         # prodBuf backpressure: claim an entry from the shared pool, or
         # wait on this SQI's reserve (the forward-progress guarantee).
         device = self.system.device_for(producer.sqi)
@@ -218,7 +218,7 @@ class QueueLibrary:
     def _pop_impl(self, consumer: ConsumerEndpoint, stop_check) -> Generator:
         cfg = self.config
         if not cfg.inline_library:
-            yield self.env.timeout(cfg.call_overhead)
+            yield cfg.call_overhead
 
         if not consumer.spec_enabled:
             # Legacy dequeue: vl_select + vl_fetch are issued unconditionally
@@ -227,7 +227,7 @@ class QueueLibrary:
             # device: the paper's "prerequest" (Section 4.2), which acts as
             # an unguided prefetch for the next message (and fails when that
             # message lands while the line is still full).
-            yield self.env.timeout(cfg.fetch_instruction_cost)
+            yield cfg.fetch_instruction_cost
             self._send_request(
                 consumer,
                 prerequest=consumer.current_line.state is LineState.VALID,
@@ -252,7 +252,7 @@ class QueueLibrary:
                     quantum = cfg.yield_penalty
                 else:
                     quantum = cfg.poll_interval
-                yield self.env.timeout(quantum)
+                yield quantum
                 if stop_check is not None and stop_check():
                     return None
                 since_fetch += quantum
@@ -273,7 +273,7 @@ class QueueLibrary:
                         break
                     stall_start = self.env.now
             # Spin-loop exit: branch recovery / pipeline refill.
-            yield self.env.timeout(cfg.slow_path_penalty)
+            yield cfg.slow_path_penalty
             line = consumer.current_line
 
         # ---- fast path / delivery: read, trace first use, vacate.
@@ -287,7 +287,7 @@ class QueueLibrary:
                     sqi=consumer.sqi,
                 )
             )
-        yield self.env.timeout(cfg.pop_fast_path_cost)
+        yield cfg.pop_fast_path_cost
         message = line.consume()
         if message.txn is not None:
             self._stamp(message.txn, TxnState.RETIRED)

@@ -17,8 +17,10 @@ pipeline with their own policy instead of monkeying with the device class.
 The pipeline stamps every packet's :class:`~repro.sim.transaction.
 TransactionRecord` (MAPPED / BUFFERED / MATCHED / COALESCED) and publishes
 trace moments onto the hook bus; it schedules only the stage-latency
-timeouts the monolithic device used to, so refactored runs are
-bit-identical to the pre-pipeline ones.
+delays the monolithic device used to (as event-free
+:meth:`~repro.sim.kernel.Environment.call_later` entries under the same
+queue keys), so refactored runs are bit-identical to the pre-pipeline
+ones.
 """
 
 from __future__ import annotations
@@ -157,10 +159,6 @@ class MappingPipeline:
         self._consbuf_occupancy = 0
 
     # ------------------------------------------------------------------ helpers
-    def _after(self, delay: int, fn: Callable[[], None]) -> None:
-        """Run *fn* after *delay* cycles (pipeline-internal sequencing)."""
-        self.env.timeout(delay).subscribe(lambda _ev: fn())
-
     def stamp(
         self,
         record: Optional[TransactionRecord],
@@ -217,11 +215,11 @@ class MappingPipeline:
     # ------------------------------------------------------------ producer side
     def ingress(self, entry: ProdEntry) -> None:
         """A push packet enters the pipeline (one stage-latency traversal)."""
-        self._after(self.stage_latency, lambda: self._map(entry))
+        self.env.call_later(self.stage_latency, self._map, entry)
 
     def requeue(self, entry: ProdEntry) -> None:
         """Figure 5: a missed packet re-enters the mapping pipeline."""
-        self._after(self.stage_latency, lambda: self._map(entry))
+        self.env.call_later(self.stage_latency, self._map, entry)
 
     def redispatch(self, entry: ProdEntry, spec: SpecTarget) -> None:
         """Figure 5 path B with a *sticky* target: retry the assigned slot.
@@ -236,7 +234,8 @@ class MappingPipeline:
         entry.spec_unconfirmed = spec.unconfirmed
         self.stamp(entry.message.txn, TxnState.MAPPED, entry.sqi, "retry")
         delay = self.stage_latency + max(0, spec.send_tick - self.env.now)
-        self._after(delay, lambda: self._dispatch(entry, spec.line, True))
+        self.env.call_later(
+            delay, lambda _arg: self._dispatch(entry, spec.line, True))
 
     def _map(self, entry: ProdEntry) -> None:
         """Address-mapping pipeline outcome for one prodBuf entry."""
@@ -282,7 +281,8 @@ class MappingPipeline:
         delay = max(0, spec.send_tick - self.env.now)
         self.stats.add("spec_selected")
         self.stamp(entry.message.txn, TxnState.MAPPED, entry.sqi, "speculative")
-        self._after(delay, lambda: self._dispatch(entry, spec.line, True))
+        self.env.call_later(
+            delay, lambda _arg: self._dispatch(entry, spec.line, True))
 
     # ------------------------------------------------------------ consumer side
     def admit_request(self, request: ConsRequest) -> bool:
@@ -290,7 +290,7 @@ class MappingPipeline:
         if self._consbuf_occupancy >= self.config.consbuf_entries:
             return False
         self._consbuf_occupancy += 1
-        self._after(self.stage_latency, lambda: self._on_request(request))
+        self.env.call_later(self.stage_latency, self._on_request, request)
         return True
 
     def _on_request(self, request: ConsRequest) -> None:

@@ -193,9 +193,9 @@ class Workload(ABC):
 
         *body(i, record)* is the per-request session work (a generator to
         ``yield from``); *record* is the request's lifecycle record, or
-        None on closed runs.  A session sleeps (plain timeout, the core
-        stays idle) until the next arrival is due; a backlogged session
-        admits late, which the record's ``queue_delay`` measures.
+        None on closed runs.  A session sleeps (a plain ``yield delay``,
+        the core stays idle) until the next arrival is due; a backlogged
+        session admits late, which the record's ``queue_delay`` measures.
 
         Closed batch: every tick is 0, the ``if tick`` guard skips both
         the wait and the tick comparison, and no record is opened — the
@@ -205,9 +205,9 @@ class Workload(ABC):
         for i, tick in enumerate(ticks):
             record = None
             if tick:
-                delay = tick - ctx.env.now
+                delay = int(tick) - ctx.env.now
                 if delay > 0:
-                    yield ctx.env.timeout(delay)
+                    yield delay
             if log is not None:
                 record = log.open(session, i, tick, ctx.env.now)
             yield from body(i, record)

@@ -6,7 +6,7 @@ and :meth:`Environment.run_until_complete` share one dispatch loop.  This
 suite pins that at three levels:
 
 1. **Reference model** — Hypothesis-generated programs of schedule/
-   callback/process/late-subscribe operations run twice per driver: once
+   callback/process/sleep/late-subscribe operations run twice per driver: once
    on the kernel as shipped (``heapq``) and once with the queue's push/pop
    swapped for ``bisect.insort``/``list.pop(0)`` on a plain sorted list,
    the simplest correct priority queue.  The dispatched
@@ -103,6 +103,8 @@ def execute(program, driver="run", until=0, target_delays=(1,), reference=False)
     - ``("call_later", delay, priority)``  event-free deferred call
     - ``("process", delays)``              generator process yielding
                                            timeouts
+    - ``("sleep", delays)``                generator process yielding
+                                           bare int delays (no Event)
 
     Every driver also runs a *target* process sleeping through
     *target_delays*; ``until_complete`` stops on it, then drains the rest.
@@ -155,6 +157,14 @@ def execute(program, driver="run", until=0, target_delays=(1,), reference=False)
                         trace.append(("p", env.now, i))
 
                 env.process(gen())
+            elif kind == "sleep":
+
+                def sleeper(delays=tuple(op[1]), i=ident):
+                    for d in delays:
+                        yield d
+                        trace.append(("s", env.now, i))
+
+                env.process(sleeper())
             else:  # pragma: no cover - grammar guard
                 raise AssertionError(f"unknown op {op!r}")
 
@@ -217,6 +227,8 @@ def _op_strategy():
         st.tuples(st.just("call_later"), st.integers(0, 50),
                   st.sampled_from([-1, URGENT, NORMAL, 9])),
         st.tuples(st.just("process"),
+                  st.lists(st.integers(0, 20), min_size=1, max_size=4)),
+        st.tuples(st.just("sleep"),
                   st.lists(st.integers(0, 20), min_size=1, max_size=4)),
     )
     return st.recursive(

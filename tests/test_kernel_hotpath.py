@@ -13,7 +13,9 @@ properties that nothing else in the suite pins directly:
 
 from __future__ import annotations
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +73,27 @@ def test_sim_classes_define_slots(cls):
             f"{klass.__qualname__} (in {cls.__qualname__}'s MRO) lacks "
             f"__slots__ — instances of {cls.__qualname__} would carry a dict"
         )
+
+
+# ---------------------------------------------------- sleeps without an Event
+_SRC = Path(repro.sim.event.__file__).resolve().parents[1]
+
+
+def test_no_yield_of_a_fresh_timeout_in_the_model():
+    """A process that only sleeps yields the bare ``int`` delay; a
+    ``yield ….timeout(...)`` would allocate and schedule an Event for
+    nothing (docs/PERFORMANCE.md §5), so none may come back."""
+    offenders = []
+    for path in sorted(_SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            call = node.value if isinstance(node, ast.Yield) else None
+            if (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "timeout"
+            ):
+                offenders.append(f"{path.relative_to(_SRC)}:{node.lineno}")
+    assert offenders == [], f"yield a bare delay instead: {offenders}"
 
 
 # --------------------------------------------------- polymorphic callbacks slot

@@ -1,7 +1,11 @@
 """Unit tests for generator-based processes."""
 
+import heapq
+
+import numpy as np
 import pytest
 
+import repro.sim.kernel as kernel
 from repro.errors import SimulationError
 from repro.sim.kernel import Environment
 
@@ -69,14 +73,103 @@ def test_uncaught_process_exception_fails_process(env):
 
 
 def test_yielding_non_event_fails_with_helpful_error(env):
+    """Only an Event or a non-negative plain ``int`` may be yielded: a
+    string, a float, a negative int, a bool and a numpy integer all fail
+    the process with a message naming both accepted forms."""
+    for bad in ("42", 1.5, -1, True, np.int64(3)):
+
+        def work(value=bad):
+            yield value
+
+        proc = env.process(work())
+        proc.defuse()
+        env.run()
+        assert not proc.ok, bad
+        assert isinstance(proc.value, SimulationError), bad
+        message = str(proc.value)
+        assert "Event" in message and "non-negative int delay" in message
+
+
+def test_yield_int_sleeps_exactly_delay_and_sends_none(env):
+    got = []
+
     def work():
-        yield 42
+        yield 2
+        value = yield 7
+        got.append((env.now, value))
+
+    env.process(work())
+    env.run()
+    assert got == [(9, None)]
+    # The start, two wakes and the process's own join event.
+    assert env.events_processed == 4
+
+
+def test_yield_zero_runs_after_pending_normal_work(env):
+    """``yield 0`` queues the wake behind NORMAL work already pending for
+    this cycle, exactly as ``yield env.timeout(0)`` would."""
+    order = []
+
+    def work():
+        yield 4
+        order.append("wake")
+        yield 0
+        order.append("after-yield-0")
+
+    env.process(work())
+    # Runs after the process's first slice, so its t=4 entry is queued
+    # behind the wake but ahead of the zero-delay sleep.
+    env.call_later(
+        0, lambda _arg: env.call_later(4, lambda _a: order.append("pending")))
+    env.run()
+    assert order == ["wake", "pending", "after-yield-0"]
+
+
+def test_target_is_none_while_sleeping(env):
+    def work():
+        yield 50
 
     proc = env.process(work())
-    proc.defuse()
-    env.run()
-    assert not proc.ok
-    assert "yield" in str(proc.value)
+    env.run(until=1)
+    assert proc.is_alive and proc.target is None
+
+
+def _dispatch_keys(monkeypatch, body):
+    """Run one process on a fresh Environment; return the dispatched
+    ``(time, priority, seq)`` keys."""
+    keys = []
+
+    def pop(queue):
+        entry = heapq.heappop(queue)
+        keys.append(entry[:3])
+        return entry
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel, "heappop", pop)
+        env = Environment()
+        env.process(body(env))
+        env.call_later(3, lambda _arg: None)
+        env.call_later(0, lambda _arg: env.timeout(3))
+        env.run()
+    return keys
+
+
+def test_sleep_and_timeout_dispatch_under_identical_keys(monkeypatch):
+    delays = (3, 0, 5, 0, 3)
+
+    def sleeper(env):
+        for d in delays:
+            yield d
+
+    def timed(env):
+        for d in delays:
+            yield env.timeout(d)
+
+    keys = _dispatch_keys(monkeypatch, sleeper)
+    assert keys == _dispatch_keys(monkeypatch, timed)
+    # Start, one wake per delay, the join event and the three entries
+    # the other work queues.
+    assert len(keys) == len(delays) + 5
 
 
 def test_yielding_foreign_event_rejected(env):

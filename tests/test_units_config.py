@@ -106,3 +106,18 @@ def test_invalid_configs_rejected(field, value):
 def test_config_is_frozen():
     with pytest.raises(Exception):
         DEFAULT_CONFIG.num_cores = 32  # type: ignore[misc]
+
+
+def test_cycle_fields_are_stored_as_plain_ints():
+    """Processes yield latency fields as bare ``int`` sleeps: an integral
+    value of another type is stored as an ``int``, a fractional one is
+    rejected when the config is built rather than mid-run."""
+    import numpy as np
+
+    config = SystemConfig(poll_interval=np.int64(8))
+    assert config.poll_interval == 8 and config.poll_interval.__class__ is int
+    assert CacheConfig(32 * 1024, 2, hit_latency=np.int32(3)).hit_latency.__class__ is int
+    with pytest.raises(ConfigError, match="call_overhead.*integer"):
+        SystemConfig(call_overhead=1.5)
+    with pytest.raises(ConfigError, match="hit_latency"):
+        CacheConfig(32 * 1024, 2, hit_latency=-1)
