@@ -17,6 +17,13 @@ kernel one of two things:
   built in the yield expression.  Use ``env.timeout()`` only for a delay
   that is subscribed to or composed (``AnyOf``/``AllOf``).
 
+* :data:`PARK` — the process parks: nothing is queued for it, and it
+  stays alive with ``target`` ``None`` until the kernel callback that the
+  process armed before parking calls ``Process._resume(process)``, which
+  sends ``None``.  The stalled pop of :mod:`repro.vlink.library` parks on
+  its line poll this way, so a poll that finds the line still empty
+  costs one callback and no generator resume.
+
 A process is itself an event that fires when the generator returns, so
 processes can wait on each other (fork/join) by yielding the child process.
 """
@@ -30,6 +37,10 @@ from repro.sim.event import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Environment
+
+
+#: Yielded by a process that a kernel callback it armed will resume.
+PARK = object()
 
 
 class Process(Event):
@@ -65,7 +76,8 @@ class Process(Event):
         """The event the process is currently suspended on.
 
         ``None`` while the process is runnable, and also while it sleeps
-        on a bare ``yield delay``: a sleep has no event to report.
+        on a bare ``yield delay`` or is parked (``yield PARK``): neither
+        has an event to report.
         """
         return self._target
 
@@ -73,13 +85,15 @@ class Process(Event):
         """Advance the generator by one slice (kernel callback).
 
         *event* is the event the process waited on, or ``None`` when a
-        sleep (or the start) is over, which sends ``None``.  Hot path: runs
-        once per yield across every process in the simulation, so the
-        event's slots are read directly rather than through its
-        properties, and the sleep test comes first.  The wake is queued
-        through :meth:`Environment.call_later` with the unbound function
-        and ``self`` as its argument; a bound method cached on the
-        process would be a reference cycle.
+        sleep, a park (or the start) is over, which sends ``None``.  Hot
+        path: runs once per yield across every process in the simulation,
+        so the event's slots are read directly rather than through its
+        properties, the sleep test comes first and the park test second
+        (a park queues nothing: the callback the process armed resumes
+        it).  A sleep's wake is queued through
+        :meth:`Environment.call_later` with the unbound function and
+        ``self`` as its argument; a bound method cached on the process
+        would be a reference cycle.
         """
         env = self.env
         self._target = None
@@ -104,6 +118,8 @@ class Process(Event):
 
         if result.__class__ is int and result >= 0:
             env.call_later(result, Process._resume, self)
+            return
+        if result is PARK:
             return
         if not isinstance(result, Event):
             self.fail(

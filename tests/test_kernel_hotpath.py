@@ -28,9 +28,13 @@ import repro.sim.rng
 import repro.sim.stats
 import repro.sim.trace
 import repro.sim.transaction
+from repro.config import SystemConfig
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.event import Event, PROCESSED
 from repro.sim.kernel import Environment, NORMAL, URGENT
+from repro.sim.process import Process
+from repro.system import System
+from repro.vlink import library
 
 
 # ------------------------------------------------------------ __slots__ audit
@@ -94,6 +98,57 @@ def test_no_yield_of_a_fresh_timeout_in_the_model():
             ):
                 offenders.append(f"{path.relative_to(_SRC)}:{node.lineno}")
     assert offenders == [], f"yield a bare delay instead: {offenders}"
+
+
+# ------------------------------------------------ polls without a resume
+def test_stalled_pop_resumes_once_and_polls_every_quantum(monkeypatch):
+    """A consumer stalled for N polls dispatches exactly N poll entries
+    and resumes its generator exactly once, to leave the stall: no resume
+    per poll, and no poll elided (docs/PERFORMANCE.md §5)."""
+    ticks, resumes = [], []
+    poll_tick, resume = library._poll_tick, Process._resume
+
+    def counting_tick(poll):
+        ticks.append(poll.env.now)
+        poll_tick(poll)
+
+    def counting_resume(proc, event=None):
+        resumes.append((proc.name, proc.env.now))
+        resume(proc, event)
+
+    monkeypatch.setattr(library, "_poll_tick", counting_tick)
+    monkeypatch.setattr(Process, "_resume", counting_resume)
+
+    system = System(config=SystemConfig(num_cores=4), device="spamer",
+                    algorithm="0delay")
+    lib = system.library
+    q = lib.create_queue()
+    prod = lib.open_producer(q, 0)
+    cons = lib.open_consumer(q, 1)
+    stall = []
+
+    def producer(ctx):
+        yield from ctx.compute(5_000)
+        yield from ctx.push(prod, "late")
+
+    def consumer(ctx):
+        stall.append(ctx.now)
+        yield from ctx.pop(cons)
+
+    system.spawn(0, producer, "p")
+    system.spawn(1, consumer, "c")
+    system.run_to_completion()
+
+    quantum = system.config.poll_interval
+    start = stall[0]
+    woken = [t for name, t in resumes if name == "c" and t > start]
+    end = woken[0]  # the one resume that leaves the stall
+    polls = (end - start) // quantum
+    assert polls > 200 and (end - start) % quantum == 0
+    assert ticks == [start + quantum * k for k in range(1, polls + 1)]
+    assert woken == [end, end + system.config.slow_path_penalty,
+                     end + system.config.slow_path_penalty
+                     + system.config.pop_fast_path_cost]
 
 
 # --------------------------------------------------- polymorphic callbacks slot

@@ -79,6 +79,28 @@ def test_refetch_backoff_limits_request_packets():
     assert system.network.packets(PacketKind.REQUEST) <= 10
 
 
+def test_stop_check_error_is_raised_inside_the_popping_thread():
+    """A stop condition that raises while the pop is parked fails the
+    pop in the thread that called it, where the program can catch it."""
+    system, prod, cons = make_1to1()
+    caught = []
+
+    def stop_check():
+        if system.env.now >= 100:
+            raise RuntimeError("stop check broke")
+        return False
+
+    def consumer(ctx):
+        try:
+            yield from ctx.pop_until(cons, stop_check)
+        except RuntimeError as exc:
+            caught.append((str(exc), ctx.now))
+
+    system.spawn(1, consumer, "c")
+    system.run_to_completion(limit=1_000_000)
+    assert caught and caught[0][0] == "stop check broke" and caught[0][1] >= 100
+
+
 # ------------------------------------------------------------- spin-then-yield
 def test_spin_then_yield_coarsens_detection():
     def run(spin_then_yield):

@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 import repro.sim.kernel as kernel
-from repro.errors import SimulationError
+from repro.config import SystemConfig
+from repro.errors import SimDeadlockError, SimulationError
 from repro.sim.kernel import Environment
+from repro.sim.process import PARK, Process
+from repro.system import System
+from repro.verify.invariants import StallWatchdog
 
 
 def test_process_requires_generator(env):
@@ -170,6 +174,75 @@ def test_sleep_and_timeout_dispatch_under_identical_keys(monkeypatch):
     # Start, one wake per delay, the join event and the three entries
     # the other work queues.
     assert len(keys) == len(delays) + 5
+
+
+def test_parked_process_is_alive_with_no_target(env):
+    """``yield PARK`` queues nothing: the process stays alive, waits on no
+    event, and the queue drains around it."""
+
+    def work():
+        yield PARK
+
+    proc = env.process(work())
+    env.run()
+    assert proc.is_alive and proc.target is None
+    assert env.queue_length == 0
+
+
+def test_only_the_armed_callback_resumes_a_parked_process(env):
+    """Other work in the queue never wakes a parked process; the callback
+    it armed resumes it with ``None`` at the callback's own time."""
+    log = []
+
+    def work():
+        env.call_later(30, Process._resume, env.active_process)
+        value = yield PARK
+        log.append(("parked", env.now, value))
+        value = yield 5
+        log.append(("slept", env.now, value))
+
+    proc = env.process(work())
+    for t in (1, 10, 29):
+        env.call_later(t, lambda _arg: log.append(("other", env.now)))
+    env.run(until=29)
+    assert proc.is_alive and log[-1] == ("other", 29)
+    env.run()
+    assert log == [("other", 1), ("other", 10), ("other", 29),
+                   ("parked", 30, None), ("slept", 35, None)]
+    assert not proc.is_alive
+
+
+def test_only_the_park_marker_parks(env):
+    """Any other bare object keeps the non-Event error contract."""
+
+    def work():
+        yield object()
+
+    proc = env.process(work())
+    proc.defuse()
+    env.run()
+    assert not proc.ok and isinstance(proc.value, SimulationError)
+    assert "non-negative int delay" in str(proc.value)
+
+
+def test_deadlock_with_parked_consumers_names_them():
+    """Consumers parked on lines nothing will fill keep polling, so the
+    queue never drains; the stall watchdog still raises and names them."""
+    system = System(config=SystemConfig(num_cores=4, watchdog_cycles=20_000),
+                    device="spamer", algorithm="0delay")
+    lib = system.library
+    for core in (1, 2):
+        consumer = lib.open_consumer(lib.create_queue(), core)
+
+        def program(ctx, consumer=consumer):
+            yield from ctx.pop(consumer)
+
+        system.spawn(core, program, f"stuck-{core}")
+    StallWatchdog(system).install()
+    with pytest.raises(SimDeadlockError) as info:
+        system.run_to_completion(limit=1_000_000)
+    assert info.value.blocked == ("stuck-1", "stuck-2")
+    assert all(proc.is_alive and proc.target is None for proc in system.threads)
 
 
 def test_yielding_foreign_event_rejected(env):
