@@ -15,15 +15,19 @@ topologies instead route each packet hop-by-hop through per-link servers,
 so source/destination placement matters; callers pass ``src``/``dst`` node
 ids obtained from :meth:`CoherenceNetwork.core_node` /
 :meth:`CoherenceNetwork.srd_node`.
+
+A transit allocates no event.  The caller passes a continuation — a
+bound method and its one argument — and the network queues it with
+``Environment.call_later`` for the delivery cycle.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional, TYPE_CHECKING
+from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from repro.net.topology import build_topology
-from repro.sim.event import Event
+from repro.sim.hooks import BusHook
 from repro.sim.stats import Counter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,11 +50,14 @@ class PacketKind(Enum):
 class CoherenceNetwork:
     """Shared interconnect with occupancy accounting.
 
-    ``transit(kind)`` returns an event that fires when the packet has been
-    delivered at the far end (serialization + propagation).  Hit/miss
-    *response signals* ride the dedicated response channel and are modelled
-    as pure latency (no occupancy), matching the paper's utilization metric
-    which counts request/data packets only.
+    ``transit_then(kind, fn, arg)`` calls ``fn(arg)`` once the packet has
+    been delivered at the far end (serialization + propagation); no event
+    is allocated, so a caller hands over a bound method and its one
+    argument, and a process parks (:data:`~repro.sim.process.PARK`) with
+    ``Process._resume`` as the continuation.  Hit/miss *response signals*
+    (``response_then``) ride the dedicated response channel and are
+    modelled as pure latency (no occupancy), matching the paper's
+    utilization metric which counts request/data packets only.
     """
 
     def __init__(
@@ -75,15 +82,17 @@ class CoherenceNetwork:
         self.latency = config.bus_latency
         self.counters = Counter()
 
-    def transit(
+    def transit_then(
         self,
         kind: PacketKind,
+        fn: Callable[[Any], None],
+        arg: Any,
         txn: Optional["TransactionRecord"] = None,
         src: int = 0,
         dst: int = 0,
-    ) -> Event:
-        """Send one packet from node *src* to node *dst*; event fires at
-        delivery.
+    ) -> None:
+        """Send one packet from node *src* to node *dst*; ``fn(arg)`` runs
+        at delivery.
 
         On the ``single-bus`` topology *src*/*dst* are ignored (every pair
         is equidistant).  *txn* threads the packet's transaction record
@@ -91,30 +100,31 @@ class CoherenceNetwork:
         occupancy to lifecycles; the network itself only forwards it to
         :class:`BusHook` subscribers.
         """
-        self.counters.add(kind.value)
-        self.counters.add("total_packets")
-        delivered = self.topology.transit(kind.value, src, dst)
-        if self.hooks is not None:
-            from repro.sim.hooks import BusHook
-
-            if self.hooks.wants(BusHook):
-                self.hooks.publish(
-                    BusHook(
-                        tick=self.env.now,
-                        kind=kind.value,
-                        busy_cycles=self.busy_cycles,
-                    )
+        counters = self.counters
+        counters.add(kind.value)
+        counters.add("total_packets")
+        self.topology.transit_then(kind.value, src, dst, fn, arg)
+        hooks = self.hooks
+        if hooks is not None and hooks.wants(BusHook):
+            hooks.publish(
+                BusHook(
+                    tick=self.env.now,
+                    kind=kind.value,
+                    busy_cycles=self.busy_cycles,
                 )
-        return delivered
+            )
 
-    def response(self, src: int = 0, dst: int = 0) -> Event:
-        """Send a hit/miss response signal (latency only, no occupancy).
+    def response_then(
+        self, src: int, dst: int, fn: Callable[[Any], None], arg: Any
+    ) -> None:
+        """Send a hit/miss response signal (latency only, no occupancy);
+        ``fn(arg)`` runs when it arrives.
 
         Responses ride dedicated wires but still cover the src→dst
         distance; on ``single-bus`` that is the flat ``bus_latency``.
         """
         self.counters.add("responses")
-        return self.env.timeout(self.topology.response_latency(src, dst))
+        self.env.call_later(self.topology.response_latency(src, dst), fn, arg)
 
     # -- placement ---------------------------------------------------------------
     def core_node(self, core_id: int) -> int:

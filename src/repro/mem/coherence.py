@@ -35,6 +35,7 @@ from repro.errors import ProtocolError
 from repro.mem.bus import CoherenceNetwork, PacketKind
 from repro.mem.cache import MoesiState, SetAssocCache
 from repro.mem.dram import Dram
+from repro.sim.process import PARK, Process
 from repro.sim.stats import Counter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -122,6 +123,16 @@ class CoherentMemorySystem:
             elif entry.state is MoesiState.EXCLUSIVE:
                 cache.set_state(addr, MoesiState.SHARED)
 
+    def _bus_packet(self, src: int, dst: int) -> Generator:
+        """``yield from`` generator: one coherence packet from node *src*
+        to node *dst*.  The calling process parks until the packet is
+        delivered, when the network resumes it."""
+        self.network.transit_then(
+            PacketKind.COHERENCE, Process._resume, self.env.active_process,
+            src=src, dst=dst,
+        )
+        yield PARK
+
     # ------------------------------------------------------------------- load
     def load(self, core: int, addr: int) -> Generator:
         """``yield from`` generator: returns the loaded value."""
@@ -137,16 +148,12 @@ class CoherentMemorySystem:
         # request travels to the coherence hub (the shared-L2 home node,
         # co-located with SRD shard 0); the bus model ignores placement.
         net = self.network
-        yield net.transit(
-            PacketKind.COHERENCE, src=net.core_node(core), dst=net.srd_node(0)
-        )
+        yield from self._bus_packet(net.core_node(core), net.srd_node(0))
         supplier = self._snoop_for_supplier(core, addr)
         if supplier is not None:
             # Cache-to-cache transfer: one data packet supplier → requester.
-            yield net.transit(
-                PacketKind.COHERENCE,
-                src=net.core_node(supplier[0]),
-                dst=net.core_node(core),
+            yield from self._bus_packet(
+                net.core_node(supplier[0]), net.core_node(core)
             )
             self.counters.add("c2c_transfers")
         else:
@@ -194,11 +201,7 @@ class CoherentMemorySystem:
                 # S or O: upgrade — invalidate every other copy.
                 self.counters.add("upgrades")
                 net = self.network
-                yield net.transit(
-                    PacketKind.COHERENCE,
-                    src=net.core_node(core),
-                    dst=net.srd_node(0),
-                )
+                yield from self._bus_packet(net.core_node(core), net.srd_node(0))
                 if cache.peek(addr) is None:
                     # A racing BusRdX invalidated us mid-upgrade: retry as
                     # a plain miss.
@@ -209,15 +212,11 @@ class CoherentMemorySystem:
             # Store miss: BusRdX.
             self.counters.add("store_misses")
             net = self.network
-            yield net.transit(
-                PacketKind.COHERENCE, src=net.core_node(core), dst=net.srd_node(0)
-            )
+            yield from self._bus_packet(net.core_node(core), net.srd_node(0))
             supplier = self._snoop_for_supplier(core, addr)
             if supplier is not None:
-                yield net.transit(
-                    PacketKind.COHERENCE,
-                    src=net.core_node(supplier[0]),
-                    dst=net.core_node(core),
+                yield from self._bus_packet(
+                    net.core_node(supplier[0]), net.core_node(core)
                 )
                 self.counters.add("c2c_transfers")
             else:

@@ -11,10 +11,9 @@ fixtures stay bit-identical.
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import Any, Callable, List, Optional, TYPE_CHECKING
 
 from repro.net.topology import Topology, register_topology
-from repro.sim.event import Event
 from repro.sim.resources import FifoServer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,12 +61,15 @@ class SingleBusTopology(Topology):
         return self.latency
 
     # ------------------------------------------------------------------ transit
-    def transit(self, kind: str, src: int, dst: int) -> Event:
-        # Verbatim the pre-topology CoherenceNetwork body: earliest-free
-        # channel, occupancy then propagation.  Event creation count and
-        # order are part of the bit-identity contract.
-        channel = min(self.channels, key=lambda s: max(s._free_at, self.env.now))
-        return channel.serve(extra_delay=self.latency)
+    def transit_then(
+        self, kind: str, src: int, dst: int, fn: Callable[[Any], None], arg: Any
+    ) -> None:
+        # The pre-topology CoherenceNetwork arithmetic: earliest-free
+        # channel (the first on a tie), occupancy then propagation.  The
+        # queue entry count and order are part of the bit-identity contract.
+        now = self.env._now
+        channel = min(self.channels, key=lambda s: max(s._free_at, now))
+        channel.serve_then(self.latency, fn, arg)
 
     # ------------------------------------------------------------------ metrics
     def links(self) -> List:

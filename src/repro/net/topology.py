@@ -28,10 +28,10 @@ trace fixture is bit-identical to the pre-topology model.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.errors import ConfigError
-from repro.sim.event import Event
+from repro.sim.hooks import LinkHook
 from repro.sim.resources import FifoServer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,9 +68,10 @@ class Link:
     A packet *traverses* the link by serializing onto it (the shared
     :class:`~repro.sim.resources.FifoServer`, ``bus_occupancy`` cycles per
     packet, back-to-back packets queue) and then propagating for
-    ``latency`` cycles.  ``wait_cycles`` accumulates the backpressure a
-    traversal experienced before its serialization could start — the
-    per-link congestion signal the scaling study reports.
+    ``latency`` cycles (:meth:`Topology._enter`).  ``wait_cycles``
+    accumulates the backpressure a traversal experienced before its
+    serialization could start — the per-link congestion signal the
+    scaling study reports.
     """
 
     __slots__ = ("env", "name", "server", "latency", "wait_cycles")
@@ -83,13 +84,6 @@ class Link:
         self.server = FifoServer(env, occupancy, name=name)
         self.latency = int(latency)
         self.wait_cycles = 0
-
-    def traverse(self) -> Event:
-        """Occupy the link for one packet; event fires at the far end."""
-        wait = self.server._free_at - self.env.now
-        if wait > 0:
-            self.wait_cycles += wait
-        return self.server.serve(extra_delay=self.latency)
 
     @property
     def busy_cycles(self) -> int:
@@ -177,51 +171,58 @@ class Topology:
         return max(1, self.hops(src, dst)) * self.config.link_latency
 
     # ------------------------------------------------------------------ transit
-    def transit(self, kind: str, src: int, dst: int) -> Event:
-        """Move one packet from *src* to *dst*; event fires at delivery.
+    def transit_then(
+        self, kind: str, src: int, dst: int, fn: Callable[[Any], None], arg: Any
+    ) -> None:
+        """Move one packet from *src* to *dst*; ``fn(arg)`` runs at delivery.
 
         Store-and-forward: the packet serializes onto link *i+1* only once
         it has fully arrived over link *i*, so a congested middle hop
-        delays exactly the packets routed through it.
+        delays exactly the packets routed through it.  A multi-hop packet
+        is one :class:`_Transit` record that :func:`_next_hop` walks
+        along the route.  Its delivery is a zero-delay call queued after
+        the last hop, so it runs behind the work already due in that
+        cycle (``tests/test_transit_differential.py`` pins this order).
         """
         links = self.route(src, dst)
         if not links:
             # Same-node delivery: no fabric crossed, but the line still
             # serializes through the local port.
-            return self.env.timeout(self.config.bus_occupancy)
-        if len(links) == 1:
-            return self._traverse(links[0], kind, src, dst)
-        done = Event(self.env, name=f"net-delivery[{kind}]")
+            self.env.call_later(self.config.bus_occupancy, fn, arg)
+        elif len(links) == 1:
+            self._enter(links[0], kind, src, dst, fn, arg)
+        else:
+            transit = _Transit(self, links, kind, src, dst, fn, arg)
+            self._enter(links[0], kind, src, dst, _next_hop, transit)
 
-        def advance(index: int) -> None:
-            hop = self._traverse(links[index], kind, src, dst)
-            if index + 1 == len(links):
-                hop.subscribe(lambda _ev: done.succeed())
-            else:
-                hop.subscribe(lambda _ev: advance(index + 1))
-
-        advance(0)
-        return done
-
-    def _traverse(self, link: Link, kind: str, src: int, dst: int) -> Event:
-        event = link.traverse()
+    def _enter(
+        self,
+        link: Link,
+        kind: str,
+        src: int,
+        dst: int,
+        fn: Callable[[Any], None],
+        arg: Any,
+    ) -> None:
+        """Serialize one packet onto *link*; ``fn(arg)`` runs at its far end."""
+        server = link.server
+        wait = server._free_at - self.env._now
+        if wait > 0:
+            link.wait_cycles += wait
+        server.serve_then(link.latency, fn, arg)
         hooks = self.hooks
-        if hooks is not None:
-            from repro.sim.hooks import LinkHook
-
-            if hooks.wants(LinkHook):
-                hooks.publish(
-                    LinkHook(
-                        tick=self.env.now,
-                        link=link.name,
-                        kind=kind,
-                        src=src,
-                        dst=dst,
-                        busy_cycles=link.busy_cycles,
-                        wait_cycles=link.wait_cycles,
-                    )
+        if hooks is not None and hooks.wants(LinkHook):
+            hooks.publish(
+                LinkHook(
+                    tick=self.env.now,
+                    link=link.name,
+                    kind=kind,
+                    src=src,
+                    dst=dst,
+                    busy_cycles=link.busy_cycles,
+                    wait_cycles=link.wait_cycles,
                 )
-        return event
+            )
 
     # ------------------------------------------------------------------ metrics
     def links(self) -> List[Link]:
@@ -257,6 +258,45 @@ class Topology:
             }
             for link in self._links
         ]
+
+
+class _Transit:
+    """One multi-hop packet in flight: its route and the hop it is on."""
+
+    __slots__ = ("topology", "links", "hop", "kind", "src", "dst", "fn", "arg")
+
+    def __init__(
+        self,
+        topology: Topology,
+        links: Sequence[Link],
+        kind: str,
+        src: int,
+        dst: int,
+        fn: Callable[[Any], None],
+        arg: Any,
+    ) -> None:
+        self.topology = topology
+        self.links = links
+        self.hop = 0
+        self.kind = kind
+        self.src = src
+        self.dst = dst
+        self.fn = fn
+        self.arg = arg
+
+
+def _next_hop(transit: _Transit) -> None:
+    """The packet has crossed link ``transit.hop``: enter the next one,
+    or deliver after the last."""
+    hop = transit.hop + 1
+    if hop == len(transit.links):
+        transit.topology.env.call_later(0, transit.fn, transit.arg)
+        return
+    transit.hop = hop
+    transit.topology._enter(
+        transit.links[hop], transit.kind, transit.src, transit.dst,
+        _next_hop, transit,
+    )
 
 
 # -------------------------------------------------------------------- registry

@@ -29,9 +29,10 @@ the ``callbacks`` slot directly.
 
 A process that only sleeps allocates no event at all: it yields a bare
 non-negative ``int`` delay and the kernel queues its wake as an
-event-free entry (:mod:`repro.sim.process`).  :class:`Timeout` is for
-delays something subscribes to or composes (``AnyOf``/``AllOf``, a bus
-service completion, a network transit).
+event-free entry (:mod:`repro.sim.process`), and a network transit or
+bus service completion is a continuation queued the same way
+(:meth:`repro.mem.bus.CoherenceNetwork.transit_then`).  :class:`Timeout`
+is for delays something subscribes to or composes (``AnyOf``/``AllOf``).
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ Three primitives cover every contention point in the modelled system:
 * :class:`Store` — FIFO buffer of items with blocking get/put (e.g. logical
   queues inside the routing device).
 * :class:`FifoServer` — a single server that items occupy for a service time
-  (the coherence-network bus); tracks busy cycles for utilization metrics.
+  (the coherence-network bus, a NoC link); tracks busy cycles for
+  utilization metrics and hands each completion to a continuation.
 
 All three carry ``__slots__`` (a system builds hundreds of them) and
 precompute their grant-event names once in ``__init__`` — ``acquire``/
@@ -18,7 +19,7 @@ in the sim-leg profile (docs/PERFORMANCE.md §5).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional, TYPE_CHECKING
+from typing import Any, Callable, Deque, Optional, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.sim.event import Event
@@ -181,15 +182,24 @@ class FifoServer:
         self.busy_cycles: int = 0
         self.packets_served: int = 0
 
-    def serve(self, extra_delay: int = 0) -> Event:
-        """Enqueue one packet; the event fires when service (plus any
-        *extra_delay*, e.g. wire propagation after serialization) completes."""
-        start = max(self.env.now, self._free_at)
-        finish = start + self.service_time
+    def serve_then(
+        self, extra_delay: int, fn: Callable[[Any], None], arg: Any
+    ) -> None:
+        """Enqueue one packet; ``fn(arg)`` runs when service (plus
+        *extra_delay*, e.g. wire propagation after serialization) completes.
+
+        No event is allocated: the completion is one
+        :meth:`~repro.sim.kernel.Environment.call_later` entry, whose
+        sequence number is drawn here, at the reservation.
+        """
+        env = self.env
+        now = env._now
+        free_at = self._free_at
+        finish = (free_at if free_at > now else now) + self.service_time
         self._free_at = finish
         self.busy_cycles += self.service_time
         self.packets_served += 1
-        return self.env.timeout(finish - self.env.now + int(extra_delay))
+        env.call_later(finish - now + extra_delay, fn, arg)
 
     def utilization(self, elapsed: Optional[int] = None) -> float:
         """Fraction of cycles the server was busy over *elapsed* (default: now)."""

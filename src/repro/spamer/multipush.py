@@ -36,7 +36,7 @@ follower claims, no estimator gates on the hot path, no extra events.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, TYPE_CHECKING
+from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.mem.bus import PacketKind
 from repro.registry import register_algorithm
@@ -402,20 +402,22 @@ class MultiPushSpeculation(SpecBufSpeculation):
             src = network.srd_node(self.device.srd_index)
             dst = network.core_node(claim.line.core_id)
             self.stats.add("rollback_invalidations")
-            network.transit(
-                PacketKind.COHERENCE, txn=entry.message.txn, src=src, dst=dst
-            ).subscribe(
-                lambda _ev, b=burst, c=claim, s=spec_entry: self._invalidated(
-                    b, c, s
-                )
+            network.transit_then(
+                PacketKind.COHERENCE,
+                self._invalidated,
+                (burst, claim, spec_entry),
+                txn=entry.message.txn,
+                src=src,
+                dst=dst,
             )
         burst.pen.append(entry)
         self._maybe_flush(burst, spec_entry)
 
     def _invalidated(
-        self, burst: BurstState, claim: BurstClaim, spec_entry: "SpecEntry"
+        self, invalidation: Tuple[BurstState, BurstClaim, "SpecEntry"]
     ) -> None:
         """The invalidation packet reached the consumer: vacate the line."""
+        burst, claim, spec_entry = invalidation
         claim.line.rollback()
         burst.invalidations -= 1
         self._maybe_flush(burst, spec_entry)

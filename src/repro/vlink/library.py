@@ -194,11 +194,13 @@ class QueueLibrary:
         # vl_push is posted (writeback-like): the producer continues while
         # the packet traverses the network; ownership is with the device.
         network = self.system.network
-        self.system.network.transit(
+        network.transit_then(
             PacketKind.PUSH_DATA,
+            device.accept_push,
+            message,
             src=network.core_node(producer.core_id),
             dst=network.srd_node(device.srd_index),
-        ).subscribe(lambda _ev, m=message: device.accept_push(m))
+        )
         return message
 
     # -------------------------------------------------------------------- pop
@@ -312,11 +314,13 @@ class QueueLibrary:
         )
         network = self.system.network
         device = self.system.device_for(consumer.sqi)
-        network.transit(
+        network.transit_then(
             PacketKind.REQUEST,
+            device.accept_request,
+            request,
             src=network.core_node(consumer.core_id),
             dst=network.srd_node(device.srd_index),
-        ).subscribe(lambda _ev, r=request, d=device: d.accept_request(r))
+        )
 
 
 class _StalledPop:

@@ -54,6 +54,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["SpecTarget", "VirtualLinkRoutingDevice"]
 
 
+class _Stash:
+    """One stash packet in flight: device → consumer line, and the
+    hit/miss response back (``src``/``dst`` are the stash's nodes)."""
+
+    __slots__ = ("entry", "line", "speculative", "src", "dst", "hit")
+
+    def __init__(self, entry: ProdEntry, line: ConsumerLine, speculative: bool,
+                 src: int, dst: int) -> None:
+        self.entry = entry
+        self.line = line
+        self.speculative = speculative
+        self.src = src
+        self.dst = dst
+        self.hit = False
+
+
 @register_device("vl", description="Virtual-Link baseline (on-demand only)")
 class VirtualLinkRoutingDevice:
     """Baseline on-demand routing device."""
@@ -215,34 +231,36 @@ class VirtualLinkRoutingDevice:
         )
         # On NoC topologies the stash crosses the device→consumer distance
         # (and the response signal rides the same distance back).
-        src = self.network.srd_node(self.srd_index)
-        dst = self.network.core_node(line.core_id)
-        delivered = self.network.transit(
-            PacketKind.STASH, txn=entry.message.txn, src=src, dst=dst
+        stash = _Stash(entry, line, speculative,
+                       self.network.srd_node(self.srd_index),
+                       self.network.core_node(line.core_id))
+        self.network.transit_then(
+            PacketKind.STASH, self._delivered, stash,
+            txn=entry.message.txn, src=stash.src, dst=stash.dst,
         )
 
-        def on_delivery(_ev) -> None:
-            vacate_time = line.last_vacate_time
-            hit = line.try_fill(
-                entry.message,
-                entry.message.transaction_id,
-                unconfirmed=entry.spec_unconfirmed,
+    def _delivered(self, stash: "_Stash") -> None:
+        """The stash reached the consumer line: fill it or miss."""
+        entry, line = stash.entry, stash.line
+        vacate_time = line.last_vacate_time
+        hit = line.try_fill(
+            entry.message,
+            entry.message.transaction_id,
+            unconfirmed=entry.spec_unconfirmed,
+        )
+        if hit:
+            txn = entry.message.transaction_id
+            self.pipeline.trace(EventKind.LINE_VACATE, vacate_time, txn, entry.sqi)
+            self.pipeline.trace(
+                EventKind.LINE_FILL, self.env.now, txn, entry.sqi,
+                detail="speculative" if stash.speculative else "on-demand",
             )
-            if hit:
-                txn = entry.message.transaction_id
-                self.pipeline.trace(
-                    EventKind.LINE_VACATE, vacate_time, txn, entry.sqi
-                )
-                self.pipeline.trace(
-                    EventKind.LINE_FILL, self.env.now, txn, entry.sqi,
-                    detail="speculative" if speculative else "on-demand",
-                )
-            # The hit/miss response signal rides back to the device.
-            self.network.response(src=dst, dst=src).subscribe(
-                lambda _r: self._on_response(entry, line, hit, speculative)
-            )
+        stash.hit = hit
+        # The hit/miss response signal rides back to the device.
+        self.network.response_then(stash.dst, stash.src, self._responded, stash)
 
-        delivered.subscribe(on_delivery)
+    def _responded(self, stash: "_Stash") -> None:
+        self._on_response(stash.entry, stash.line, stash.hit, stash.speculative)
 
     def _on_response(
         self, entry: ProdEntry, line: ConsumerLine, hit: bool, speculative: bool

@@ -78,7 +78,7 @@ def test_multichannel_network_parallelism(env):
     net = CoherenceNetwork(env, cfg)
     done = []
     for _ in range(4):
-        net.transit(PacketKind.STASH).subscribe(lambda e: done.append(env.now))
+        net.transit_then(PacketKind.STASH, lambda _: done.append(env.now), None)
     env.run()
     # Two channels serve two packets at a time.
     assert done == [10, 10, 20, 20]

@@ -100,6 +100,54 @@ def test_no_yield_of_a_fresh_timeout_in_the_model():
     assert offenders == [], f"yield a bare delay instead: {offenders}"
 
 
+# ------------------------------------------------ transit without an Event
+def _is_timeout_call(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Attribute) and func.attr == "timeout") or (
+        isinstance(func, ast.Name) and func.id == "Timeout"
+    )
+
+
+def test_network_transit_allocates_no_timeout():
+    """A packet crosses the network as ``call_later`` entries handed to a
+    continuation (docs/PERFORMANCE.md §5): no ``.timeout(``/``Timeout(``
+    call in ``repro.net``, ``mem/bus.py`` or ``FifoServer``, and no
+    ``.subscribe(`` chained on a ``transit_then``/``response_then``."""
+    resources = ast.parse((_SRC / "sim" / "resources.py").read_text())
+    scopes = [
+        ("sim/resources.py:FifoServer", next(
+            node for node in resources.body
+            if isinstance(node, ast.ClassDef) and node.name == "FifoServer"
+        )),
+    ]
+    for path in sorted((_SRC / "net").rglob("*.py")) + [_SRC / "mem" / "bus.py"]:
+        scopes.append((str(path.relative_to(_SRC)), ast.parse(path.read_text())))
+    timeouts = [
+        f"{label}:{node.lineno}"
+        for label, tree in scopes
+        for node in ast.walk(tree)
+        if _is_timeout_call(node)
+    ]
+    assert timeouts == [], f"hand the delay to call_later instead: {timeouts}"
+
+    chained = []
+    for path in sorted(_SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            inner = node.func.value if (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "subscribe"
+            ) else None
+            if (
+                isinstance(inner, ast.Call)
+                and isinstance(inner.func, ast.Attribute)
+                and inner.func.attr in ("transit_then", "response_then")
+            ):
+                chained.append(f"{path.relative_to(_SRC)}:{node.lineno}")
+    assert chained == [], f"pass the continuation instead: {chained}"
+
+
 # ------------------------------------------------ polls without a resume
 def test_stalled_pop_resumes_once_and_polls_every_quantum(monkeypatch):
     """A consumer stalled for N polls dispatches exactly N poll entries

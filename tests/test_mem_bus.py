@@ -6,6 +6,10 @@ from repro.config import SystemConfig
 from repro.mem.bus import CoherenceNetwork, PacketKind
 
 
+def _ignore(_arg):
+    pass
+
+
 @pytest.fixture
 def network(env):
     cfg = SystemConfig(bus_latency=36, bus_occupancy=3)
@@ -14,7 +18,7 @@ def network(env):
 
 def test_single_packet_latency(env, network):
     done = []
-    network.transit(PacketKind.REQUEST).subscribe(lambda e: done.append(env.now))
+    network.transit_then(PacketKind.REQUEST, lambda _: done.append(env.now), None)
     env.run()
     assert done == [3 + 36]  # occupancy + propagation
 
@@ -22,15 +26,15 @@ def test_single_packet_latency(env, network):
 def test_packets_serialize_on_occupancy(env, network):
     done = []
     for _ in range(3):
-        network.transit(PacketKind.STASH).subscribe(lambda e: done.append(env.now))
+        network.transit_then(PacketKind.STASH, lambda _: done.append(env.now), None)
     env.run()
     assert done == [39, 42, 45]  # 3-cycle serialization spacing
 
 
 def test_packet_counters(env, network):
-    network.transit(PacketKind.REQUEST)
-    network.transit(PacketKind.PUSH_DATA)
-    network.transit(PacketKind.PUSH_DATA)
+    network.transit_then(PacketKind.REQUEST, _ignore, None)
+    network.transit_then(PacketKind.PUSH_DATA, _ignore, None)
+    network.transit_then(PacketKind.PUSH_DATA, _ignore, None)
     env.run()
     assert network.packets(PacketKind.REQUEST) == 1
     assert network.packets(PacketKind.PUSH_DATA) == 2
@@ -39,7 +43,7 @@ def test_packet_counters(env, network):
 
 def test_response_has_latency_but_no_occupancy(env, network):
     done = []
-    network.response().subscribe(lambda e: done.append(env.now))
+    network.response_then(0, 0, lambda _: done.append(env.now), None)
     env.run()
     assert done == [36]
     assert network.busy_cycles == 0  # responses ride the response channel
@@ -47,7 +51,7 @@ def test_response_has_latency_but_no_occupancy(env, network):
 
 def test_utilization_is_busy_over_elapsed(env, network):
     for _ in range(10):
-        network.transit(PacketKind.STASH)
+        network.transit_then(PacketKind.STASH, _ignore, None)
     env.run()            # ends at 30 occupancy + 36 latency = 66
     env.timeout(234)
     env.run()            # now == 300
@@ -58,5 +62,5 @@ def test_utilization_is_busy_over_elapsed(env, network):
 
 def test_utilization_clamped_to_one(env, network):
     for _ in range(100):
-        network.transit(PacketKind.STASH)
+        network.transit_then(PacketKind.STASH, _ignore, None)
     assert network.utilization(1) == 1.0

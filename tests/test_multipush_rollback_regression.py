@@ -68,8 +68,9 @@ def test_skipping_line_rollback_on_invalidation_is_detected(monkeypatch):
     is a kill; both derive from :class:`SimulationError`.
     """
 
-    def skipping(self, burst, claim, spec_entry):
+    def skipping(self, invalidation):
         # BUG: claim.line.rollback() dropped — only the bookkeeping runs.
+        burst, _claim, spec_entry = invalidation
         burst.invalidations -= 1
         self._maybe_flush(burst, spec_entry)
 
@@ -99,12 +100,13 @@ def test_double_charging_the_invalidation_network_is_detected(monkeypatch):
             src = network.srd_node(self.device.srd_index)
             dst = network.core_node(claim.line.core_id)
             self.stats.add("rollback_invalidations")
-            network.transit(
-                PacketKind.COHERENCE, txn=entry.message.txn, src=src, dst=dst
-            ).subscribe(
-                lambda _ev, b=burst, c=claim, s=spec_entry: self._invalidated(
-                    b, c, s
-                )
+            network.transit_then(
+                PacketKind.COHERENCE,
+                self._invalidated,
+                (burst, claim, spec_entry),
+                txn=entry.message.txn,
+                src=src,
+                dst=dst,
             )
         orig(self, entry, hit, now)
 

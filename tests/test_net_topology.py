@@ -16,6 +16,10 @@ from repro.net.topology import (
 from repro.sim.hooks import HookBus, LinkHook
 
 
+def _ignore(_arg):
+    pass
+
+
 def cfg(**overrides):
     defaults = dict(num_cores=16, bus_occupancy=3, bus_latency=36, link_latency=12)
     defaults.update(overrides)
@@ -114,12 +118,12 @@ def test_mesh_transit_latency_per_hop(env):
     mesh = build_topology("mesh", env, config)
     done = []
     # 1 hop: occupancy (3) + link latency (12).
-    mesh.transit("stash", 0, 1).subscribe(lambda e: done.append(env.now))
+    mesh.transit_then("stash", 0, 1, lambda _: done.append(env.now), None)
     env.run()
     assert done == [15]
     # Same-node: local port serialization only.
     done.clear()
-    mesh.transit("stash", 3, 3).subscribe(lambda e: done.append(env.now))
+    mesh.transit_then("stash", 3, 3, lambda _: done.append(env.now), None)
     env.run()
     assert done == [env.now]  # fired exactly at completion
     assert mesh.response_latency(0, 2) == 2 * config.link_latency
@@ -130,7 +134,7 @@ def test_mesh_multi_hop_is_store_and_forward(env):
     mesh = build_topology("mesh", env, cfg(num_cores=16))
     done = []
     start = env.now
-    mesh.transit("stash", 0, 3).subscribe(lambda e: done.append(env.now))
+    mesh.transit_then("stash", 0, 3, lambda _: done.append(env.now), None)
     env.run()
     # 3 hops, each paying serialization then propagation, sequentially.
     assert done == [start + 3 * (3 + 12)]
@@ -141,7 +145,7 @@ def test_link_contention_accumulates_wait_cycles(env):
     mesh = build_topology("mesh", env, cfg(num_cores=16))
     done = []
     for _ in range(3):
-        mesh.transit("stash", 0, 1).subscribe(lambda e: done.append(env.now))
+        mesh.transit_then("stash", 0, 1, lambda _: done.append(env.now), None)
     env.run()
     # Serialization spacing on the shared east link: 3 cycles apart.
     assert done == [15, 18, 21]
@@ -156,8 +160,8 @@ def test_link_contention_accumulates_wait_cycles(env):
 def test_disjoint_mesh_paths_do_not_contend(env):
     mesh = build_topology("mesh", env, cfg(num_cores=16))
     done = []
-    mesh.transit("stash", 0, 1).subscribe(lambda e: done.append(("a", env.now)))
-    mesh.transit("stash", 4, 5).subscribe(lambda e: done.append(("b", env.now)))
+    mesh.transit_then("stash", 0, 1, lambda _: done.append(("a", env.now)), None)
+    mesh.transit_then("stash", 4, 5, lambda _: done.append(("b", env.now)), None)
     env.run()
     assert done == [("a", 15), ("b", 15)]
     assert mesh.wait_cycles == 0
@@ -165,7 +169,7 @@ def test_disjoint_mesh_paths_do_not_contend(env):
 
 def test_link_report_and_utilization(env):
     mesh = build_topology("mesh", env, cfg(num_cores=16))
-    mesh.transit("stash", 0, 1)
+    mesh.transit_then("stash", 0, 1, _ignore, None)
     env.run()
     report = mesh.link_report(elapsed=100)
     used = [row for row in report if row["packets"]]
@@ -211,8 +215,8 @@ def test_crossbar_two_hop_routes_and_endpoint_contention(env):
     done = []
     # Two packets from different sources to the same destination: no
     # ingress contention, but they serialize on the shared egress link.
-    xbar.transit("push-data", 0, 4).subscribe(lambda e: done.append(env.now))
-    xbar.transit("push-data", 1, 4).subscribe(lambda e: done.append(env.now))
+    xbar.transit_then("push-data", 0, 4, lambda _: done.append(env.now), None)
+    xbar.transit_then("push-data", 1, 4, lambda _: done.append(env.now), None)
     env.run()
     assert done == [30, 33]  # 2 hops x (3+12); second waits 3 at egress
     egress = next(l for l in xbar.links() if l.name == "xbar.out[srd0]")
@@ -224,7 +228,7 @@ def test_single_bus_matches_historical_arithmetic(env):
     bus = build_topology("single-bus", env, cfg())
     done = []
     for _ in range(3):
-        bus.transit("stash", 0, 5).subscribe(lambda e: done.append(env.now))
+        bus.transit_then("stash", 0, 5, lambda _: done.append(env.now), None)
     env.run()
     # occupancy(3) + latency(36), 3-cycle serialization spacing — the
     # exact pre-topology CoherenceNetwork numbers (tests/test_mem_bus.py).
@@ -240,7 +244,7 @@ def test_single_bus_multichannel_picks_earliest_free(env):
     bus = build_topology("single-bus", env, cfg(bus_channels=2))
     done = []
     for _ in range(2):
-        bus.transit("stash", 0, 1).subscribe(lambda e: done.append(env.now))
+        bus.transit_then("stash", 0, 1, lambda _: done.append(env.now), None)
     env.run()
     assert done == [39, 39]  # two channels, no serialization
 
@@ -251,7 +255,7 @@ def test_link_hook_published_per_traversal(env):
     seen = []
     hooks.subscribe(LinkHook, seen.append)
     mesh = build_topology("mesh", env, cfg(num_cores=16), hooks=hooks)
-    mesh.transit("stash", 0, 2)
+    mesh.transit_then("stash", 0, 2, _ignore, None)
     env.run()
     assert [e.link for e in seen] == ["mesh.e[0,0]", "mesh.e[0,1]"]
     assert all(e.kind == "stash" and (e.src, e.dst) == (0, 2) for e in seen)
@@ -260,7 +264,7 @@ def test_link_hook_published_per_traversal(env):
 def test_no_link_hooks_without_subscribers(env):
     hooks = HookBus()
     mesh = build_topology("mesh", env, cfg(num_cores=16), hooks=hooks)
-    mesh.transit("stash", 0, 1)
+    mesh.transit_then("stash", 0, 1, _ignore, None)
     env.run()  # wants() gate: publish never constructs events
     assert hooks.errors == []
 
@@ -270,6 +274,6 @@ def test_single_bus_never_publishes_link_hooks(env):
     seen = []
     hooks.subscribe(LinkHook, seen.append)
     bus = build_topology("single-bus", env, cfg(), hooks=hooks)
-    bus.transit("stash", 0, 1)
+    bus.transit_then("stash", 0, 1, _ignore, None)
     env.run()
     assert seen == []

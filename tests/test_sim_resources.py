@@ -104,20 +104,23 @@ def test_store_direct_handoff_to_waiting_getter(env):
 
 
 # ----------------------------------------------------------------- FifoServer
+def _ignore(_arg):
+    pass
+
+
 def test_fifo_server_serializes(env):
     server = FifoServer(env, service_time=10)
-    done = [server.serve(), server.serve(), server.serve()]
     times = []
-    for ev in done:
-        ev.subscribe(lambda e: times.append(env.now))
+    for _ in range(3):
+        server.serve_then(0, lambda _: times.append(env.now), None)
     env.run()
     assert times == [10, 20, 30]
 
 
 def test_fifo_server_busy_accounting(env):
     server = FifoServer(env, service_time=10)
-    server.serve()
-    server.serve()
+    server.serve_then(0, _ignore, None)
+    server.serve_then(0, _ignore, None)
     env.run()
     assert server.busy_cycles == 20
     assert server.packets_served == 2
@@ -126,7 +129,7 @@ def test_fifo_server_busy_accounting(env):
 
 def test_fifo_server_idle_gap_not_counted(env):
     server = FifoServer(env, service_time=5)
-    server.serve()
+    server.serve_then(0, _ignore, None)
     env.run()
     env.timeout(95)
     env.run()
@@ -136,9 +139,8 @@ def test_fifo_server_idle_gap_not_counted(env):
 
 def test_fifo_server_extra_delay(env):
     server = FifoServer(env, service_time=10)
-    first = server.serve(extra_delay=7)
     times = []
-    first.subscribe(lambda e: times.append(env.now))
+    server.serve_then(7, lambda _: times.append(env.now), None)
     env.run()
     assert times == [17]
     # extra delay is propagation, not occupancy:
@@ -163,7 +165,9 @@ def test_fifo_server_conservation_property(arrivals, service):
     completions = []
     for a in sorted(arrivals):
         env.timeout(a).subscribe(
-            lambda _e: server.serve().subscribe(lambda _d: completions.append(env.now))
+            lambda _e: server.serve_then(
+                0, lambda _: completions.append(env.now), None
+            )
         )
     env.run()
     assert len(completions) == len(arrivals)
