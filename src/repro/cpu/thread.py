@@ -34,6 +34,7 @@ class ThreadContext:
         self.core = core
         self.name = name
         self.env = system.env
+        self._jitter_stream = f"compute:{name}"
 
     # -- queue operations -----------------------------------------------------
     def push(self, producer: "ProducerEndpoint", payload: Any) -> Generator:
@@ -70,7 +71,7 @@ class ThreadContext:
 
     def compute_jittered(self, base: int, fraction: float = 0.1) -> Generator:
         """Burn ``base ± fraction`` cycles, drawn from this thread's stream."""
-        cycles = self.system.rng.jitter(f"compute:{self.name}", base, fraction)
+        cycles = self.system.rng.jitter(self._jitter_stream, base, fraction)
         yield self.core.compute(cycles)
 
     def wait_until(self, tick: int) -> Generator:

@@ -306,6 +306,9 @@ def run_workload(
     ``return_system=True`` returns ``(metrics, system)`` so callers can
     inspect traces or device state post-run — the single code path behind
     the Figure 7 trace experiment (no parallel, drift-prone twin).
+    Otherwise the finished system is closed
+    (:meth:`~repro.system.System.close`) before the call returns, so it is
+    freed by reference counting.
 
     *arrival* selects the open-system arrival process (None = closed
     batch, the historical behaviour); see :mod:`repro.workloads.arrival`.
@@ -338,6 +341,7 @@ def run_workload(
     metrics = collect_metrics(system, workload, setting)
     if return_system:
         return metrics, system
+    system.close()
     return metrics
 
 

@@ -16,10 +16,10 @@ from enum import Enum
 from typing import Any, Optional, TYPE_CHECKING
 
 from repro.errors import DeviceError
+from repro.sim.hooks import HookBus, LineHook
 from repro.sim.stats import StateTimer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.hooks import HookBus
     from repro.sim.kernel import Environment
 
 
@@ -151,14 +151,11 @@ class ConsumerLine:
 
     def _publish(self, transition: str, transaction_id: Optional[int]) -> None:
         """Publish one occupancy transition (zero-cost on a silent bus)."""
-        if self.hooks is None:
-            return
-        from repro.sim.hooks import LineHook
-
-        if self.hooks.wants(LineHook):
-            self.hooks.publish(
+        hooks = self.hooks
+        if hooks is not None and hooks.wants(LineHook):
+            hooks.publish(
                 LineHook(
-                    tick=self.env.now,
+                    tick=self.env._now,
                     addr=self.addr,
                     endpoint_id=self.endpoint_id,
                     index=self.index,

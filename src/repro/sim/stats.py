@@ -61,7 +61,7 @@ class StateTimer:
 
     def transition(self, new_state: Hashable) -> None:
         """Switch to *new_state*, charging elapsed time to the old state."""
-        now = self.env.now
+        now = self.env._now
         self._accum[self._state] = self._accum.get(self._state, 0) + (now - self._since)
         self._state = new_state
         self._since = now

@@ -35,6 +35,7 @@ follower claims, no estimator gates on the hot path, no extra events.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
@@ -165,7 +166,10 @@ class MultiPushSpeculation(SpecBufSpeculation):
         super().__init__(specbuf, algorithm, security, linktab, stats, hooks=hooks)
         #: Owning device — reached lazily for the pipeline (built after this
         #: policy) and the network (rollback packets pay real traversal).
-        self.device = device
+        #: A weak proxy: the device owns this policy through its pipeline,
+        #: so a strong reference back would leave every multi-push device
+        #: a reference cycle after its run.
+        self.device = weakref.proxy(device)
         self.burst_k = burst_k
         self.p_min = p_min
         self._bursts: Dict[int, BurstState] = {}

@@ -141,12 +141,13 @@ class QueueLibrary:
         self, txn: TransactionRecord, state: TxnState, detail: str = ""
     ) -> None:
         """Stamp a lifecycle transition and publish it on the hook bus."""
-        txn.stamp(state, self.env.now, detail)
+        now = self.env._now
+        txn.stamp(state, now, detail)
         hooks = self.system.hooks
         if hooks.wants(TransactionHook):
             hooks.publish(
                 TransactionHook(
-                    tick=self.env.now,
+                    tick=now,
                     record=txn,
                     state=state,
                     sqi=txn.sqi,
@@ -167,15 +168,16 @@ class QueueLibrary:
         device = self.system.device_for(producer.sqi)
         granted, pool = device.acquire_entry(producer.sqi)
         yield granted
-        txn = self.system.transactions.open(producer.sqi)
-        self._stamp(txn, TxnState.CREATED)
+        tid, txn = self.system.transactions.take(producer.sqi)
+        if txn is not None:
+            self._stamp(txn, TxnState.CREATED)
         message = Message(
             payload=payload,
             sqi=producer.sqi,
             producer_id=producer.endpoint_id,
             seq=producer.take_seq(),
-            transaction_id=txn.tid,
-            produced_at=self.env.now,
+            transaction_id=tid,
+            produced_at=self.env._now,
             credit_pool=pool,
             txn=txn,
         )
@@ -188,7 +190,7 @@ class QueueLibrary:
                     sqi=message.sqi,
                     producer_id=message.producer_id,
                     seq=message.seq,
-                    transaction_id=txn.tid,
+                    transaction_id=tid,
                 )
             )
         # vl_push is posted (writeback-like): the producer continues while
@@ -296,19 +298,20 @@ class QueueLibrary:
                     transaction_id=message.transaction_id,
                 )
             )
-        self.system.latency_stats.add(self.env.now - message.produced_at)
+        self.system.latency_stats.add(self.env._now - message.produced_at)
         consumer.advance()
         consumer.pops += 1
         return message
 
     def _send_request(self, consumer: ConsumerEndpoint, prerequest: bool) -> None:
         """Fire a vl_fetch packet at the device (posted, non-blocking)."""
-        txn = self.system.transactions.open(consumer.sqi, kind="request")
-        self._stamp(txn, TxnState.CREATED, "prerequest" if prerequest else "")
+        _, txn = self.system.transactions.take(consumer.sqi, "request")
+        if txn is not None:
+            self._stamp(txn, TxnState.CREATED, "prerequest" if prerequest else "")
         request = ConsRequest(
             sqi=consumer.sqi,
             line=consumer.current_line,
-            issued_at=self.env.now,
+            issued_at=self.env._now,
             prerequest=prerequest,
             txn=txn,
         )

@@ -33,8 +33,9 @@ class Message:
     #: ("shared" or "reserved"); None when the message was injected at
     #: device level without admission (unit tests, diagnostics).
     credit_pool: Optional[str] = None
-    #: Lifecycle record stamped at every transition (None when the message
-    #: was injected below the library layer).
+    #: Lifecycle record stamped at every transition (None when nobody
+    #: observes the run, or when the message was injected below the
+    #: library layer).
     txn: Optional["TransactionRecord"] = None
 
 
@@ -67,5 +68,6 @@ class ConsRequest:
     issued_at: int           # cycle the consumer executed vl_fetch
     arrived_at: int = 0      # cycle the request reached the device
     prerequest: bool = False  # re-issued while polling (Section 4.2)
-    #: Lifecycle record (kind="request") stamped at every transition.
+    #: Lifecycle record (kind="request") stamped at every transition
+    #: (None when nobody observes the run).
     txn: Optional["TransactionRecord"] = None

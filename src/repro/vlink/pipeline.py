@@ -14,13 +14,13 @@ baseline device runs :class:`NullSpeculation` (never speculates, rejects
 :class:`repro.spamer.policy.SpecBufSpeculation`.  New devices compose a
 pipeline with their own policy instead of monkeying with the device class.
 
-The pipeline stamps every packet's :class:`~repro.sim.transaction.
-TransactionRecord` (MAPPED / BUFFERED / MATCHED / COALESCED) and publishes
-trace moments onto the hook bus; it schedules only the stage-latency
-delays the monolithic device used to (as event-free
-:meth:`~repro.sim.kernel.Environment.call_later` entries under the same
-queue keys), so refactored runs are bit-identical to the pre-pipeline
-ones.
+The pipeline stamps each packet's :class:`~repro.sim.transaction.
+TransactionRecord`, when it has one (MAPPED / BUFFERED / MATCHED /
+COALESCED), and publishes trace moments onto the hook bus; it schedules
+only the stage-latency delays the monolithic device used to (as
+event-free :meth:`~repro.sim.kernel.Environment.call_later` entries under
+the same queue keys), so refactored runs are bit-identical to the
+pre-pipeline ones.
 """
 
 from __future__ import annotations
@@ -167,11 +167,15 @@ class MappingPipeline:
         detail: str = "",
     ) -> None:
         """Stamp *record* (if any) and publish the state change on the bus."""
-        now = self.env.now
+        hooks = self.hooks
+        wanted = hooks.wants(TransactionHook)
+        if record is None and not wanted:
+            return
+        now = self.env._now
         if record is not None:
             record.stamp(state, now, detail)
-        if self.hooks.wants(TransactionHook):
-            self.hooks.publish(
+        if wanted:
+            hooks.publish(
                 TransactionHook(
                     tick=now, record=record, state=state, sqi=sqi, detail=detail
                 )
@@ -192,6 +196,10 @@ class MappingPipeline:
                     detail=detail,
                 )
             )
+
+    def close(self) -> None:
+        """Drop the bound dispatch method (it points back at the device)."""
+        self._dispatch = None
 
     @property
     def consbuf_occupancy(self) -> int:

@@ -20,9 +20,9 @@ The device composes rather than hard-codes its behaviour: the speculation
 stage is a pluggable :class:`~repro.vlink.pipeline.SpeculationPolicy`
 (:class:`~repro.vlink.pipeline.NullSpeculation` here; the SPAMeR device
 plugs in its specBuf policy), instrumentation attaches through the
-:class:`~repro.sim.hooks.HookBus`, and each packet carries a
-:class:`~repro.sim.transaction.TransactionRecord` stamped at every
-lifecycle transition.  New device flavors register with
+:class:`~repro.sim.hooks.HookBus`, and each packet of an observed run
+carries a :class:`~repro.sim.transaction.TransactionRecord` stamped at
+every lifecycle transition.  New device flavors register with
 :func:`repro.registry.register_device` and need no edits to the core.
 """
 
