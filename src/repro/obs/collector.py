@@ -141,7 +141,9 @@ def finalize_system(system: "System", registry: MetricsRegistry) -> None:
 
     Called once after the simulation completes; reads counters the kernel,
     network and library maintain anyway, so the metrics-off overhead of
-    these numbers is exactly zero.
+    these numbers is exactly zero.  Call it before
+    :meth:`~repro.system.System.close`: a closed kernel holds no pending
+    entries, so ``kernel.queue_length`` would read 0.
     """
     env = system.env
     registry.gauge_set("kernel.sim_time", float(env.now))
