@@ -14,9 +14,12 @@ The matrix is every Table-2 workload x VL/SPAMeR(tuned) at scale 0.05,
 ``scaling-halo`` on 16-core mesh and torus fabrics, ``incast`` under
 open Poisson arrivals with multi-push k=2, and the software ping-pong on
 the MOESI substrate (:mod:`repro.mem.coherence`) on the shared bus and
-on a 16-core mesh, whose coherence packets cross two and three hops:
-23 cells, about 0.45 s.  A ping-pong cell hashes its
-``(total_cycles, coherence_packets)``.  Each mutant below moves at least
+on a 16-core mesh, whose coherence packets cross two and three hops,
+and the Figure 7 trace experiment under VL and SPAMeR(0delay): 25
+cells, about 0.5 s.  A ping-pong cell hashes its
+``(total_cycles, coherence_packets)``; a Figure 7 cell hashes
+``exec_cycles`` and the ten CSV fields of every traced transaction.
+Each mutant below moves at least
 three cells, and no one family of cells kills all four (``front-hop``
 moves only the NoC cells).  The kill
 pairs apply each mutant with ``monkeypatch`` and require the digest to
@@ -31,6 +34,11 @@ move, so the digest is shown to see the tie orders it exists to pin:
   (``serve_then``);
 * ``late-refetch``: a legacy endpoint re-issues ``vl_fetch`` one poll
   after its back-off deadline.
+
+A fifth kill pair guards the Figure 7 cells, which see what no
+``RunMetrics`` does: ``now-vacate`` publishes the back-dated
+``LINE_VACATE`` moment at the fill's tick instead of the line's vacate
+time.
 
 After an intentional change to modelled behaviour, regenerate with::
 
@@ -49,13 +57,16 @@ from pathlib import Path
 import pytest
 
 from repro.eval.autotune import saturated_bus_config
+from repro.eval.experiments import trace_experiment
 from repro.eval.runner import run_workload, setting_by_name
 from repro.eval.scaling import scaling_config
 from repro.net.topology import Topology
+from repro.sim.hooks import EventKind
 from repro.sim.kernel import NORMAL, Environment
 from repro.sim.resources import FifoServer
 from repro.swqueue import run_software_pingpong
 from repro.vlink import library
+from repro.vlink.pipeline import MappingPipeline
 from repro.workloads.arrival import ArrivalSpec
 from repro.workloads.registry import workload_names
 
@@ -104,6 +115,10 @@ def _cells():
         ("software-pingpong/mesh16", _run_pingpong_cell,
          dict(config=scaling_config(16, "mesh"))),
     ]
+    cells += [
+        (f"fig7/{setting}", _run_fig7_cell, dict(setting=setting))
+        for setting in ("vl", "0delay")
+    ]
     return cells
 
 
@@ -125,6 +140,19 @@ def _run_cell(kwargs) -> bytes:
 def _run_pingpong_cell(kwargs) -> bytes:
     result = run_software_pingpong(PINGPONG_MESSAGES, **kwargs)
     return json.dumps([result.total_cycles, result.coherence_packets]).encode()
+
+
+def _run_fig7_cell(kwargs) -> bytes:
+    result = trace_experiment(
+        setting_by_name(kwargs["setting"]), scale=SCALE, seed=SEED
+    )
+    rows = [
+        [t.transaction_id, t.sqi, t.data_arrive, t.request_arrive,
+         t.line_vacate, t.line_fill, t.first_use, int(t.speculative),
+         int(t.request_bound), t.potential_saving]
+        for t in result.transactions
+    ]
+    return json.dumps([result.exec_cycles, rows], separators=(",", ":")).encode()
 
 
 def compute_digest(stop_at_first_change=None):
@@ -253,6 +281,17 @@ def _lifo_server(monkeypatch):
     monkeypatch.setattr(FifoServer, "serve_then", serve_then)
 
 
+def _now_vacate(monkeypatch):
+    trace = MappingPipeline.trace
+
+    def at_now(self, kind, time, transaction_id, sqi, detail=""):
+        if kind is EventKind.LINE_VACATE:
+            time = self.env.now
+        trace(self, kind, time, transaction_id, sqi, detail)
+
+    monkeypatch.setattr(MappingPipeline, "trace", at_now)
+
+
 MUTANTS = {
     "late-poll": _late_poll,
     "front-hop": _front_hop,
@@ -270,6 +309,18 @@ def test_digest_kills_mutant(monkeypatch, mutant):
     assert any(
         digest != golden["cells"][name] for name, digest in got["cells"].items()
     ), f"{mutant} left every cell of the result digest unchanged"
+
+
+def test_fig7_cells_kill_now_vacate(monkeypatch):
+    """Publishing the back-dated vacate at the current tick moves both
+    Figure 7 cells."""
+    golden = _golden()
+    _now_vacate(monkeypatch)
+    fig7 = [cell for cell in _cells() if cell[0].startswith("fig7/")]
+    assert len(fig7) == 2
+    for name, run, kwargs in fig7:
+        digest = hashlib.sha256(run(kwargs)).hexdigest()
+        assert digest != golden["cells"][name], f"now-vacate left {name} unchanged"
 
 
 if __name__ == "__main__":
