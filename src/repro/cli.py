@@ -4,7 +4,7 @@ Examples::
 
     python -m repro table1
     python -m repro fig8 --scale 0.25
-    python -m repro run FIR --setting tuned --trace
+    python -m repro fig7 --csv fig7.csv
     python -m repro fig11 incast --scale 0.1
     python -m repro autotune FIR --budget 20
     python -m repro motivation
@@ -26,6 +26,7 @@ from repro.eval.experiments import (
     render_table1,
     render_table2,
     trace_experiment,
+    transactions_csv,
 )
 from repro.eval.report import format_speedup, format_table, format_trace_rows
 from repro.eval.runner import (
@@ -81,20 +82,14 @@ def cmd_table2(_args) -> None:
 
 
 def cmd_fig7(args) -> None:
-    from repro.eval.runner import run_workload_traced
-
-    if args.csv:
-        # Export the full reconstructed trace as CSV for external plotting.
-        _metrics, system = run_workload_traced(
-            "incast", _setting(args.setting), scale=args.scale, seed=args.seed
-        )
-        with open(args.csv, "w") as fh:
-            fh.write(system.trace.to_csv())
-        print(f"wrote {args.csv}")
-        return
     result = trace_experiment(setting=_setting(args.setting), scale=args.scale,
                               seed=args.seed)
     txns = result.transactions
+    if args.csv:
+        with open(args.csv, "w") as fh:
+            fh.write(transactions_csv(txns))
+        print(f"wrote {args.csv}")
+        return
     mid = txns[len(txns) // 2].line_fill or 0
     print(format_trace_rows(txns, mid - args.window, mid + args.window))
     print(
@@ -459,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
                setting=True)
     p.add_argument("--window", type=int, default=3000)
     p.add_argument("--csv", metavar="FILE", default=None,
-                   help="export the full trace as CSV instead of printing")
+                   help="export every traced transaction as CSV instead "
+                        "of printing")
     p.set_defaults(fn=cmd_fig7, setting="vl")
     burst(jobs(common(sub.add_parser("fig8", help="Figure 8 speedups")))
           ).set_defaults(fn=cmd_fig8)

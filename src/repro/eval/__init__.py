@@ -44,7 +44,6 @@ from repro.eval.runner import (
     Setting,
     collect_metrics,
     run_workload,
-    run_workload_traced,
     standard_settings,
     tuned_setting,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "render_table1",
     "render_table2",
     "run_workload",
-    "run_workload_traced",
     "sensitivity_sweep",
     "standard_settings",
     "table1",

@@ -8,19 +8,14 @@ Each driver runs the necessary simulations and returns structured results;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.eval.metrics import RunMetrics
 from repro.eval.report import format_pct, format_speedup, format_table
-from repro.eval.runner import (
-    Setting,
-    run_workload,
-    run_workload_traced,
-    standard_settings,
-)
+from repro.eval.runner import Setting, run_workload, standard_settings
+from repro.sim.hooks import EventKind, TraceHook
 from repro.sim.stats import geometric_mean
-from repro.sim.trace import Transaction
 from repro.workloads.registry import WORKLOAD_CLASSES, make_workload, workload_names
 
 
@@ -195,6 +190,109 @@ def render_fig10b(result: ComparisonResult) -> str:
 
 
 # --------------------------------------------------------------------- Figure 7
+@dataclass(slots=True)
+class Transaction:
+    """A reconstructed message delivery (one line of markers in Figure 7).
+
+    Each field is the tick of one of the five trace moments
+    (:class:`~repro.sim.hooks.EventKind`) of the message, or None when the
+    moment did not happen.  For an on-demand push gated by the request
+    arrival, the paper's *potential speculative saving* is
+    ``line_fill - max(data_arrive, line_vacate)``.
+    """
+
+    transaction_id: int
+    sqi: int
+    data_arrive: Optional[int] = None
+    request_arrive: Optional[int] = None
+    line_vacate: Optional[int] = None
+    line_fill: Optional[int] = None
+    first_use: Optional[int] = None
+
+    @property
+    def speculative(self) -> bool:
+        """True when delivery happened without a consumer request (red dashed)."""
+        return self.request_arrive is None and self.line_fill is not None
+
+    @property
+    def complete(self) -> bool:
+        return self.line_fill is not None and self.first_use is not None
+
+    @property
+    def request_bound(self) -> bool:
+        """True when the request was the latest of the three fill prerequisites.
+
+        These are the transactions the paper draws in dark black: speculation
+        could have delivered the data earlier.
+        """
+        if self.speculative or self.line_fill is None or self.request_arrive is None:
+            return False
+        others = [t for t in (self.data_arrive, self.line_vacate) if t is not None]
+        if not others:
+            return False
+        return self.request_arrive > max(others)
+
+    @property
+    def potential_saving(self) -> int:
+        """Cycles a perfectly-timed speculative push could have saved."""
+        if not self.request_bound or self.line_fill is None:
+            return 0
+        ready = max(t for t in (self.data_arrive, self.line_vacate) if t is not None)
+        return max(0, self.line_fill - ready)
+
+    @property
+    def load_to_use(self) -> Optional[int]:
+        """Cycles between cacheline fill and the consumer's first use."""
+        if self.line_fill is None or self.first_use is None:
+            return None
+        return self.first_use - self.line_fill
+
+
+#: The :class:`Transaction` field each trace moment sets.
+_MOMENT_FIELD = {
+    EventKind.DATA_ARRIVE: "data_arrive",
+    EventKind.REQUEST_ARRIVE: "request_arrive",
+    EventKind.LINE_VACATE: "line_vacate",
+    EventKind.LINE_FILL: "line_fill",
+    EventKind.FIRST_USE: "first_use",
+}
+
+
+def reconstruct_transactions(events: Iterable[TraceHook]) -> List[Transaction]:
+    """Group trace moments by transaction id, in id order.
+
+    A later moment of the same kind overwrites an earlier one, except the
+    request arrival: the *earliest* matched request is kept, as the
+    paper's plot does.
+    """
+    by_id: Dict[int, Transaction] = {}
+    for ev in events:
+        txn = by_id.get(ev.transaction_id)
+        if txn is None:
+            txn = by_id[ev.transaction_id] = Transaction(ev.transaction_id, ev.sqi)
+        if ev.kind is EventKind.REQUEST_ARRIVE and txn.request_arrive is not None:
+            continue
+        setattr(txn, _MOMENT_FIELD[ev.kind], ev.tick)
+    return [by_id[k] for k in sorted(by_id)]
+
+
+def transactions_csv(transactions: Iterable[Transaction]) -> str:
+    """One CSV row per transaction: the five Figure 7 moments plus the
+    derived analysis fields, ready for external plotting."""
+    lines = [
+        "transaction_id,sqi,data_arrive,request_arrive,line_vacate,"
+        "line_fill,first_use,speculative,request_bound,potential_saving"
+    ]
+    for t in transactions:
+        fields = [
+            t.transaction_id, t.sqi, t.data_arrive, t.request_arrive,
+            t.line_vacate, t.line_fill, t.first_use, int(t.speculative),
+            int(t.request_bound), t.potential_saving,
+        ]
+        lines.append(",".join("" if f is None else str(f) for f in fields))
+    return "\n".join(lines)
+
+
 @dataclass
 class TraceResult:
     """The Figure 7 transaction trace and its derived analysis."""
@@ -226,7 +324,9 @@ def trace_experiment(
 
     The default setting is the VL baseline — the paper's trace shows the
     on-demand transactions whose fills are *hindered by the request arrival*
-    and quantifies the saving a speculative push could have realised.
+    and quantifies the saving a speculative push could have realised.  The
+    run is a plain :func:`~repro.eval.runner.run_workload` with one more
+    bus subscriber, which collects every :class:`~repro.sim.hooks.TraceHook`.
     """
     from repro.workloads.ember import Incast
 
@@ -241,13 +341,17 @@ def trace_experiment(
     # Temporarily register the variant so the runner can build it.
     import repro.workloads.registry as registry
 
+    events: List[TraceHook] = []
     original = registry._REGISTRY.get("incast")
     registry._REGISTRY["incast"] = SingleIncast
     try:
-        metrics, system = run_workload_traced("incast", setting, scale=scale, seed=seed)
+        metrics = run_workload(
+            "incast", setting, scale=scale, seed=seed,
+            on_system=lambda system: system.hooks.subscribe(TraceHook, events.append),
+        )
     finally:
         registry._REGISTRY["incast"] = original
-    txns = [t for t in system.trace.transactions() if t.line_fill is not None]
+    txns = [t for t in reconstruct_transactions(events) if t.line_fill is not None]
     return TraceResult(transactions=txns, exec_cycles=metrics.exec_cycles)
 
 

@@ -52,12 +52,9 @@ class Setting:
         self,
         config: Optional[SystemConfig] = None,
         seed: int = 0xC0FFEE,
-        trace: bool = False,
     ) -> System:
         algo = self.algorithm() if callable(self.algorithm) else self.algorithm
-        return System(
-            config=config, device=self.device, algorithm=algo, seed=seed, trace=trace
-        )
+        return System(config=config, device=self.device, algorithm=algo, seed=seed)
 
 
 def standard_settings() -> List[Setting]:
@@ -278,7 +275,6 @@ def run_workload(
     scale: float = 1.0,
     config: Optional[SystemConfig] = None,
     seed: int = 0xC0FFEE,
-    trace: bool = False,
     limit: int = DEFAULT_CYCLE_LIMIT,
     validate: bool = True,
     on_system: Optional[Callable[[System], None]] = None,
@@ -290,10 +286,11 @@ def run_workload(
 
     *on_system* is called with the freshly built :class:`System` before the
     run starts — the hook point for attaching instrumentation without
-    threading subscriber objects through every caller.  For per-stage
-    transaction latencies use ``repro obs <workload> --setting S
-    --summary``, whose collector records the ``txn.stage.<edge>``
-    histograms.
+    threading subscriber objects through every caller.  The Figure 7
+    trace experiment is such a run: it subscribes to
+    :class:`~repro.sim.hooks.TraceHook` here.  For per-stage transaction
+    latencies use ``repro obs <workload> --setting S --summary``, whose
+    collector records the ``txn.stage.<edge>`` histograms.
 
     ``verify=True`` attaches the live invariant checker
     (:mod:`repro.verify.invariants`) and raises
@@ -304,9 +301,7 @@ def run_workload(
     spinning until the cycle limit.
 
     ``return_system=True`` returns ``(metrics, system)`` so callers can
-    inspect traces or device state post-run — the single code path behind
-    the Figure 7 trace experiment (no parallel, drift-prone twin).
-    Otherwise the finished system is closed
+    inspect device state post-run.  Otherwise the finished system is closed
     (:meth:`~repro.system.System.close`) before the call returns, so it is
     freed by reference counting.
 
@@ -318,7 +313,7 @@ def run_workload(
     if verify:
         config = (config or SystemConfig()).with_overrides(verify=True)
     workload = make_workload(workload_name, scale=scale, arrival=arrival)
-    system = setting.build_system(config=config, seed=seed, trace=trace)
+    system = setting.build_system(config=config, seed=seed)
     if on_system is not None:
         on_system(system)
     workload.build(system)
@@ -343,31 +338,3 @@ def run_workload(
         return metrics, system
     system.close()
     return metrics
-
-
-def run_workload_traced(
-    workload_name: str,
-    setting: Setting,
-    scale: float = 1.0,
-    config: Optional[SystemConfig] = None,
-    seed: int = 0xC0FFEE,
-    **kwargs,
-):
-    """Like :func:`run_workload` but returns (metrics, system) with tracing
-    enabled — used by the Figure 7 transaction-trace experiment.
-
-    A thin delegate: historically this was a hand-rolled copy of
-    :func:`run_workload` that silently ignored ``limit``/``verify``/
-    ``on_system``; delegating makes the two paths incapable of drifting,
-    and any :func:`run_workload` keyword now passes straight through.
-    """
-    return run_workload(
-        workload_name,
-        setting,
-        scale=scale,
-        config=config,
-        seed=seed,
-        trace=True,
-        return_system=True,
-        **kwargs,
-    )

@@ -3,7 +3,8 @@
 This subpackage replaces the paper's gem5 substrate with a transaction-level
 simulator: an event calendar (:class:`Environment`), generator-based
 processes, contention primitives (:class:`Resource`, :class:`Store`,
-:class:`FifoServer`), statistics, tracing and seeded randomness.
+:class:`FifoServer`), statistics, the instrumentation hook bus and seeded
+randomness.
 """
 
 from repro.sim.event import AllOf, AnyOf, Event, Timeout
@@ -12,7 +13,6 @@ from repro.sim.process import Process
 from repro.sim.resources import FifoServer, Resource, Store
 from repro.sim.rng import RngPool, bithash
 from repro.sim.stats import Counter, RunningStats, StateTimer, geometric_mean
-from repro.sim.trace import EventKind, TraceEvent, TraceRecorder, Transaction
 
 __all__ = [
     "AllOf",
@@ -20,7 +20,6 @@ __all__ = [
     "Counter",
     "Environment",
     "Event",
-    "EventKind",
     "FifoServer",
     "NORMAL",
     "Process",
@@ -30,9 +29,6 @@ __all__ = [
     "StateTimer",
     "Store",
     "Timeout",
-    "TraceEvent",
-    "TraceRecorder",
-    "Transaction",
     "URGENT",
     "bithash",
     "geometric_mean",

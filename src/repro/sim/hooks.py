@@ -3,9 +3,10 @@
 Simulation components publish *typed events* — transaction state changes,
 the five Figure-7 trace moments, specBuf hit/miss outcomes, network
 occupancy — onto a :class:`HookBus`; observers subscribe per event type
-instead of being hard-wired into the hot path.  The
-:class:`~repro.sim.trace.TraceRecorder` and the per-stage latency
-histograms of :mod:`repro.eval.metrics` are both plain subscribers.
+instead of being hard-wired into the hot path.  The Figure 7 trace
+experiment (:func:`repro.eval.experiments.trace_experiment`), the
+metrics collector and the Perfetto exporter of :mod:`repro.obs` are all
+plain subscribers.
 
 Design constraints:
 
@@ -23,10 +24,20 @@ Design constraints:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
-from repro.sim.trace import EventKind
 from repro.sim.transaction import TransactionRecord, TxnState
+
+
+class EventKind(Enum):
+    """The five trace rows of Figure 7 (bottom to top)."""
+
+    DATA_ARRIVE = "data arrive"        # producer data reaches the device
+    REQUEST_ARRIVE = "request arrive"  # consumer request reaches the device
+    LINE_VACATE = "$line vacate"       # consumer line ready for new data
+    LINE_FILL = "fill $line"           # producer data fills the line
+    FIRST_USE = "1st data use"         # consumer first reads the data
 
 
 # --------------------------------------------------------------------- events
@@ -42,8 +53,9 @@ class TraceHook(HookEvent):
     """One of the five Figure-7 trace moments (see :class:`EventKind`).
 
     ``tick`` may lie in the past: a request arrival is only attributable to
-    a transaction once its data shows up, and is then published with its
-    original timestamp (the trace's ``record_at`` semantics).
+    a transaction once its data shows up, and a line vacate belongs to the
+    *next* message filled into that line, so both are published at match /
+    fill time with their original timestamps.
     """
 
     kind: EventKind = EventKind.DATA_ARRIVE

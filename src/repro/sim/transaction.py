@@ -25,10 +25,9 @@ Request lifecycle::
 Records are plain bookkeeping — they schedule no simulation events and
 draw no randomness, so enabling them never perturbs timing (the figures
 stay bit-identical with recording on or off).  A system builds them on
-demand: only when it retains them (``trace=True``) or when a
-:class:`~repro.sim.hooks.TransactionHook` subscriber is attached as the
-packet is born.  An unobserved run hands out the same dense ids and
-builds no record at all.
+demand: only when a :class:`~repro.sim.hooks.TransactionHook` subscriber
+is attached as the packet is born.  An unobserved run hands out the same
+dense ids and builds no record at all.
 """
 
 from __future__ import annotations
@@ -202,26 +201,22 @@ class TransactionLog:
     ``0, 1, 2, …`` sequence the trace figures key on, regardless of how
     many request records interleave with them.
 
-    A record is built only when somebody can read it: the log retains
-    records (``retain=True``), or a :class:`~repro.sim.hooks.
-    TransactionHook` subscriber is on *hooks* when the id is taken.
-    Otherwise :meth:`take` returns the id with no record, and the
-    packet's stamp sites skip it; ids and :meth:`count` are the same
-    either way.  With no bus nobody observes, so only a retaining log
-    builds records.  Unretained records live exactly as long as the
-    packet that carries them.
+    A record is built iff a :class:`~repro.sim.hooks.TransactionHook`
+    subscriber is on *hooks* when the id is taken.  Otherwise :meth:`take`
+    returns the id with no record, and the packet's stamp sites skip it;
+    ids and :meth:`count` are the same either way.  The log keeps no
+    record: each lives exactly as long as the packet that carries it and
+    whatever subscriber holds on to it.
     """
 
-    __slots__ = ("retain", "hooks", "_event", "_next_id", "_records")
+    __slots__ = ("hooks", "_event", "_next_id")
 
-    def __init__(self, retain: bool = False, hooks: Optional["HookBus"] = None) -> None:
+    def __init__(self, hooks: "HookBus") -> None:
         from repro.sim.hooks import TransactionHook
 
-        self.retain = retain
         self.hooks = hooks
         self._event = TransactionHook
         self._next_id: Dict[str, int] = {}
-        self._records: Dict[str, List[TransactionRecord]] = {}
 
     def take(
         self, sqi: int, kind: str = "message"
@@ -231,33 +226,10 @@ class TransactionLog:
         next_id = self._next_id
         tid = next_id.get(kind, 0)
         next_id[kind] = tid + 1
-        if self.retain:
-            record = TransactionRecord(tid, sqi, kind)
-            self._records.setdefault(kind, []).append(record)
-            return tid, record
-        hooks = self.hooks
-        if hooks is not None and hooks.wants(self._event):
+        if self.hooks.wants(self._event):
             return tid, TransactionRecord(tid, sqi, kind)
         return tid, None
-
-    def records(self, kind: str = "message") -> List[TransactionRecord]:
-        """Retained records of *kind*, in creation order."""
-        return list(self._records.get(kind, ()))
 
     def count(self, kind: str = "message") -> int:
         """How many ids of *kind* were taken (records built or not)."""
         return self._next_id.get(kind, 0)
-
-    def in_flight(self, kind: str = "message") -> List[TransactionRecord]:
-        """Retained records that have not reached a terminal state."""
-        terminal = (
-            TxnState.RETIRED,
-            TxnState.MATCHED,
-            TxnState.COALESCED,
-            TxnState.DROPPED,
-        )
-        return [
-            r
-            for r in self._records.get(kind, ())
-            if not any(s.state in terminal for s in r.stamps)
-        ]

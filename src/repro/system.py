@@ -42,7 +42,6 @@ from repro.sim.kernel import Environment
 from repro.sim.process import Process
 from repro.sim.request import RequestLog
 from repro.sim.rng import RngPool
-from repro.sim.trace import TraceRecorder
 from repro.sim.transaction import TransactionLog
 from repro.spamer.delay import DelayAlgorithm, algorithm_by_name
 from repro.spamer.security import SecurityPolicy
@@ -61,7 +60,6 @@ class System:
         config: Optional[SystemConfig] = None,
         device: Optional[str] = None,
         algorithm: Union[str, DelayAlgorithm, None] = None,
-        trace: bool = False,
         seed: int = 0xC0FFEE,
         security: Optional[SecurityPolicy] = None,
         hooks: Optional[HookBus] = None,
@@ -72,11 +70,9 @@ class System:
         self.rng = RngPool(seed)
         #: One instrumentation bus shared by every component of the system.
         self.hooks = hooks if hooks is not None else HookBus()
-        self.trace = TraceRecorder(self.env, enabled=trace)
-        #: Transaction id allocator; records are built when retained (for
-        #: post-run queries on traced systems) or when a TransactionHook
-        #: subscriber is on the bus as the packet is born.
-        self.transactions = TransactionLog(retain=trace, hooks=self.hooks)
+        #: Transaction id allocator; records are built only when a
+        #: TransactionHook subscriber is on the bus as the packet is born.
+        self.transactions = TransactionLog(self.hooks)
         #: Open-system request lifecycle log (inactive until an
         #: open-capable workload plans sessions under an open arrival
         #: process; closed-batch runs never touch it).
@@ -90,9 +86,6 @@ class System:
             algorithm = self.config.default_algorithm or spec.default_algorithm
         if isinstance(algorithm, str):
             algorithm = algorithm_by_name(algorithm)
-        # The Figure-7 recorder is a bus subscriber; attaching it before
-        # any device subscribes keeps the TraceHook delivery order.
-        self.trace.attach(self.hooks)
         self.devices: List[VirtualLinkRoutingDevice] = [
             spec.build(
                 self.env,

@@ -31,9 +31,10 @@ from typing import Any, Generator, Optional, TYPE_CHECKING
 from repro.errors import RegistrationError, WorkloadError
 from repro.mem.bus import PacketKind
 from repro.mem.cacheline import LineState
-from repro.sim.hooks import DeliveryHook, PushHook, TraceHook, TransactionHook
+from repro.sim.hooks import (
+    DeliveryHook, EventKind, PushHook, TraceHook, TransactionHook,
+)
 from repro.sim.process import PARK, Process
-from repro.sim.trace import EventKind
 from repro.sim.transaction import TransactionRecord, TxnState
 from repro.vlink.endpoint import ConsumerEndpoint, ProducerEndpoint
 from repro.vlink.packets import ConsRequest, Message

@@ -29,8 +29,7 @@ from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.errors import RegistrationError
 from repro.mem.cacheline import ConsumerLine
-from repro.sim.hooks import HookBus, TraceHook, TransactionHook
-from repro.sim.trace import EventKind
+from repro.sim.hooks import EventKind, HookBus, TraceHook, TransactionHook
 from repro.sim.transaction import TransactionRecord, TxnState
 from repro.vlink.linktab import LinkRow, LinkTab
 from repro.vlink.packets import ConsRequest, ProdEntry

@@ -34,10 +34,9 @@ from repro.config import SystemConfig
 from repro.mem.bus import CoherenceNetwork, PacketKind
 from repro.mem.cacheline import ConsumerLine
 from repro.registry import register_device
-from repro.sim.hooks import HookBus
+from repro.sim.hooks import EventKind, HookBus
 from repro.sim.resources import Resource
 from repro.sim.stats import Counter
-from repro.sim.trace import EventKind
 from repro.sim.transaction import TxnState
 from repro.vlink.linktab import LinkTab
 from repro.vlink.packets import ConsRequest, Message, ProdEntry

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SystemConfig
+from repro.sim.hooks import TransactionHook
 from repro.sim.kernel import Environment
+from repro.sim.transaction import TxnState
 from repro.system import System
 
 
@@ -49,6 +51,25 @@ def build_pingpong(system: System, rounds: int = 50, compute: int = 100):
     system.spawn(0, producer, "producer")
     system.spawn(1, consumer, "consumer")
     return received
+
+
+def collect_records(system: System):
+    """Keep the :class:`~repro.sim.transaction.TransactionRecord` of every
+    packet born on *system* from now on.
+
+    Subscribes a :class:`~repro.sim.hooks.TransactionHook` listener that
+    keeps ``event.record`` on ``CREATED``, so the log builds the records,
+    and returns ``records(kind="message")``: the kept records of *kind*,
+    in creation order.
+    """
+    kept = []
+
+    def keep(event):
+        if event.state is TxnState.CREATED:
+            kept.append(event.record)
+
+    system.hooks.subscribe(TransactionHook, keep)
+    return lambda kind="message": [r for r in kept if r.kind == kind]
 
 
 @pytest.fixture

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.eval.experiments import trace_experiment
+from repro.eval.runner import setting_by_name
 
 TINY = ["--scale", "0.05"]
 
@@ -36,11 +38,23 @@ def test_fig7_command_prints_rows(capsys):
 
 
 def test_fig7_csv_export(tmp_path, capsys):
+    """``--csv`` exports the very run ``repro fig7`` prints."""
     target = tmp_path / "trace.csv"
     run_cli(capsys, "fig7", *TINY, "--csv", str(target))
     content = target.read_text()
     assert content.startswith("transaction_id,")
     assert len(content.splitlines()) > 2
+    rows = [
+        [None if field == "" else int(field) for field in line.split(",")]
+        for line in content.splitlines()[1:]
+    ]
+    result = trace_experiment(setting_by_name("vl"), scale=0.05)
+    assert rows == [
+        [t.transaction_id, t.sqi, t.data_arrive, t.request_arrive,
+         t.line_vacate, t.line_fill, t.first_use, int(t.speculative),
+         int(t.request_bound), t.potential_saving]
+        for t in result.transactions
+    ]
 
 
 def test_fig11_command(capsys):

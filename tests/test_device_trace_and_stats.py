@@ -3,7 +3,9 @@ correctness, across devices, algorithms and seeds."""
 
 import pytest
 
+from repro.eval.experiments import reconstruct_transactions
 from repro.eval.runner import Setting, collect_metrics, standard_settings
+from repro.sim.hooks import TraceHook
 from repro.spamer.delay import TunedDelay
 from repro.system import System
 from repro.workloads import make_workload
@@ -11,9 +13,11 @@ from repro.workloads import make_workload
 SCALE = 0.06
 
 
-def run_system(name, device, algorithm=None, seed=0xC0FFEE, trace=False):
+def run_system(name, device, algorithm=None, seed=0xC0FFEE, on_system=None):
     workload = make_workload(name, scale=SCALE)
-    system = System(device=device, algorithm=algorithm, seed=seed, trace=trace)
+    system = System(device=device, algorithm=algorithm, seed=seed)
+    if on_system is not None:
+        on_system(system)
     workload.build(system)
     system.run_to_completion(limit=200_000_000)
     workload.validate()
@@ -60,9 +64,12 @@ def test_every_data_arrival_is_a_push_arrival():
 def test_trace_consistency_under_speculation(seed):
     """Every traced speculative transaction satisfies the Figure 7 event
     ordering and carries no request; counts match device stats."""
-    system, workload = run_system("incast", "spamer", "0delay", seed=seed,
-                                  trace=True)
-    txns = [t for t in system.trace.transactions() if t.line_fill is not None]
+    events = []
+    system, workload = run_system(
+        "incast", "spamer", "0delay", seed=seed,
+        on_system=lambda s: s.hooks.subscribe(TraceHook, events.append),
+    )
+    txns = [t for t in reconstruct_transactions(events) if t.line_fill is not None]
     assert len(txns) == workload.total_messages()
     spec = [t for t in txns if t.speculative]
     assert len(spec) == len(txns)  # incast spec endpoints never request

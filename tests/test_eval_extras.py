@@ -8,8 +8,10 @@ import pytest
 from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.errors import ConfigError
 from repro.eval.replication import ReplicatedStat, _stat, replicated_comparison
+from repro.eval.experiments import reconstruct_transactions, transactions_csv
 from repro.eval.runner import run_workload, standard_settings
-from repro.sim.trace import EventKind, TraceRecorder
+from repro.obs.perfetto import JsonlTraceSink
+from repro.sim.hooks import EventKind, HookBus, TraceHook
 
 
 SCALE = 0.06
@@ -47,13 +49,16 @@ def test_config_json_is_valid_json():
 
 # -------------------------------------------------------------- trace export
 def test_trace_csv_export(env):
-    trace = TraceRecorder(env)
-    txn = trace.new_transaction()
-    trace.record_at(EventKind.DATA_ARRIVE, 10, txn, 1)
-    trace.record_at(EventKind.LINE_VACATE, 5, txn, 1)
-    trace.record_at(EventKind.LINE_FILL, 40, txn, 1)
-    trace.record_at(EventKind.FIRST_USE, 50, txn, 1)
-    csv = trace.to_csv()
+    events = [
+        TraceHook(tick=tick, kind=kind, transaction_id=0, sqi=1)
+        for kind, tick in (
+            (EventKind.DATA_ARRIVE, 10),
+            (EventKind.LINE_VACATE, 5),
+            (EventKind.LINE_FILL, 40),
+            (EventKind.FIRST_USE, 50),
+        )
+    ]
+    csv = transactions_csv(reconstruct_transactions(events))
     lines = csv.splitlines()
     assert lines[0].startswith("transaction_id,")
     assert lines[1].split(",")[:3] == ["0", "1", "10"]
@@ -61,11 +66,12 @@ def test_trace_csv_export(env):
 
 
 def test_trace_events_json(env):
-    trace = TraceRecorder(env)
-    trace.record_at(EventKind.REQUEST_ARRIVE, 7, 0, 2, detail="x")
-    events = json.loads(trace.to_events_json())
-    assert events == [
-        {"time": 7, "kind": "request arrive", "transaction_id": 0,
+    bus = HookBus()
+    sink = JsonlTraceSink(bus)
+    bus.publish(TraceHook(tick=7, kind=EventKind.REQUEST_ARRIVE,
+                          transaction_id=0, sqi=2, detail="x"))
+    assert [json.loads(line) for line in sink.lines] == [
+        {"ev": "trace", "t": 7, "kind": "request arrive", "tid": 0,
          "sqi": 2, "detail": "x"}
     ]
 

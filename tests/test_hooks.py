@@ -1,14 +1,16 @@
 """The instrumentation hook bus: ordering, isolation, zero-cost guards."""
 
+from repro import System
+from repro.eval.experiments import reconstruct_transactions
 from repro.sim.hooks import (
     BusHook,
+    EventKind,
     HookBus,
     HookEvent,
     SpecBufHook,
     TraceHook,
     TransactionHook,
 )
-from repro.sim.trace import EventKind
 
 
 def test_subscribers_fire_in_subscription_order():
@@ -88,30 +90,22 @@ def test_wants_guards_silent_buses():
 
 
 def test_trace_recorder_attaches_as_subscriber():
-    from repro.sim.kernel import Environment
-    from repro.sim.trace import TraceRecorder
-
-    env = Environment()
+    """Figure 7 records its moments with one plain subscriber."""
     bus = HookBus()
-    recorder = TraceRecorder(env, enabled=True)
-    recorder.attach(bus)
-    recorder.attach(bus)  # idempotent: devices share one bus + recorder
+    events = []
+    bus.subscribe(TraceHook, events.append)
     assert bus.subscriber_count == 1
-    bus.publish(
-        TraceHook(tick=5, kind=EventKind.LINE_FILL, transaction_id=2, sqi=1,
-                  detail="speculative")
-    )
-    assert len(recorder.events) == 1
-    event = recorder.events[0]
-    assert (event.time, event.kind, event.transaction_id, event.sqi) == (
-        5, EventKind.LINE_FILL, 2, 1)
+    event = TraceHook(tick=5, kind=EventKind.LINE_FILL, transaction_id=2,
+                      sqi=1, detail="speculative")
+    bus.publish(event)
+    assert events == [event]
+    (txn,) = reconstruct_transactions(events)
+    assert (txn.transaction_id, txn.sqi, txn.line_fill) == (2, 1, 5)
 
 
 def test_disabled_trace_recorder_does_not_subscribe():
-    from repro.sim.kernel import Environment
-    from repro.sim.trace import TraceRecorder
-
-    bus = HookBus()
-    TraceRecorder(Environment(), enabled=False).attach(bus)
-    assert bus.subscriber_count == 0
-    assert not bus.wants(TraceHook)
+    """A system nobody traces has no trace subscriber, so its publishers
+    build no TraceHook at all."""
+    system = System(device="spamer", algorithm="tuned")
+    assert system.hooks.subscriber_count == 0
+    assert not system.hooks.wants(TraceHook)

@@ -26,7 +26,6 @@ import repro.sim.request
 import repro.sim.resources
 import repro.sim.rng
 import repro.sim.stats
-import repro.sim.trace
 import repro.sim.transaction
 from repro.config import SystemConfig
 from repro.errors import SchedulingError, SimulationError
@@ -46,7 +45,6 @@ _AUDITED_MODULES = [
     repro.sim.resources,
     repro.sim.hooks,
     repro.sim.stats,
-    repro.sim.trace,
     repro.sim.request,
     repro.sim.transaction,
     repro.sim.rng,

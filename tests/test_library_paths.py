@@ -3,8 +3,10 @@
 import pytest
 
 from repro.config import SystemConfig
+from repro.eval.experiments import reconstruct_transactions
 from repro.mem.bus import PacketKind
 from repro.mem.cacheline import LineState
+from repro.sim.hooks import TraceHook
 from repro.system import System
 
 
@@ -127,7 +129,9 @@ def test_spin_then_yield_coarsens_detection():
 
 # ------------------------------------------------------------------ tracing
 def test_trace_records_full_transaction_through_device():
-    system = System(device="vl", trace=True)
+    system = System(device="vl")
+    events = []
+    system.hooks.subscribe(TraceHook, events.append)
     q = system.library.create_queue()
     prod = system.library.open_producer(q, 0)
     cons = system.library.open_consumer(q, 1)
@@ -141,7 +145,7 @@ def test_trace_records_full_transaction_through_device():
     system.spawn(0, producer, "p")
     system.spawn(1, consumer, "c")
     system.run_to_completion(limit=1_000_000)
-    txns = [t for t in system.trace.transactions() if t.line_fill is not None]
+    txns = [t for t in reconstruct_transactions(events) if t.line_fill is not None]
     assert len(txns) == 1
     t = txns[0]
     assert t.complete
@@ -153,7 +157,9 @@ def test_trace_records_full_transaction_through_device():
 
 
 def test_trace_vacate_attributed_to_next_transaction():
-    system = System(device="vl", trace=True)
+    system = System(device="vl")
+    events = []
+    system.hooks.subscribe(TraceHook, events.append)
     q = system.library.create_queue()
     prod = system.library.open_producer(q, 0)
     cons = system.library.open_consumer(q, 1)
@@ -172,7 +178,7 @@ def test_trace_vacate_attributed_to_next_transaction():
     system.spawn(1, consumer, "c")
     system.run_to_completion(limit=1_000_000)
     txns = sorted(
-        (t for t in system.trace.transactions() if t.line_fill is not None),
+        (t for t in reconstruct_transactions(events) if t.line_fill is not None),
         key=lambda t: t.line_fill,
     )
     assert len(txns) == 2

@@ -34,10 +34,11 @@ from repro.obs.runner import (
     run_obs,
     smoke_requests,
 )
+from repro.sim.hooks import EventKind
 from repro.system import System
 from repro.units import CACHELINE_BYTES
 
-from tests.conftest import build_pingpong
+from tests.conftest import build_pingpong, collect_records
 
 
 # --------------------------------------------------------- WindowedHistogram
@@ -262,12 +263,15 @@ def test_system_skips_collector_for_null_registry():
 
 # ----------------------------------------------------------- PerfettoTraceSink
 def run_traced(pid_base=0, label=""):
+    """A Perfetto-traced ping-pong; returns the run's kept transaction
+    records (``records(kind)``) and the sink."""
     system = System(config=SystemConfig(num_cores=4), device="spamer",
-                    algorithm="tuned", trace=True)
+                    algorithm="tuned")
+    records = collect_records(system)
     sink = PerfettoTraceSink(system.hooks, pid_base=pid_base, label=label)
     build_pingpong(system, rounds=20)
     system.run_to_completion()
-    return system, sink
+    return records, sink
 
 
 def test_perfetto_track_metadata():
@@ -298,11 +302,11 @@ def test_perfetto_slices_have_nonnegative_durations():
 
 
 def test_perfetto_flow_events_reconcile_with_transaction_records():
-    """Acceptance criterion: every retained message lifecycle maps 1:1 onto
-    a flow chain — one ``s`` (push), one ``t`` per stash attempt, one ``f``
+    """Acceptance criterion: every message lifecycle maps 1:1 onto a flow
+    chain — one ``s`` (push), one ``t`` per stash attempt, one ``f``
     (delivery) — all carrying the transaction id."""
-    system, sink = run_traced()
-    records = system.transactions.records("message")
+    records, sink = run_traced()
+    records = records("message")
     assert records and all(r.retired for r in records)
     starts = [e for e in sink.events if e["ph"] == "s"]
     steps = [e for e in sink.events if e["ph"] == "t"]
@@ -346,7 +350,7 @@ def test_perfetto_detach_stops_streaming():
 # --------------------------------------------------------------- JsonlTraceSink
 def test_jsonl_sink_emits_parseable_lines():
     system = System(config=SystemConfig(num_cores=4), device="spamer",
-                    algorithm="tuned", trace=True)
+                    algorithm="tuned")
     sink = JsonlTraceSink(system.hooks)
     build_pingpong(system, rounds=10)
     system.run_to_completion()
@@ -354,7 +358,10 @@ def test_jsonl_sink_emits_parseable_lines():
     assert text.endswith("\n")
     events = [json.loads(line) for line in text.splitlines()]
     kinds = {e["ev"] for e in events}
-    assert {"txn", "push", "delivery", "bus", "decision"} <= kinds
+    assert {"txn", "push", "delivery", "bus", "decision", "trace"} <= kinds
+    # The sink is the one raw export of the Figure 7 moments.
+    moments = {kind.value for kind in EventKind}
+    assert all(e["kind"] in moments for e in events if e["ev"] == "trace")
     assert all("t" in e for e in events)
     assert JsonlTraceSink(system.hooks).to_jsonl() == ""
 

@@ -219,22 +219,3 @@ def test_available_setting_names_cache_invalidates_on_registration():
     finally:
         unregister_device("cached-dev")
     assert "cached-dev" not in available_setting_names()
-
-
-def test_run_workload_traced_delegates_to_run_workload():
-    from repro.errors import SimulationError
-    from repro.eval.runner import run_workload_traced
-
-    vl = standard_settings()[0]
-    metrics, system = run_workload_traced("ping-pong", vl, scale=SCALE)
-    assert system.trace.enabled
-    assert metrics.exec_cycles == system.env.now
-
-    # `limit` used to be silently ignored by the hand-rolled copy.
-    with pytest.raises(SimulationError, match="limit"):
-        run_workload_traced("ping-pong", vl, scale=SCALE, limit=10)
-
-    # `on_system` used to be unsupported entirely.
-    seen = []
-    run_workload_traced("ping-pong", vl, scale=SCALE, on_system=seen.append)
-    assert len(seen) == 1

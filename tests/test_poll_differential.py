@@ -27,8 +27,7 @@ from repro.config import SystemConfig
 from repro.eval.runner import run_workload, setting_by_name
 from repro.mem.bus import PacketKind
 from repro.mem.cacheline import LineState
-from repro.sim.hooks import DeliveryHook, TraceHook
-from repro.sim.trace import EventKind
+from repro.sim.hooks import DeliveryHook, EventKind, TraceHook
 from repro.sim.transaction import TxnState
 from repro.system import System
 from repro.verify.fuzz import LinkSpec, ProgramSpec, run_fuzz_case

@@ -1,5 +1,6 @@
 """Unit tests for the text-rendering helpers."""
 
+from repro.eval.experiments import Transaction
 from repro.eval.report import (
     ascii_bar,
     dict_table,
@@ -8,7 +9,6 @@ from repro.eval.report import (
     format_table,
     format_trace_rows,
 )
-from repro.sim.trace import Transaction
 
 
 def test_format_table_alignment():

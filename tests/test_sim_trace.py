@@ -1,91 +1,73 @@
-"""Unit tests for transaction tracing (Figure 7 machinery)."""
+"""Unit tests for the Figure 7 transaction reconstruction.
 
-from repro.sim.trace import EventKind, TraceRecorder, Transaction
+Each case feeds :func:`~repro.eval.experiments.reconstruct_transactions`
+the :class:`~repro.sim.hooks.TraceHook` moments a run would publish.  The
+``env`` fixture only keeps the cases' historical ids.
+"""
 
-
-def record_txn(trace, txn, sqi=1, data=None, req=None, vacate=None, fill=None, use=None):
-    if data is not None:
-        trace.record_at(EventKind.DATA_ARRIVE, data, txn, sqi)
-    if req is not None:
-        trace.record_at(EventKind.REQUEST_ARRIVE, req, txn, sqi)
-    if vacate is not None:
-        trace.record_at(EventKind.LINE_VACATE, vacate, txn, sqi)
-    if fill is not None:
-        trace.record_at(EventKind.LINE_FILL, fill, txn, sqi)
-    if use is not None:
-        trace.record_at(EventKind.FIRST_USE, use, txn, sqi)
+from repro.eval.experiments import Transaction, reconstruct_transactions
+from repro.sim.hooks import EventKind, TraceHook
 
 
-def test_disabled_recorder_records_nothing(env):
-    trace = TraceRecorder(env, enabled=False)
-    trace.record(EventKind.DATA_ARRIVE, trace.new_transaction(), 1)
-    assert trace.events == []
-
-
-def test_transaction_ids_are_unique(env):
-    trace = TraceRecorder(env)
-    ids = [trace.new_transaction() for _ in range(100)]
-    assert len(set(ids)) == 100
+def moments(txn, sqi=1, data=None, req=None, vacate=None, fill=None, use=None):
+    """The trace moments of one transaction, in publication order."""
+    ticks = (
+        (EventKind.DATA_ARRIVE, data),
+        (EventKind.REQUEST_ARRIVE, req),
+        (EventKind.LINE_VACATE, vacate),
+        (EventKind.LINE_FILL, fill),
+        (EventKind.FIRST_USE, use),
+    )
+    return [
+        TraceHook(tick=tick, kind=kind, transaction_id=txn, sqi=sqi)
+        for kind, tick in ticks
+        if tick is not None
+    ]
 
 
 def test_reconstruction_groups_by_transaction(env):
-    trace = TraceRecorder(env)
-    record_txn(trace, 0, data=10, req=20, vacate=5, fill=30, use=40)
-    record_txn(trace, 1, data=50, fill=60, vacate=45, use=70)
-    txns = trace.transactions()
+    events = moments(0, data=10, req=20, vacate=5, fill=30, use=40)
+    events += moments(1, data=50, fill=60, vacate=45, use=70)
+    txns = reconstruct_transactions(events)
     assert len(txns) == 2
     assert txns[0].data_arrive == 10 and txns[0].first_use == 40
     assert txns[1].request_arrive is None
 
 
 def test_speculative_detection(env):
-    trace = TraceRecorder(env)
-    record_txn(trace, 0, data=10, vacate=5, fill=30, use=40)  # no request
-    record_txn(trace, 1, data=10, req=20, vacate=5, fill=30, use=40)
-    txns = trace.transactions()
+    events = moments(0, data=10, vacate=5, fill=30, use=40)  # no request
+    events += moments(1, data=10, req=20, vacate=5, fill=30, use=40)
+    txns = reconstruct_transactions(events)
     assert txns[0].speculative
     assert not txns[1].speculative
 
 
 def test_request_bound_and_potential_saving(env):
-    trace = TraceRecorder(env)
     # Request (t=50) is the latest prerequisite; fill at 80.
-    record_txn(trace, 0, data=10, req=50, vacate=20, fill=80, use=90)
-    txn = trace.transactions()[0]
+    events = moments(0, data=10, req=50, vacate=20, fill=80, use=90)
+    txn = reconstruct_transactions(events)[0]
     assert txn.request_bound
     # A speculative push could have filled at max(data, vacate)=20: save 60.
     assert txn.potential_saving == 60
 
 
 def test_not_request_bound_when_data_is_latest(env):
-    trace = TraceRecorder(env)
-    record_txn(trace, 0, data=60, req=50, vacate=20, fill=80, use=90)
-    txn = trace.transactions()[0]
+    events = moments(0, data=60, req=50, vacate=20, fill=80, use=90)
+    txn = reconstruct_transactions(events)[0]
     assert not txn.request_bound
     assert txn.potential_saving == 0
 
 
 def test_earliest_request_kept(env):
-    trace = TraceRecorder(env)
-    trace.record_at(EventKind.REQUEST_ARRIVE, 30, 0, 1)
-    trace.record_at(EventKind.REQUEST_ARRIVE, 10, 0, 1)
+    events = moments(0, req=30) + moments(0, req=10)
     # Earliest matched request is the one the figure plots...
-    txn = trace.transactions()[0]
+    txn = reconstruct_transactions(events)[0]
     assert txn.request_arrive == 30  # first recorded wins (match order)
 
 
 def test_load_to_use(env):
-    trace = TraceRecorder(env)
-    record_txn(trace, 0, data=1, fill=100, use=130, vacate=0)
-    assert trace.transactions()[0].load_to_use == 30
-
-
-def test_window_filters_on_fill_time(env):
-    trace = TraceRecorder(env)
-    record_txn(trace, 0, data=1, fill=100, use=110, vacate=0)
-    record_txn(trace, 1, data=1, fill=300, use=310, vacate=0)
-    window = trace.window(50, 200)
-    assert [t.transaction_id for t in window] == [0]
+    events = moments(0, data=1, fill=100, use=130, vacate=0)
+    assert reconstruct_transactions(events)[0].load_to_use == 30
 
 
 def test_incomplete_transaction_flags(env):

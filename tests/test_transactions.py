@@ -1,5 +1,6 @@
 """The explicit transaction lifecycle threaded through the stack."""
 
+from tests.conftest import collect_records
 from repro import System
 from repro.sim.hooks import HookBus, TransactionHook
 from repro.sim.transaction import TransactionLog, TransactionRecord, TxnState
@@ -47,7 +48,7 @@ def test_record_stamps_and_queries():
 
 
 def test_log_keeps_dense_per_kind_id_sequences():
-    log = TransactionLog()
+    log = TransactionLog(HookBus())
     tids = [log.take(1)[0] for _ in range(3)]
     rids = [log.take(1, kind="request")[0] for _ in range(2)]
     assert tids == [0, 1, 2]
@@ -55,35 +56,24 @@ def test_log_keeps_dense_per_kind_id_sequences():
     assert log.count() == 3 and log.count("request") == 2
 
 
-def test_log_retention_is_opt_in():
-    log = TransactionLog(retain=False)
-    log.take(1)
-    assert log.records() == [] and log.count() == 1
-    retained = TransactionLog(retain=True)
-    _, record = retained.take(1)
-    assert retained.records() == [record]
-
-
 def test_log_builds_records_only_when_observed():
     bus = HookBus()
-    log = TransactionLog(hooks=bus)
+    log = TransactionLog(bus)
     assert log.take(1) == (0, None)          # silent bus: an id, no record
     sub = bus.subscribe(TransactionHook, lambda event: None)
     tid, record = log.take(1)
     assert tid == 1 and record.tid == 1
     bus.unsubscribe(sub)
     assert log.take(1, kind="request") == (0, None)
-    retained = TransactionLog(retain=True, hooks=bus)
-    assert retained.take(1)[1] is not None   # retained: always built
     assert log.count() == 2 and log.count("request") == 1
-    assert TransactionLog().take(1) == (0, None)   # no bus: nobody reads
 
 
 # ----------------------------------------------------------- system level
 def test_message_lifecycle_through_a_real_run():
-    system = System(device="spamer", trace=True)
+    system = System(device="spamer")
+    records = collect_records(system)
     _ping_pong(system)
-    records = system.transactions.records()
+    records = records()
     assert len(records) == 8
     for record in records:
         assert record.retired
@@ -97,29 +87,38 @@ def test_message_lifecycle_through_a_real_run():
         assert ticks == sorted(ticks)
     # Message ids stay the dense 0..n-1 sequence the trace figures key on.
     assert [r.tid for r in records] == list(range(8))
-    assert system.transactions.in_flight() == []
 
 
 def test_request_lifecycle_on_baseline_device():
-    system = System(device="vl", trace=True)
+    system = System(device="vl")
+    records = collect_records(system)
     _ping_pong(system)
-    requests = system.transactions.records("request")
+    requests = records("request")
     assert requests, "legacy pops must issue vl_fetch requests"
     terminal = {TxnState.MATCHED, TxnState.COALESCED, TxnState.DROPPED}
     assert any(r.state in terminal for r in requests)
 
 
-def test_untraced_system_does_not_retain_records():
+def test_untraced_system_does_not_retain_records(monkeypatch):
+    built = []
+    init = TransactionRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TransactionRecord, "__init__", counting_init)
     system = System(device="spamer")
     _ping_pong(system)
-    assert system.transactions.records() == []
+    assert built == []                       # nobody observes: no record
     assert system.transactions.count() == 8  # ids were still allocated
 
 
 def test_recording_does_not_perturb_timing():
     plain = System(device="spamer", seed=7)
     _ping_pong(plain)
-    traced = System(device="spamer", trace=True, seed=7)
+    traced = System(device="spamer", seed=7)
+    collect_records(traced)
     _ping_pong(traced)
     assert plain.env.now == traced.env.now
     assert plain.device.stats.as_dict() == traced.device.stats.as_dict()

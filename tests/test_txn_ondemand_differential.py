@@ -3,10 +3,10 @@ eager form they replaced.
 
 Every packet used to get a :class:`~repro.sim.transaction.
 TransactionRecord` at its birth, stamped at every layer whether or not
-anybody read it.  Records are now built only when the log retains them
-(``trace=True``) or a :class:`~repro.sim.hooks.TransactionHook`
-subscriber is on the bus when the packet is born; an unobserved run
-takes the same ids and builds none.  Each case here runs once with a
+anybody read it.  Records are now built only when a
+:class:`~repro.sim.hooks.TransactionHook` subscriber is on the bus when
+the packet is born; an unobserved run takes the same ids and builds
+none.  Each case here runs once with a
 test-local copy of the eager form monkeypatched in and once with the
 library as it is, and requires:
 
@@ -14,7 +14,7 @@ library as it is, and requires:
   byte-identical results;
 * a subscriber sees the identical ``TransactionHook`` stream (tick,
   state, sqi, detail, tid and the record's last two stamps);
-* a traced run retains identical stamps.
+* the records a subscriber keeps carry identical stamps.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from repro.sim.transaction import (
 from repro.vlink.library import QueueLibrary
 from repro.vlink.pipeline import MappingPipeline
 from repro.workloads.arrival import ArrivalSpec
+from tests.conftest import collect_records
 from tests.test_result_digest import canonical_bytes
 
 SEED = 12648430
@@ -43,13 +44,10 @@ KINDS = ("message", "request")
 
 # ------------------------------------------------- the eager form, verbatim
 def _eager_take(log, sqi, kind="message"):
-    """``TransactionLog.open``: a record for every id, retained or not."""
+    """``TransactionLog.open``: a record for every id."""
     tid = log._next_id.get(kind, 0)
     log._next_id[kind] = tid + 1
-    record = TransactionRecord(tid, sqi, kind)
-    if log.retain:
-        log._records.setdefault(kind, []).append(record)
-    return tid, record
+    return tid, TransactionRecord(tid, sqi, kind)
 
 
 def _eager_record_stamp(record, state, tick, detail=""):
@@ -191,19 +189,23 @@ def test_subscriber_sees_the_eager_hook_stream(monkeypatch, kwargs):
 
 @pytest.mark.parametrize("kwargs", CASES)
 def test_traced_run_retains_identical_stamps(monkeypatch, kwargs):
-    def retained(system):
+    def kept(records):
         return {
-            kind: [(r.tid, r.sqi, r.kind, list(r.stamps))
-                   for r in system.transactions.records(kind)]
+            kind: [(r.tid, r.sqi, r.kind, list(r.stamps)) for r in records(kind)]
             for kind in KINDS
         }
 
+    def attach(system):
+        collected.append(collect_records(system))
+
     with monkeypatch.context() as m:
         _patch_eager(m)
-        eager_bytes, eager_counts, eager_system = _run(kwargs, trace=True)
-        eager = retained(eager_system)
-    ondemand_bytes, counts, system = _run(kwargs, trace=True)
+        collected = []
+        eager_bytes, eager_counts, _ = _run(kwargs, on_system=attach)
+        eager = kept(collected[0])
+    collected = []
+    ondemand_bytes, counts, _ = _run(kwargs, on_system=attach)
     assert counts == eager_counts
-    assert retained(system) == eager
+    assert kept(collected[0]) == eager
     assert len(eager["message"]) == counts["message"]
     assert ondemand_bytes == eager_bytes
