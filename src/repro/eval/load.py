@@ -22,8 +22,7 @@ whole report is byte-identical across ``--jobs``:
    past it (rho > 1) the arrival backlog grows without bound and the
    tail explodes — the classic hockey stick, now measurable per device.
 
-Exposed as ``repro load`` on the CLI; ``tools/bench.py --load`` wall-clocks
-the same matrix and records requests/sec.
+Exposed as ``repro load`` on the CLI.
 """
 
 from __future__ import annotations

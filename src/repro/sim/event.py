@@ -23,7 +23,7 @@ eagerly holding a list — ``None`` (no subscriber yet), a bare callable
 (exactly one), a list (two or more), or the :data:`PROCESSED` sentinel
 once the kernel has dispatched the event.  A ping-pong hop therefore
 allocates one ``Event`` and nothing else; the per-event callbacks list
-only exists for genuine fan-out (``AllOf``/``AnyOf`` children with extra
+only exists for genuine fan-out (``AllOf`` children with extra
 watchers).  Use :meth:`Event.subscribe` to add callbacks — never touch
 the ``callbacks`` slot directly.
 
@@ -32,7 +32,7 @@ non-negative ``int`` delay and the kernel queues its wake as an
 event-free entry (:mod:`repro.sim.process`), and a network transit or
 bus service completion is a continuation queued the same way
 (:meth:`repro.mem.bus.CoherenceNetwork.transit_then`).  :class:`Timeout`
-is for delays something subscribes to or composes (``AnyOf``/``AllOf``).
+is for delays something subscribes to or composes (``AllOf``).
 """
 
 from __future__ import annotations
@@ -191,35 +191,6 @@ class Timeout(Event):
             "processed" if self.processed else "triggered" if self.triggered else "pending"
         )
         return f"<{label} {state} at t={self.env.now}>"
-
-
-class AnyOf(Event):
-    """Composite event that fires when the *first* of its children fires.
-
-    The value is a dict mapping the already-fired child events to their
-    values (there may be more than one if several children fire in the same
-    kernel step).
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self, env: "Environment", events: List[Event]) -> None:
-        super().__init__(env, name="AnyOf")
-        self.events = list(events)
-        if not self.events:
-            self.succeed({})
-            return
-        for ev in self.events:
-            ev.subscribe(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            event.defuse()
-            self.fail(event.value)
-            return
-        self.succeed({ev: ev.value for ev in self.events if ev.processed and ev.ok})
 
 
 class AllOf(Event):

@@ -32,7 +32,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.event import _PENDING, AllOf, AnyOf, Event, PROCESSED, Timeout
+from repro.sim.event import _PENDING, AllOf, Event, PROCESSED, Timeout
 from repro.sim.process import Process
 
 #: Priority levels: URGENT callbacks run before NORMAL ones in the same cycle.
@@ -129,10 +129,6 @@ class Environment:
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Wrap *generator* as a :class:`Process` and start it now."""
         return Process(self, generator, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event firing when the first child fires."""
-        return AnyOf(self, list(events))
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event firing when every child has fired."""

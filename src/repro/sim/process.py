@@ -15,7 +15,7 @@ kernel one of two things:
   ``yield env.timeout(d)`` would have, because the wake takes its
   sequence number at the yield, just as the timeout took it when it was
   built in the yield expression.  Use ``env.timeout()`` only for a delay
-  that is subscribed to or composed (``AnyOf``/``AllOf``).
+  that is subscribed to or composed (``AllOf``).
 
 * :data:`PARK` — the process parks: nothing is queued for it, and it
   stays alive with ``target`` ``None`` until the kernel callback that the

@@ -1,19 +1,13 @@
 """Shared-resource primitives built on the event kernel.
 
-Three primitives cover every contention point in the modelled system:
-
-* :class:`Resource` — counted semaphore with FIFO waiters (e.g. SRD buffer
-  entries, producer credits).
-* :class:`Store` — FIFO buffer of items with blocking get/put (e.g. logical
-  queues inside the routing device).
-* :class:`FifoServer` — a single server that items occupy for a service time
-  (the coherence-network bus, a NoC link); tracks busy cycles for
+* :class:`FifoServer` — a single server that items occupy for a service time.
+  The model uses it for the coherence-network bus (:mod:`repro.net.singlebus`)
+  and each NoC link (:mod:`repro.net.topology`).  It tracks busy cycles for
   utilization metrics and hands each completion to a continuation.
+* :class:`Resource` — counted semaphore with FIFO waiters.  No model module
+  uses it.
 
-All three carry ``__slots__`` (a system builds hundreds of them) and
-precompute their grant-event names once in ``__init__`` — ``acquire``/
-``put``/``get`` run per message hop, and the f-string per call showed up
-in the sim-leg profile (docs/PERFORMANCE.md §5).
+Both carry ``__slots__``: a system builds hundreds of servers.
 """
 
 from __future__ import annotations
@@ -78,87 +72,6 @@ class Resource:
             self._waiters.popleft().succeed()
         else:
             self._in_use -= 1
-
-
-class Store:
-    """FIFO item buffer with blocking ``get``/``put`` and optional capacity."""
-
-    __slots__ = ("env", "name", "capacity", "_items", "_getters", "_putters",
-                 "_put_name", "_get_name")
-
-    def __init__(
-        self,
-        env: "Environment",
-        capacity: Optional[int] = None,
-        name: str = "store",
-    ) -> None:
-        if capacity is not None and capacity < 1:
-            raise SimulationError(f"{name}: capacity must be >= 1, got {capacity}")
-        self.env = env
-        self.name = name
-        self.capacity = capacity
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple] = deque()  # (event, pending item) pairs
-        self._put_name = f"put:{name}"
-        self._get_name = f"get:{name}"
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> tuple:
-        """Snapshot of buffered items (oldest first)."""
-        return tuple(self._items)
-
-    def put(self, item: Any) -> Event:
-        """Deposit *item*; blocks (event stays pending) while full."""
-        ev = Event(self.env, name=self._put_name)
-        if self._getters:
-            # Hand directly to the oldest waiting getter.
-            self._getters.popleft().succeed(item)
-            ev.succeed()
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            ev.succeed()
-        else:
-            self._putters.append((ev, item))
-        return ev
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; True on success."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            return True
-        if self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            return True
-        return False
-
-    def get(self) -> Event:
-        """Return an event yielding the oldest item."""
-        ev = Event(self.env, name=self._get_name)
-        if self._items:
-            item = self._items.popleft()
-            self._admit_blocked_putter()
-            ev.succeed(item)
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> Any:
-        """Non-blocking get; returns the item or None when empty."""
-        if not self._items:
-            return None
-        item = self._items.popleft()
-        self._admit_blocked_putter()
-        return item
-
-    def _admit_blocked_putter(self) -> None:
-        if self._putters:
-            putter, item = self._putters.popleft()
-            self._items.append(item)
-            putter.succeed()
 
 
 class FifoServer:

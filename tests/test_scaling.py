@@ -117,22 +117,3 @@ def test_scale_cli_multi_srd(capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "| 2" in out  # srds column
-
-
-# ------------------------------------------------------------------ bench
-def test_bench_net_flag_builds_scaling_matrix(capsys):
-    import importlib.util
-    from pathlib import Path
-
-    bench_path = Path(__file__).resolve().parents[1] / "tools" / "bench.py"
-    spec = importlib.util.spec_from_file_location("bench_tool_net", bench_path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-
-    assert bench.main(["--net", "--quick", "--scale", "0.05", "--jobs", "1"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["name"] == "net-scaling-wallclock"
-    assert doc["identical"] is True
-    assert doc["matrix"]["workloads"] == ["scaling-halo"]
-    assert doc["matrix"]["cores"] == [8, 16]
-    assert doc["matrix"]["runs"] == 8

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SchedulingError
-from repro.sim.event import AllOf, AnyOf, Event, Timeout
+from repro.sim.event import AllOf, Event, Timeout
 from repro.sim.kernel import Environment
 
 
@@ -95,22 +95,6 @@ def test_zero_delay_timeout(env):
     assert env.now == 0
 
 
-def test_anyof_fires_on_first_child(env):
-    slow = env.timeout(100)
-    fast = env.timeout(5)
-    any_ev = AnyOf(env, [slow, fast])
-    env.run(until=10)
-    assert any_ev.triggered
-    assert fast in any_ev.value
-    assert slow not in any_ev.value
-
-
-def test_anyof_empty_fires_immediately(env):
-    any_ev = AnyOf(env, [])
-    assert any_ev.triggered
-    assert any_ev.value == {}
-
-
 def test_allof_waits_for_every_child(env):
     a, b = env.timeout(5), env.timeout(50)
     all_ev = AllOf(env, [a, b])
@@ -130,13 +114,3 @@ def test_allof_propagates_failure(env):
     env.run()
     assert all_ev.triggered
     assert not all_ev.ok
-
-
-def test_anyof_propagates_failure(env):
-    bad = env.event()
-    any_ev = AnyOf(env, [bad, env.timeout(100)])
-    bad.fail(RuntimeError("child failed"))
-    any_ev.defuse()
-    env.run(until=1)
-    assert any_ev.triggered
-    assert not any_ev.ok

@@ -1,11 +1,11 @@
-"""Unit and property tests for Resource, Store and FifoServer."""
+"""Unit and property tests for Resource and FifoServer."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Environment
-from repro.sim.resources import FifoServer, Resource, Store
+from repro.sim.resources import FifoServer, Resource
 
 
 # ------------------------------------------------------------------- Resource
@@ -57,50 +57,6 @@ def test_handoff_keeps_in_use_constant(env):
     assert res.in_use == 1
     res.release()
     assert res.in_use == 0
-
-
-# ---------------------------------------------------------------------- Store
-def test_store_fifo_order(env):
-    store = Store(env)
-    for i in range(5):
-        store.put(i)
-    got = [store.get().value for _ in range(5)]
-    assert got == [0, 1, 2, 3, 4]
-
-
-def test_store_get_blocks_until_put(env):
-    store = Store(env)
-    getter = store.get()
-    assert not getter.triggered
-    store.put("item")
-    assert getter.triggered
-    assert getter.value == "item"
-
-
-def test_store_capacity_blocks_put(env):
-    store = Store(env, capacity=1)
-    assert store.put("a").triggered
-    blocked = store.put("b")
-    assert not blocked.triggered
-    assert store.get().value == "a"
-    assert blocked.triggered
-    assert store.get().value == "b"
-
-
-def test_store_try_variants(env):
-    store = Store(env, capacity=1)
-    assert store.try_get() is None
-    assert store.try_put("x")
-    assert not store.try_put("y")
-    assert store.try_get() == "x"
-
-
-def test_store_direct_handoff_to_waiting_getter(env):
-    store = Store(env, capacity=1)
-    getter = store.get()
-    store.put("direct")
-    assert getter.value == "direct"
-    assert len(store) == 0
 
 
 # ----------------------------------------------------------------- FifoServer
