@@ -48,10 +48,11 @@ class Core:
         self.thread_name = name
         return self.thread
 
-    def issue(self, instruction: Instruction):
-        """Charge one instruction's issue cost; returns a timeout event."""
+    def issue(self, instruction: Instruction) -> int:
+        """Charge one instruction's issue cost; returns it as an ``int``
+        for the calling thread to ``yield``."""
         self.instructions_issued += 1
-        return self.env.timeout(self._costs[instruction.opcode])
+        return self._costs[instruction.opcode]
 
     def compute(self, cycles: int) -> int:
         """Model *cycles* of pure computation between queue operations.

@@ -58,7 +58,7 @@ class CoherentMemorySystem:
             SetAssocCache(config.l1d, name=f"L1D{i}") for i in range(config.num_cores)
         ]
         self.l2 = SetAssocCache(config.l2, name="L2")
-        self.dram = Dram(env, config)
+        self.dram = Dram(config)
         #: Architectural value store (word granularity), always up to date.
         self.values: Dict[int, int] = {}
         self.counters = Counter()

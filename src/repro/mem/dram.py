@@ -11,32 +11,29 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.sim.event import Event
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import SystemConfig
-    from repro.sim.kernel import Environment
 
 
 class Dram:
     """Fixed-latency main memory."""
 
-    def __init__(self, env: "Environment", config: "SystemConfig") -> None:
-        self.env = env
+    def __init__(self, config: "SystemConfig") -> None:
         self.latency = config.dram_latency
         self.size_bytes = config.dram_bytes
         self.reads = 0
         self.writes = 0
 
-    def read(self) -> Event:
-        """One line fill from DRAM; fires after the loaded latency."""
+    def read(self) -> int:
+        """One line fill from DRAM; returns the loaded latency for the
+        calling process to ``yield`` (a sleep)."""
         self.reads += 1
-        return self.env.timeout(self.latency)
+        return self.latency
 
-    def write(self) -> Event:
-        """One line writeback; fires after the loaded latency."""
+    def write(self) -> int:
+        """One line writeback; returns the loaded latency to ``yield``."""
         self.writes += 1
-        return self.env.timeout(self.latency)
+        return self.latency
 
     @property
     def accesses(self) -> int:

@@ -6,7 +6,7 @@ processes, contention primitives (:class:`FifoServer`, :class:`Resource`),
 statistics, the instrumentation hook bus and seeded randomness.
 """
 
-from repro.sim.event import AllOf, Event, Timeout
+from repro.sim.event import AllOf, Event
 from repro.sim.kernel import Environment, NORMAL, URGENT
 from repro.sim.process import Process
 from repro.sim.resources import FifoServer, Resource
@@ -25,7 +25,6 @@ __all__ = [
     "RngPool",
     "RunningStats",
     "StateTimer",
-    "Timeout",
     "URGENT",
     "bithash",
     "geometric_mean",

@@ -14,25 +14,25 @@ exception attached; ``PROCESSED`` means its callbacks have run.
 
 Events never talk to the queue structure directly — they go through
 ``Environment.schedule``/``schedule_callback``.  Every class here carries
-``__slots__``; events are allocated per message hop, so the per-instance
-dict would be the kernel's largest allocation.
+``__slots__``, so an event costs no per-instance dict.
 
 Allocation notes (docs/PERFORMANCE.md §5): most events have exactly zero
 or one subscriber, so the ``callbacks`` slot is *polymorphic* instead of
 eagerly holding a list — ``None`` (no subscriber yet), a bare callable
 (exactly one), a list (two or more), or the :data:`PROCESSED` sentinel
-once the kernel has dispatched the event.  A ping-pong hop therefore
-allocates one ``Event`` and nothing else; the per-event callbacks list
-only exists for genuine fan-out (``AllOf`` children with extra
+once the kernel has dispatched the event.  The per-event callbacks
+list only exists for genuine fan-out (``AllOf`` children with extra
 watchers).  Use :meth:`Event.subscribe` to add callbacks — never touch
 the ``callbacks`` slot directly.
 
-A process that only sleeps allocates no event at all: it yields a bare
+There is no timer event.  A process that sleeps yields a bare
 non-negative ``int`` delay and the kernel queues its wake as an
-event-free entry (:mod:`repro.sim.process`), and a network transit or
-bus service completion is a continuation queued the same way
-(:meth:`repro.mem.bus.CoherenceNetwork.transit_then`).  :class:`Timeout`
-is for delays something subscribes to or composes (``AllOf``).
+event-free entry (:mod:`repro.sim.process`); a network transit or bus
+service completion is a continuation queued the same way
+(:meth:`repro.mem.bus.CoherenceNetwork.transit_then`); and a delayed
+callback is :meth:`~repro.sim.kernel.Environment.call_later`.  Events
+are left for what something subscribes to or joins: a process's
+completion and ``AllOf``.
 """
 
 from __future__ import annotations
@@ -156,37 +156,6 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self.name or self.__class__.__name__
-        state = (
-            "processed" if self.processed else "triggered" if self.triggered else "pending"
-        )
-        return f"<{label} {state} at t={self.env.now}>"
-
-
-class Timeout(Event):
-    """An event that fires ``delay`` cycles after its creation."""
-
-    __slots__ = ("delay",)
-
-    def __init__(
-        self,
-        env: "Environment",
-        delay: int,
-        value: Any = None,
-        name: Optional[str] = None,
-    ) -> None:
-        if delay < 0:
-            raise SchedulingError(f"negative timeout delay: {delay}")
-        # The name stays lazy (rendered by __repr__ on demand): a timeout
-        # is the kernel's most-allocated event, and the f-string per
-        # construction was a measurable share of its cost.
-        super().__init__(env, name=name)
-        self.delay = delay
-        self._ok = True
-        self._value = value
-        env.schedule(self, delay=delay)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        label = self.name or f"Timeout({self.delay})"
         state = (
             "processed" if self.processed else "triggered" if self.triggered else "pending"
         )

@@ -17,7 +17,8 @@ inlined so an event costs no kernel-side Python frame.  Deferred
 callbacks (:meth:`Environment.schedule_callback`,
 :meth:`Environment.call_later`) ride the queue as plain 5-tuples instead
 of allocating a shim :class:`Event` per call, and so does every process
-sleep (a bare ``yield delay``, see :mod:`repro.sim.process`); the
+sleep (a bare ``yield delay``, see :mod:`repro.sim.process`) and every
+wake of a parked process (:class:`~repro.sim.resources.Resource`); the
 ``sequence`` tiebreak guarantees tuple comparison never reaches the
 payload slot, and CPython's internal tuple freelist recycles the entries
 themselves (measured faster than a Python-level slab —
@@ -32,7 +33,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.event import _PENDING, AllOf, Event, PROCESSED, Timeout
+from repro.sim.event import _PENDING, AllOf, Event, PROCESSED
 from repro.sim.process import Process
 
 #: Priority levels: URGENT callbacks run before NORMAL ones in the same cycle.
@@ -121,10 +122,6 @@ class Environment:
     def event(self, name: Optional[str] = None) -> Event:
         """Create an untriggered :class:`Event`."""
         return Event(self, name=name)
-
-    def timeout(self, delay: int, value: Any = None) -> Timeout:
-        """Create an event firing *delay* cycles from now."""
-        return Timeout(self, int(delay), value=value)
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Wrap *generator* as a :class:`Process` and start it now."""

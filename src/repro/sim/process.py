@@ -10,19 +10,18 @@ kernel one of two things:
 * a non-negative ``int`` *delay* — a plain sleep.  The process resumes
   exactly *delay* cycles later with ``None``, and no event is allocated:
   the wake rides the kernel queue as one
-  :meth:`~repro.sim.kernel.Environment.call_later` entry.  ``yield d``
-  dispatches under the same ``(time, priority, seq)`` key that
-  ``yield env.timeout(d)`` would have, because the wake takes its
-  sequence number at the yield, just as the timeout took it when it was
-  built in the yield expression.  Use ``env.timeout()`` only for a delay
-  that is subscribed to or composed (``AllOf``).
+  :meth:`~repro.sim.kernel.Environment.call_later` entry whose
+  sequence number is drawn at the yield.  This is the only way to
+  sleep; a callback that must run later is itself a ``call_later``.
 
 * :data:`PARK` — the process parks: nothing is queued for it, and it
   stays alive with ``target`` ``None`` until the kernel callback that the
   process armed before parking calls ``Process._resume(process)``, which
   sends ``None``.  The stalled pop of :mod:`repro.vlink.library` parks on
   its line poll this way, so a poll that finds the line still empty
-  costs one callback and no generator resume.
+  costs one callback and no generator resume, and a
+  :class:`~repro.sim.resources.Resource` waiter parks until a release
+  queues its wake.
 
 A process is itself an event that fires when the generator returns, so
 processes can wait on each other (fork/join) by yielding the child process.
@@ -125,8 +124,8 @@ class Process(Event):
             self.fail(
                 SimulationError(
                     f"process {self.name!r} yielded {result!r}; processes must "
-                    "yield an Event (env.timeout(), another process, ...) or "
-                    "a non-negative int delay"
+                    "yield a non-negative int delay, PARK, or an Event "
+                    "(another process, env.all_of(...), ...)"
                 )
             )
             return

@@ -4,8 +4,10 @@
   The model uses it for the coherence-network bus (:mod:`repro.net.singlebus`)
   and each NoC link (:mod:`repro.net.topology`).  It tracks busy cycles for
   utilization metrics and hands each completion to a continuation.
-* :class:`Resource` — counted semaphore with FIFO waiters.  No model module
-  uses it.
+* :class:`Resource` — counted semaphore with FIFO waiters.  The prodBuf
+  admission of :mod:`repro.vlink.vlrd` uses one per tier: a shared pool and
+  a per-SQI reserve.  It allocates no event: a waiter parks and the
+  release that hands it the unit queues its wake.
 
 Both carry ``__slots__``: a system builds hundreds of servers.
 """
@@ -13,20 +15,19 @@ Both carry ``__slots__``: a system builds hundreds of servers.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional, TYPE_CHECKING
+from typing import Any, Callable, Deque, Generator, Optional, TYPE_CHECKING
 
 from repro.errors import SimulationError
-from repro.sim.event import Event
+from repro.sim.process import PARK, Process
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Environment
 
 
 class Resource:
-    """A counted resource with FIFO-queued acquire requests."""
+    """A counted resource whose waiters are granted in FIFO order."""
 
-    __slots__ = ("env", "name", "capacity", "_in_use", "_waiters",
-                 "_acquire_name")
+    __slots__ = ("env", "name", "capacity", "_in_use", "_waiters")
 
     def __init__(self, env: "Environment", capacity: int, name: str = "resource") -> None:
         if capacity < 1:
@@ -35,26 +36,29 @@ class Resource:
         self.name = name
         self.capacity = capacity
         self._in_use = 0
-        self._waiters: Deque[Event] = deque()
-        self._acquire_name = f"acquire:{name}"
+        self._waiters: Deque[Process] = deque()
 
     @property
     def in_use(self) -> int:
         return self._in_use
 
-    @property
-    def available(self) -> int:
-        return self.capacity - self._in_use
+    def acquire(self) -> Generator:
+        """Take one unit (``yield from`` inside a process).
 
-    def acquire(self) -> Event:
-        """Return an event that fires when one unit has been granted."""
-        ev = Event(self.env, name=self._acquire_name)
+        A free unit is taken at once and the process sleeps zero cycles,
+        so it resumes under the ``(now, NORMAL, seq)`` key drawn here.
+        Otherwise the process parks at the back of the waiter queue until
+        :meth:`release` hands it a unit.
+        """
         if self._in_use < self.capacity:
             self._in_use += 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
+            yield 0
+            return
+        process = self.env.active_process
+        if process is None:
+            raise SimulationError(f"{self.name}: acquire() outside a process")
+        self._waiters.append(process)
+        yield PARK
 
     def try_acquire(self) -> bool:
         """Non-blocking acquire; True on success."""
@@ -64,12 +68,15 @@ class Resource:
         return False
 
     def release(self) -> None:
-        """Return one unit; wakes the oldest waiter if any."""
+        """Return one unit; the oldest waiter, if any, gets it instead.
+
+        The hand-off keeps the count unchanged and wakes the waiter with
+        a zero-delay NORMAL entry whose sequence number is drawn here.
+        """
         if self._in_use <= 0:
             raise SimulationError(f"{self.name}: release() without acquire()")
         if self._waiters:
-            # Hand the unit straight to the next waiter (count unchanged).
-            self._waiters.popleft().succeed()
+            self.env.call_later(0, Process._resume, self._waiters.popleft())
         else:
             self._in_use -= 1
 

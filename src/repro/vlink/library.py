@@ -167,8 +167,7 @@ class QueueLibrary:
         # prodBuf backpressure: claim an entry from the shared pool, or
         # wait on this SQI's reserve (the forward-progress guarantee).
         device = self.system.device_for(producer.sqi)
-        granted, pool = device.acquire_entry(producer.sqi)
-        yield granted
+        pool = yield from device.acquire_entry(producer.sqi)
         tid, txn = self.system.transactions.take(producer.sqi)
         if txn is not None:
             self._stamp(txn, TxnState.CREATED)

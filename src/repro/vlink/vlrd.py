@@ -28,7 +28,7 @@ every lifecycle transition.  New device flavors register with
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Callable, Generator, Optional, TYPE_CHECKING
 
 from repro.config import SystemConfig
 from repro.mem.bus import CoherenceNetwork, PacketKind
@@ -151,22 +151,24 @@ class VirtualLinkRoutingDevice:
             )
         return self._reserved_credits[sqi]
 
-    def acquire_entry(self, sqi: int):
-        """Claim a prodBuf entry for a push; returns ``(event, pool)``.
+    def acquire_entry(self, sqi: int) -> Generator:
+        """Claim a prodBuf entry for a push (``yield from`` inside the
+        pushing process); returns the pool it came from.
 
         Takes a shared entry when one is free; otherwise falls back to the
         SQI's reserve (waiting on it if occupied — the reserve is the
         forward-progress guarantee, so waiters queue there rather than on
-        the shared pool).
+        the shared pool).  Either way the process resumes from the kernel
+        queue, a free entry after a zero-cycle sleep.
         """
         if self._reserve_per_sqi is None:
             self.finalize_capacity()
         assert self._shared_credits is not None
         if self._shared_credits.try_acquire():
-            done = self.env.event()
-            done.succeed()
-            return done, "shared"
-        return self._reserved(sqi).acquire(), "reserved"
+            yield 0
+            return "shared"
+        yield from self._reserved(sqi).acquire()
+        return "reserved"
 
     def release_entry(self, sqi: int, pool: Optional[str]) -> None:
         """Return a prodBuf entry to the pool it was claimed from.

@@ -17,6 +17,11 @@ from repro.system import System
 QUEUE_IDS = ("batch", "calendar", "heap", "ladder")
 
 
+def noop(_arg=None) -> None:
+    """A ``call_later`` callback that does nothing: an entry that only
+    moves the clock when it dispatches."""
+
+
 @pytest.fixture(params=QUEUE_IDS)
 def env(request) -> Environment:
     """A bare Environment."""

@@ -19,10 +19,9 @@ def test_issue_cost_pairs_add_up():
 
 
 def test_core_issue_charges_cost(env):
-    core = Core(env, 0, SystemConfig())
-    ev = core.issue(Instruction(Opcode.VL_PUSH))
-    env.run()
-    assert ev.processed
+    cfg = SystemConfig()
+    core = Core(env, 0, cfg)
+    assert core.issue(Instruction(Opcode.VL_PUSH)) == issue_cost_table(cfg)[Opcode.VL_PUSH]
     assert core.instructions_issued == 1
 
 
@@ -36,7 +35,7 @@ def test_core_pin_once(env):
     core = Core(env, 0, SystemConfig())
 
     def prog():
-        yield env.timeout(1)
+        yield 1
 
     core.pin(prog(), "first")
     with pytest.raises(WorkloadError):

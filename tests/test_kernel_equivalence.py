@@ -44,7 +44,7 @@ from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.eval.runner import multipush_setting, run_workload, standard_settings
 from repro.sim.kernel import Environment, NORMAL, URGENT
-from tests.conftest import QUEUE_IDS
+from tests.conftest import QUEUE_IDS, noop
 
 ALT_QUEUE_IDS = [name for name in QUEUE_IDS if name != "heap"]
 
@@ -94,15 +94,15 @@ def execute(program, driver="run", until=0, target_delays=(1,), reference=False)
     the dispatch loop itself, which is where window and stop handling can
     go wrong):
 
-    - ``("timeout", delay, children)``     NORMAL event via Timeout
+    - ``("timeout", delay, children)``     pre-triggered event at NORMAL
     - ``("urgent", delay, children)``      pre-triggered event at URGENT
-    - ``("far", delay)``                   far-future timeout
+    - ``("far", delay)``                   far-future NORMAL event
     - ``("late_sub",)``                    subscribe to the most recently
                                            processed event → URGENT
                                            schedule_callback at *now*
     - ``("call_later", delay, priority)``  event-free deferred call
     - ``("process", delays)``              generator process yielding
-                                           timeouts
+                                           pre-triggered NORMAL events
     - ``("sleep", delays)``                generator process yielding
                                            bare int delays (no Event)
 
@@ -123,19 +123,22 @@ def execute(program, driver="run", until=0, target_delays=(1,), reference=False)
 
         return callback
 
+    def timer(delay, priority=NORMAL):
+        event = env.event()
+        event._ok, event._value = True, None
+        env.schedule(event, delay=delay, priority=priority)
+        return event
+
     def run_ops(ops):
         for op in ops:
             kind = op[0]
             ident = next(ids)
             if kind == "timeout":
-                env.timeout(op[1]).subscribe(fire("t", ident, op[2]))
+                timer(op[1]).subscribe(fire("t", ident, op[2]))
             elif kind == "urgent":
-                event = env.event()
-                event._ok, event._value = True, None
-                event.subscribe(fire("u", ident, op[2]))
-                env.schedule(event, delay=op[1], priority=URGENT)
+                timer(op[1], URGENT).subscribe(fire("u", ident, op[2]))
             elif kind == "far":
-                env.timeout(op[1]).subscribe(fire("f", ident, ()))
+                timer(op[1]).subscribe(fire("f", ident, ()))
             elif kind == "late_sub":
                 if done:
                     done[-1].subscribe(
@@ -153,7 +156,7 @@ def execute(program, driver="run", until=0, target_delays=(1,), reference=False)
 
                 def gen(delays=tuple(op[1]), i=ident):
                     for d in delays:
-                        yield env.timeout(d)
+                        yield timer(d)
                         trace.append(("p", env.now, i))
 
                 env.process(gen())
@@ -170,7 +173,7 @@ def execute(program, driver="run", until=0, target_delays=(1,), reference=False)
 
     def target_body():
         for d in target_delays:
-            yield env.timeout(d)
+            yield d
             trace.append(("target", env.now, -1))
         return "done"
 
@@ -321,7 +324,7 @@ def test_watchdog_firing_point_identical(env):
         env.defer_watchdog(now + 25)
 
     for delay in (10, 20, 20, 30, 60):
-        env.timeout(delay)
+        env.call_later(delay, noop)
     env.set_watchdog(watchdog, deadline=15)
     env.run()
     assert fires == [20, 60]
@@ -376,9 +379,7 @@ def test_deep_far_future_spill(name):
         out = []
         for i in range(300):
             delay = (i * 7919) % 50_000
-            env.timeout(delay).subscribe(
-                lambda e, i=i: out.append((env.now, i))
-            )
+            env.call_later(delay, lambda _arg, i=i: out.append((env.now, i)))
         env.run()
         return out, env.now, env.events_processed
 
@@ -399,11 +400,11 @@ def test_config_validates_scheduler_name():
 
 
 def test_inline_fast_paths_exposed():
-    """Each push path (Timeout, call_later, schedule via succeed())
+    """Each push path (call_later, schedule via succeed())
     lands in the one heap list the dispatch loop pops from."""
     env = Environment()
     assert env._queue == [] and env.peek() is None
-    env.timeout(5)
+    env.call_later(5, noop)
     env.call_later(3, lambda arg: None)
     event = env.event()
     event.succeed()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -29,11 +30,14 @@ import repro.sim.stats
 import repro.sim.transaction
 from repro.config import SystemConfig
 from repro.errors import SchedulingError, SimulationError
+from repro.eval.runner import run_workload, setting_by_name
 from repro.sim.event import Event, PROCESSED
 from repro.sim.kernel import Environment, NORMAL, URGENT
 from repro.sim.process import Process
+from repro.sim.resources import Resource
 from repro.system import System
 from repro.vlink import library
+from tests.conftest import noop
 
 
 # ------------------------------------------------------------ __slots__ audit
@@ -77,25 +81,55 @@ def test_sim_classes_define_slots(cls):
         )
 
 
-# ---------------------------------------------------- sleeps without an Event
+# ------------------------------------------- one wake primitive, no timer
 _SRC = Path(repro.sim.event.__file__).resolve().parents[1]
 
 
-def test_no_yield_of_a_fresh_timeout_in_the_model():
-    """A process that only sleeps yields the bare ``int`` delay; a
-    ``yield ….timeout(...)`` would allocate and schedule an Event for
-    nothing (docs/PERFORMANCE.md §5), so none may come back."""
+def test_no_event_built_outside_sim():
+    """Only ``repro/sim`` builds events.  A model module sleeps with a bare
+    ``int``, waits by parking until the callback it armed resumes it, and
+    delays a callback with ``call_later`` (docs/PERFORMANCE.md §5): no
+    ``.event(`` or ``Event(`` call outside the kernel, and the kernel has
+    no timer event to build."""
     offenders = []
     for path in sorted(_SRC.rglob("*.py")):
+        if path.relative_to(_SRC).parts[0] == "sim":
+            continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            call = node.value if isinstance(node, ast.Yield) else None
+            func = node.func if isinstance(node, ast.Call) else None
             if (
-                isinstance(call, ast.Call)
-                and isinstance(call.func, ast.Attribute)
-                and call.func.attr == "timeout"
-            ):
+                isinstance(func, ast.Attribute) and func.attr in ("event", "Event")
+            ) or (isinstance(func, ast.Name) and func.id == "Event"):
                 offenders.append(f"{path.relative_to(_SRC)}:{node.lineno}")
-    assert offenders == [], f"yield a bare delay instead: {offenders}"
+    assert offenders == [], f"sleep, park or call_later instead: {offenders}"
+    assert not hasattr(Environment, "timeout")
+    assert not hasattr(repro.sim.event, "Timeout")
+
+
+def test_incast_run_builds_only_threads_and_the_join(monkeypatch):
+    """A scale-0.05 ``incast`` run under VL builds one ``Process`` per
+    thread and the one ``AllOf`` that joins them, and nothing else, while
+    producers wait on their prodBuf reserve."""
+    built = Counter()
+    waits = []
+    init, release = Event.__init__, Resource.release
+
+    def counting_init(self, *args, **kwargs):
+        built[type(self).__name__] += 1
+        init(self, *args, **kwargs)
+
+    def counting_release(self):
+        waits.append(bool(self._waiters))
+        release(self)
+
+    monkeypatch.setattr(Event, "__init__", counting_init)
+    monkeypatch.setattr(Resource, "release", counting_release)
+    _, system = run_workload(
+        "incast", setting_by_name("vl"), scale=0.05, seed=12648430,
+        return_system=True,
+    )
+    assert dict(built) == {"Process": len(system.threads), "AllOf": 1}
+    assert any(waits), "no push waited on its reserve"
 
 
 # ------------------------------------------------ transit without an Event
@@ -274,10 +308,10 @@ def test_call_later_zero_delay_runs_in_current_cycle(env):
     """run(until=now) is a zero-width window: a zero-delay call fires
     inside it and the clock does not move."""
     fired = []
-    env.timeout(3)
+    env.call_later(3, noop)
     env.run()
     env.call_later(0, lambda arg: fired.append(env.now))
-    env.timeout(1)  # strictly later; must survive the window
+    env.call_later(1, noop)  # strictly later; must survive the window
     env.run(until=env.now)
     assert fired == [3] and env.now == 3 and env.queue_length == 1
 

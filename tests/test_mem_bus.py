@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.mem.bus import CoherenceNetwork, PacketKind
+from tests.conftest import noop
 
 
 def _ignore(_arg):
@@ -53,7 +54,7 @@ def test_utilization_is_busy_over_elapsed(env, network):
     for _ in range(10):
         network.transit_then(PacketKind.STASH, _ignore, None)
     env.run()            # ends at 30 occupancy + 36 latency = 66
-    env.timeout(234)
+    env.call_later(234, noop)
     env.run()            # now == 300
     assert network.busy_cycles == 30
     assert network.utilization(300) == pytest.approx(0.1)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import DeviceError
 from repro.mem.cacheline import ConsumerLine, LineState
+from tests.conftest import noop
 
 
 def make_line(env):
@@ -44,7 +45,7 @@ def test_vacate_timestamp_tracks_consumes(env):
     line = make_line(env)
     assert line.last_vacate_time == 0  # registration counts as ready
     line.try_fill("x")
-    env.timeout(50)
+    env.call_later(50, noop)
     env.run()
     line.consume()
     assert line.last_vacate_time == 50
@@ -52,13 +53,13 @@ def test_vacate_timestamp_tracks_consumes(env):
 
 def test_state_residency_accounting(env):
     line = make_line(env)
-    env.timeout(10)
+    env.call_later(10, noop)
     env.run()
     line.try_fill("x")           # empty for 10
-    env.timeout(30)
+    env.call_later(30, noop)
     env.run()
     line.consume()               # valid for 30
-    env.timeout(5)
+    env.call_later(5, noop)
     env.run()
     assert line.empty_cycles() == 15
     assert line.valid_cycles() == 30
@@ -69,10 +70,10 @@ def test_fill_consume_cycle_invariant(env):
     """fills == vacates after any balanced sequence; residency sums to now."""
     line = make_line(env)
     for i in range(20):
-        env.timeout(3)
+        env.call_later(3, noop)
         env.run()
         assert line.try_fill(i)
-        env.timeout(4)
+        env.call_later(4, noop)
         env.run()
         assert line.consume() == i
     assert line.fills == line.vacates == 20

@@ -12,18 +12,18 @@ per-cell and overall digests must equal the committed
 
 The matrix is every Table-2 workload x VL/SPAMeR(tuned) at scale 0.05,
 ``scaling-halo`` on 16-core mesh and torus fabrics, ``incast`` under
-open Poisson arrivals with multi-push k=2, and the software ping-pong on
-the MOESI substrate (:mod:`repro.mem.coherence`) on the shared bus and
-on a 16-core mesh, whose coherence packets cross two and three hops,
-and the Figure 7 trace experiment under VL and SPAMeR(0delay): 25
-cells, about 0.5 s.  A ping-pong cell hashes its
+open Poisson arrivals with multi-push k=2, ``pipeline`` under
+SPAMeR(tuned) with an 8-entry prodBuf (25 waits on an admission
+reserve, against 4 in ``incast/vl`` and none in any other cell), the
+software ping-pong on the MOESI substrate (:mod:`repro.mem.coherence`)
+on the shared bus and on a 16-core mesh, whose coherence packets cross
+two and three hops, and the Figure 7 trace experiment under VL and
+SPAMeR(0delay): 26 cells, about 0.5 s.  A ping-pong cell hashes its
 ``(total_cycles, coherence_packets)``; a Figure 7 cell hashes
 ``exec_cycles`` and the ten CSV fields of every traced transaction.
-Each mutant below moves at least
-three cells, and no one family of cells kills all four (``front-hop``
-moves only the NoC cells).  The kill
-pairs apply each mutant with ``monkeypatch`` and require the digest to
-move, so the digest is shown to see the tie orders it exists to pin:
+The kill pairs apply each mutant with ``monkeypatch`` and require the
+digest to move, so the digest is shown to see the tie orders it exists
+to pin:
 
 * ``late-poll``: the parked pop's poll (``_poll_tick``) runs at the end
   of its cycle (priority 2) instead of in scheduling order;
@@ -33,7 +33,18 @@ move, so the digest is shown to see the tie orders it exists to pin:
   packets that arrive within one cycle last-in first-out
   (``serve_then``);
 * ``late-refetch``: a legacy endpoint re-issues ``vl_fetch`` one poll
-  after its back-off deadline.
+  after its back-off deadline;
+* ``lifo-wake``, ``urgent-wake``, ``late-wake``: a
+  :class:`~repro.sim.resources.Resource` release hands the unit to its
+  newest waiter, or wakes the oldest at URGENT priority, or one cycle
+  late (prodBuf admission);
+* ``instant-grant``: a free admission credit is granted without the
+  zero-delay entry the pushing process resumes from.
+
+Each of the first four moves at least three cells, and no one family of
+cells kills all four (``front-hop`` moves only the NoC cells).  Only
+``incast/vl`` and the prodBuf cell see a reserve wait: ``lifo-wake`` and
+``late-wake`` move both, ``urgent-wake`` only the prodBuf cell.
 
 A fifth kill pair guards the Figure 7 cells, which see what no
 ``RunMetrics`` does: ``now-vacate`` publishes the back-dated
@@ -56,17 +67,20 @@ from pathlib import Path
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.eval.autotune import saturated_bus_config
 from repro.eval.experiments import trace_experiment
 from repro.eval.runner import run_workload, setting_by_name
 from repro.eval.scaling import scaling_config
 from repro.net.topology import Topology
 from repro.sim.hooks import EventKind
-from repro.sim.kernel import NORMAL, Environment
-from repro.sim.resources import FifoServer
+from repro.sim.kernel import NORMAL, URGENT, Environment
+from repro.sim.process import Process
+from repro.sim.resources import FifoServer, Resource
 from repro.swqueue import run_software_pingpong
 from repro.vlink import library
 from repro.vlink.pipeline import MappingPipeline
+from repro.vlink.vlrd import VirtualLinkRoutingDevice
 from repro.workloads.arrival import ArrivalSpec
 from repro.workloads.registry import workload_names
 
@@ -107,6 +121,17 @@ def _cells():
                 setting="multipush",
                 config=saturated_bus_config().with_overrides(burst_k=2, p_min=0.0),
                 arrival=ArrivalSpec.make("poisson", rate=0.002),
+            ),
+        )
+    )
+    cells.append(
+        (
+            "pipeline/tuned/prodbuf8",
+            _run_cell,
+            dict(
+                workload_name="pipeline",
+                setting="tuned",
+                config=SystemConfig(prodbuf_entries=8),
             ),
         )
     )
@@ -281,6 +306,45 @@ def _lifo_server(monkeypatch):
     monkeypatch.setattr(FifoServer, "serve_then", serve_then)
 
 
+def _reserve_wake(pick, delay=0, priority=NORMAL):
+    """A :meth:`Resource.release` whose hand-off takes the waiter *pick*
+    returns and queues its wake *delay* cycles ahead at *priority*."""
+
+    def mutant(monkeypatch):
+        def release(self):
+            if self._waiters:
+                self.env.call_later(
+                    delay, Process._resume, pick(self._waiters), priority
+                )
+            else:
+                self._in_use -= 1
+
+        monkeypatch.setattr(Resource, "release", release)
+
+    return mutant
+
+
+def _instant_grant(monkeypatch):
+    acquire = Resource.acquire
+
+    def no_entry(self):
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            return
+        yield from acquire(self)
+
+    def acquire_entry(self, sqi):
+        if self._reserve_per_sqi is None:
+            self.finalize_capacity()
+        if self._shared_credits.try_acquire():
+            return "shared"
+        yield from self._reserved(sqi).acquire()
+        return "reserved"
+
+    monkeypatch.setattr(Resource, "acquire", no_entry)
+    monkeypatch.setattr(VirtualLinkRoutingDevice, "acquire_entry", acquire_entry)
+
+
 def _now_vacate(monkeypatch):
     trace = MappingPipeline.trace
 
@@ -297,6 +361,10 @@ MUTANTS = {
     "front-hop": _front_hop,
     "lifo-server": _lifo_server,
     "late-refetch": _late_refetch,
+    "lifo-wake": _reserve_wake(lambda waiters: waiters.pop()),
+    "urgent-wake": _reserve_wake(lambda waiters: waiters.popleft(), priority=URGENT),
+    "late-wake": _reserve_wake(lambda waiters: waiters.popleft(), delay=1),
+    "instant-grant": _instant_grant,
 }
 
 

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.errors import SchedulingError
-from repro.sim.event import AllOf, Event, Timeout
-from repro.sim.kernel import Environment
+from repro.errors import SchedulingError, SimulationError
+from repro.sim.event import AllOf
 
 
 def test_event_starts_pending(env):
@@ -75,28 +74,47 @@ def test_subscribe_after_processed_still_fires(env):
 
 
 def test_timeout_fires_at_delay(env):
-    ev = Timeout(env, 10, value="done")
-    fired_at = []
-    ev.subscribe(lambda e: fired_at.append(env.now))
+    """A timed callback is a ``call_later`` entry: it runs *delay* cycles
+    on and receives its argument (there is no timer event)."""
+    fired = []
+    env.call_later(10, lambda value: fired.append((env.now, value)), "done")
     env.run()
-    assert fired_at == [10]
-    assert ev.value == "done"
+    assert fired == [(10, "done")]
 
 
 def test_timeout_rejects_negative_delay(env):
-    with pytest.raises(SchedulingError):
-        Timeout(env, -1)
+    """A process cannot sleep into the past: a negative ``int`` fails it."""
+
+    def proc():
+        yield -1
+
+    env.process(proc())
+    with pytest.raises(SimulationError, match="yielded -1"):
+        env.run()
 
 
 def test_zero_delay_timeout(env):
-    ev = env.timeout(0)
+    """``yield 0`` resumes the process within the current cycle."""
+    resumed = []
+
+    def proc():
+        yield 0
+        resumed.append(env.now)
+
+    env.process(proc())
     env.run()
-    assert ev.processed
+    assert resumed == [0]
     assert env.now == 0
 
 
+def _fires_at(env, delay):
+    event = env.event()
+    env.call_later(delay, event.succeed)
+    return event
+
+
 def test_allof_waits_for_every_child(env):
-    a, b = env.timeout(5), env.timeout(50)
+    a, b = _fires_at(env, 5), _fires_at(env, 50)
     all_ev = AllOf(env, [a, b])
     env.run(until=10)
     assert not all_ev.triggered
@@ -106,7 +124,7 @@ def test_allof_waits_for_every_child(env):
 
 
 def test_allof_propagates_failure(env):
-    good = env.timeout(5)
+    good = _fires_at(env, 5)
     bad = env.event()
     all_ev = AllOf(env, [good, bad])
     bad.fail(RuntimeError("child failed"))

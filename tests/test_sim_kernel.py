@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.kernel import Environment, NORMAL, URGENT
+from tests.conftest import noop
 
 
 def test_clock_starts_at_initial_time():
@@ -18,19 +19,19 @@ def test_step_on_empty_queue_raises(env):
 
 
 def test_run_returns_final_time(env):
-    env.timeout(25)
+    env.call_later(25, noop)
     assert env.run() == 25
 
 
 def test_run_until_advances_clock_even_past_last_event(env):
-    env.timeout(5)
+    env.call_later(5, noop)
     assert env.run(until=50) == 50
 
 
 def test_run_until_does_not_process_later_events(env):
     fired = []
-    env.timeout(5).subscribe(lambda e: fired.append(5))
-    env.timeout(80).subscribe(lambda e: fired.append(80))
+    env.call_later(5, lambda _arg: fired.append(5))
+    env.call_later(80, lambda _arg: fired.append(80))
     env.run(until=10)
     assert fired == [5]
     env.run()
@@ -38,7 +39,7 @@ def test_run_until_does_not_process_later_events(env):
 
 
 def test_run_until_in_the_past_rejected(env):
-    env.timeout(5)
+    env.call_later(5, noop)
     env.run()
     with pytest.raises(SchedulingError):
         env.run(until=1)
@@ -55,7 +56,7 @@ def test_same_cycle_fifo_order(env):
     """Events scheduled for the same cycle fire in scheduling order."""
     order = []
     for i in range(10):
-        env.timeout(7).subscribe(lambda e, i=i: order.append(i))
+        env.call_later(7, lambda _arg, i=i: order.append(i))
     env.run()
     assert order == list(range(10))
 
@@ -76,7 +77,7 @@ def test_urgent_priority_preempts_normal(env):
 
 def test_run_until_complete_returns_process_value(env):
     def work():
-        yield env.timeout(10)
+        yield 10
         return "result"
 
     proc = env.process(work())
@@ -96,10 +97,10 @@ def test_run_until_complete_detects_deadlock(env):
 def test_run_until_complete_respects_limit(env):
     def ticker():
         while True:
-            yield env.timeout(10)
+            yield 10
 
     def work():
-        yield env.timeout(10 ** 9)
+        yield 10 ** 9
 
     env.process(ticker())
     proc = env.process(work())
@@ -109,7 +110,7 @@ def test_run_until_complete_respects_limit(env):
 
 def test_run_until_complete_reraises_process_error(env):
     def work():
-        yield env.timeout(1)
+        yield 1
         raise ValueError("inside process")
 
     proc = env.process(work())
@@ -124,7 +125,7 @@ def test_events_fire_in_time_order(delays):
     env = Environment()
     fired = []
     for idx, d in enumerate(delays):
-        env.timeout(d).subscribe(lambda e, idx=idx, d=d: fired.append((d, idx)))
+        env.call_later(d, lambda _arg, idx=idx, d=d: fired.append((d, idx)))
     env.run()
     assert fired == sorted(fired)
 
@@ -138,7 +139,7 @@ def test_determinism_across_runs(delays):
         env = Environment()
         out = []
         for idx, d in enumerate(delays):
-            env.timeout(d).subscribe(lambda e, idx=idx: out.append((env.now, idx)))
+            env.call_later(d, lambda _arg, idx=idx: out.append((env.now, idx)))
         env.run()
         return out
 
@@ -147,7 +148,7 @@ def test_determinism_across_runs(delays):
 
 def test_peek_reports_next_event_time(env):
     assert env.peek() is None
-    env.timeout(42)
+    env.call_later(42, noop)
     assert env.peek() == 42
 
 
@@ -165,7 +166,7 @@ def test_step_fires_watchdog_at_deadline(env):
         env.defer_watchdog(now + 100)
 
     for delay in (5, 10, 20):
-        env.timeout(delay)
+        env.call_later(delay, noop)
     env.set_watchdog(watchdog, deadline=10)
     env.step()
     assert fires == []  # t=5 is before the deadline
@@ -180,7 +181,7 @@ def test_step_watchdog_raise_aborts_and_preserves_queue(env):
         raise SimulationError(f"stalled at {now}")
 
     for delay in (5, 10, 20):
-        env.timeout(delay)
+        env.call_later(delay, noop)
     env.set_watchdog(watchdog, deadline=10)
     env.step()
     with pytest.raises(SimulationError, match="stalled at 10"):
@@ -195,7 +196,7 @@ def test_step_watchdog_raise_aborts_and_preserves_queue(env):
 def test_step_refires_watchdog_without_defer(env):
     fires = []
     for delay in (5, 6, 7):
-        env.timeout(delay)
+        env.call_later(delay, noop)
     env.set_watchdog(fires.append, deadline=0)
     for _ in range(3):
         env.step()
@@ -213,8 +214,8 @@ def test_step_empty_queue_raises_with_watchdog_armed(env):
 
 def test_run_until_now_processes_current_cycle_only(env):
     fired = []
-    env.timeout(0).subscribe(lambda e: fired.append(0))
-    env.timeout(3).subscribe(lambda e: fired.append(3))
+    env.call_later(0, lambda _arg: fired.append(0))
+    env.call_later(3, lambda _arg: fired.append(3))
     assert env.run(until=env.now) == 0
     assert fired == [0]
     assert env.queue_length == 1
@@ -227,9 +228,9 @@ def test_run_until_now_includes_work_spawned_at_now(env):
 
     def chain(event):
         fired.append("first")
-        env.timeout(0).subscribe(lambda e: fired.append("second"))
+        env.call_later(0, lambda _arg: fired.append("second"))
 
-    env.timeout(0).subscribe(chain)
+    env.call_later(0, chain)
     env.run(until=env.now)
     # Zero-delay work scheduled *during* the window still lands inside it.
     assert fired == ["first", "second"]

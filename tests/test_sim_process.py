@@ -12,6 +12,7 @@ from repro.sim.kernel import Environment
 from repro.sim.process import PARK, Process
 from repro.system import System
 from repro.verify.invariants import StallWatchdog
+from tests.conftest import noop
 
 
 def test_process_requires_generator(env):
@@ -26,7 +27,9 @@ def test_process_receives_event_values(env):
     got = []
 
     def work():
-        value = yield env.timeout(5, value="five")
+        event = env.event()
+        env.call_later(5, event.succeed, "five")
+        value = yield event
         got.append(value)
 
     env.process(work())
@@ -36,7 +39,7 @@ def test_process_receives_event_values(env):
 
 def test_process_is_joinable(env):
     def child():
-        yield env.timeout(10)
+        yield 10
         return 99
 
     def parent():
@@ -52,7 +55,7 @@ def test_exception_thrown_into_process(env):
 
     def work():
         ev = env.event()
-        env.timeout(1).subscribe(lambda _e: ev.fail(ValueError("delivered")))
+        env.call_later(1, lambda _e: ev.fail(ValueError("delivered")))
         try:
             yield ev
         except ValueError as exc:
@@ -65,7 +68,7 @@ def test_exception_thrown_into_process(env):
 
 def test_uncaught_process_exception_fails_process(env):
     def work():
-        yield env.timeout(1)
+        yield 1
         raise RuntimeError("oops")
 
     proc = env.process(work())
@@ -111,7 +114,7 @@ def test_yield_int_sleeps_exactly_delay_and_sends_none(env):
 
 def test_yield_zero_runs_after_pending_normal_work(env):
     """``yield 0`` queues the wake behind NORMAL work already pending for
-    this cycle, exactly as ``yield env.timeout(0)`` would."""
+    this cycle: its key is drawn at the yield."""
     order = []
 
     def work():
@@ -153,12 +156,14 @@ def _dispatch_keys(monkeypatch, body):
         env = Environment()
         env.process(body(env))
         env.call_later(3, lambda _arg: None)
-        env.call_later(0, lambda _arg: env.timeout(3))
+        env.call_later(0, lambda _arg: env.call_later(3, noop))
         env.run()
     return keys
 
 
 def test_sleep_and_timeout_dispatch_under_identical_keys(monkeypatch):
+    """``yield d`` dispatches under the key of a timer event scheduled *d*
+    ahead in the yield expression (the kernel has no such event type)."""
     delays = (3, 0, 5, 0, 3)
 
     def sleeper(env):
@@ -167,7 +172,10 @@ def test_sleep_and_timeout_dispatch_under_identical_keys(monkeypatch):
 
     def timed(env):
         for d in delays:
-            yield env.timeout(d)
+            timer = env.event()
+            timer._ok, timer._value = True, None
+            env.schedule(timer, delay=d)
+            yield timer
 
     keys = _dispatch_keys(monkeypatch, sleeper)
     assert keys == _dispatch_keys(monkeypatch, timed)
@@ -249,7 +257,7 @@ def test_yielding_foreign_event_rejected(env):
     other = Environment()
 
     def work():
-        yield other.timeout(1)
+        yield other.event()
 
     proc = env.process(work())
     proc.defuse()
@@ -260,7 +268,7 @@ def test_yielding_foreign_event_rejected(env):
 
 def test_process_is_alive_until_generator_returns(env):
     def work():
-        yield env.timeout(10)
+        yield 10
 
     proc = env.process(work())
     assert proc.is_alive
@@ -274,7 +282,8 @@ def test_target_reports_waited_event(env):
     timeout_holder = []
 
     def work():
-        t = env.timeout(50)
+        t = env.event()
+        env.call_later(50, t.succeed)
         timeout_holder.append(t)
         yield t
 
@@ -288,7 +297,7 @@ def test_two_processes_interleave(env):
 
     def ticker(name, period):
         for _ in range(3):
-            yield env.timeout(period)
+            yield period
             log.append((env.now, name))
 
     env.process(ticker("a", 10))
@@ -305,7 +314,7 @@ def test_yield_from_subroutine(env):
     """Processes can factor logic into sub-generators with yield from."""
 
     def sub():
-        yield env.timeout(5)
+        yield 5
         return "sub-result"
 
     def work():

@@ -6,27 +6,79 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SimulationError
 from repro.sim.kernel import Environment
 from repro.sim.resources import FifoServer, Resource
+from tests.conftest import noop
 
 
 # ------------------------------------------------------------------- Resource
+def _user(env, res, log, name, hold=None):
+    """A process that takes one unit of *res*, logs ``(name, now)`` and,
+    after *hold* cycles, releases it (never, with ``hold=None``)."""
+
+    def body():
+        yield from res.acquire()
+        log.append((name, env.now))
+        if hold is not None:
+            yield hold
+            res.release()
+
+    return env.process(body(), name=name)
+
+
 def test_resource_grants_up_to_capacity(env):
     res = Resource(env, capacity=2)
-    assert res.acquire().triggered
-    assert res.acquire().triggered
-    third = res.acquire()
-    assert not third.triggered
-    res.release()
-    assert third.triggered
+    log = []
+    _user(env, res, log, "a", hold=10)
+    _user(env, res, log, "b")
+    third = _user(env, res, log, "c")
+    env.run(until=5)
+    assert log == [("a", 0), ("b", 0)]
+    assert third.is_alive and third.target is None
+    env.run()
+    assert log == [("a", 0), ("b", 0), ("c", 10)]
+    assert res.in_use == 2
 
 
 def test_resource_fifo_waiters(env):
     res = Resource(env, capacity=1)
-    res.acquire()
-    waiters = [res.acquire() for _ in range(3)]
-    res.release()
-    assert [w.triggered for w in waiters] == [True, False, False]
-    res.release()
-    assert [w.triggered for w in waiters] == [True, True, False]
+    log = []
+    _user(env, res, log, "holder", hold=5)
+    for name in ("w1", "w2", "w3"):
+        _user(env, res, log, name, hold=5)
+    env.run()
+    assert log == [("holder", 0), ("w1", 5), ("w2", 10), ("w3", 15)]
+    assert res.in_use == 0
+
+
+def test_resource_grant_and_wake_keys(env):
+    """A free unit resumes the process with a zero-delay NORMAL entry, and
+    a hand-off wakes the waiter the same way: both run after the NORMAL
+    work already queued for the cycle and before later work."""
+    res = Resource(env, capacity=1)
+    order = []
+
+    def holder():
+        env.call_later(0, lambda _arg: order.append("pending-0"))
+        yield from res.acquire()
+        order.append(("granted", env.now))
+        yield 3
+        env.call_later(0, lambda _arg: order.append("pending-3"))
+        res.release()
+
+    def waiter():
+        yield from res.acquire()
+        order.append(("woken", env.now))
+
+    env.process(holder())
+    env.process(waiter())
+    env.run()
+    assert order == ["pending-0", ("granted", 0), "pending-3", ("woken", 3)]
+
+
+def test_resource_acquire_outside_a_process_raises(env):
+    res = Resource(env, capacity=1)
+    assert res.try_acquire()
+    with pytest.raises(SimulationError, match="outside a process"):
+        next(res.acquire())
 
 
 def test_resource_try_acquire(env):
@@ -50,10 +102,15 @@ def test_resource_capacity_validation(env):
 
 def test_handoff_keeps_in_use_constant(env):
     res = Resource(env, capacity=1)
-    res.acquire()
-    waiter = res.acquire()
-    res.release()  # handed straight to the waiter
-    assert waiter.triggered
+    log = []
+    _user(env, res, log, "holder", hold=4)
+    waiter = _user(env, res, log, "waiter")
+    env.run(until=3)
+    assert res.in_use == 1 and waiter.is_alive
+    env.step()  # the holder's release hands the unit to the waiter
+    assert env.now == 4 and res.in_use == 1 and log == [("holder", 0)]
+    env.run()
+    assert log == [("holder", 0), ("waiter", 4)]
     assert res.in_use == 1
     res.release()
     assert res.in_use == 0
@@ -87,7 +144,7 @@ def test_fifo_server_idle_gap_not_counted(env):
     server = FifoServer(env, service_time=5)
     server.serve_then(0, _ignore, None)
     env.run()
-    env.timeout(95)
+    env.call_later(95, noop)
     env.run()
     assert env.now == 100
     assert server.utilization() == pytest.approx(0.05)
@@ -120,10 +177,11 @@ def test_fifo_server_conservation_property(arrivals, service):
     server = FifoServer(env, service_time=service)
     completions = []
     for a in sorted(arrivals):
-        env.timeout(a).subscribe(
-            lambda _e: server.serve_then(
+        env.call_later(
+            a,
+            lambda _arg: server.serve_then(
                 0, lambda _: completions.append(env.now), None
-            )
+            ),
         )
     env.run()
     assert len(completions) == len(arrivals)

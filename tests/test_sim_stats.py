@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim.kernel import Environment
 from repro.sim.stats import Counter, RunningStats, StateTimer, geometric_mean
+from tests.conftest import noop
 
 
 # -------------------------------------------------------------------- Counter
@@ -23,10 +24,10 @@ def test_counter_accumulates():
 # ------------------------------------------------------------------ StateTimer
 def test_state_timer_accumulates_per_state(env):
     timer = StateTimer(env, "empty")
-    env.timeout(10)
+    env.call_later(10, noop)
     env.run()
     timer.transition("valid")
-    env.timeout(30)
+    env.call_later(30, noop)
     env.run()
     timer.transition("empty")
     assert timer.time_in("empty") == 10
@@ -35,7 +36,7 @@ def test_state_timer_accumulates_per_state(env):
 
 def test_state_timer_open_interval_counted(env):
     timer = StateTimer(env, "empty")
-    env.timeout(7)
+    env.call_later(7, noop)
     env.run()
     assert timer.time_in("empty") == 7
     assert timer.time_in("empty", up_to_now=False) == 0
@@ -43,7 +44,7 @@ def test_state_timer_open_interval_counted(env):
 
 def test_state_timer_close(env):
     timer = StateTimer(env, "a")
-    env.timeout(5)
+    env.call_later(5, noop)
     env.run()
     timer.close()
     assert timer.time_in("a", up_to_now=False) == 5
@@ -52,7 +53,7 @@ def test_state_timer_close(env):
 def test_state_timer_total_is_elapsed(env):
     timer = StateTimer(env, "a")
     for state, dt in (("b", 3), ("a", 9), ("b", 2)):
-        env.timeout(dt)
+        env.call_later(dt, noop)
         env.run()
         timer.transition(state)
     assert timer.time_in("a") + timer.time_in("b") == env.now

@@ -2,7 +2,8 @@
 Event form it replaced.
 
 A packet used to cross the network as events: ``FifoServer.serve``
-returned a ``Timeout`` per link, a multi-hop route chained its hops
+returned a timer event per link (a ``Timeout``, which the kernel no
+longer has; ``_timer`` below rebuilds it), a multi-hop route chained its hops
 through a closure per hop and ended in a ``done`` event, and every
 caller subscribed a lambda to the result (or a coherence process yielded
 it).  The network now takes a continuation, ``transit_then(kind, fn,
@@ -48,14 +49,23 @@ SCALE = 0.05
 
 
 # ------------------------------------------------- the Event form, verbatim
+def _timer(env, delay):
+    """``env.timeout(delay)``: a triggered event scheduled *delay* ahead,
+    its sequence number drawn here."""
+    event = Event(env)
+    event._ok, event._value = True, None
+    env.schedule(event, delay=delay)
+    return event
+
+
 def _serve(server, extra_delay=0):
-    """``FifoServer.serve``: the completion is a ``Timeout``."""
+    """``FifoServer.serve``: the completion is a timer event."""
     start = max(server.env.now, server._free_at)
     finish = start + server.service_time
     server._free_at = finish
     server.busy_cycles += server.service_time
     server.packets_served += 1
-    return server.env.timeout(finish - server.env.now + int(extra_delay))
+    return _timer(server.env, finish - server.env.now + int(extra_delay))
 
 
 def _traverse(topology, link, kind, src, dst):
@@ -88,7 +98,7 @@ def _topology_transit(topology, kind, src, dst):
         return _serve(channel, extra_delay=topology.latency)
     links = topology.route(src, dst)
     if not links:
-        return env.timeout(topology.config.bus_occupancy)
+        return _timer(env, topology.config.bus_occupancy)
     if len(links) == 1:
         return _traverse(topology, links[0], kind, src, dst)
     done = Event(env, name=f"net-delivery[{kind}]")
@@ -120,7 +130,7 @@ def _transit(network, kind, txn=None, src=0, dst=0):
 def _response(network, src=0, dst=0):
     """``CoherenceNetwork.response``."""
     network.counters.add("responses")
-    return network.env.timeout(network.topology.response_latency(src, dst))
+    return _timer(network.env, network.topology.response_latency(src, dst))
 
 
 # Callers subscribed a lambda to the event (``library``, ``vlrd``,

@@ -6,6 +6,7 @@ from repro.errors import RegistrationError
 from repro.mem.address import Segment
 from repro.mem.cacheline import LineState
 from repro.vlink.endpoint import ConsumerEndpoint, ProducerEndpoint
+from tests.conftest import noop
 
 
 def make_consumer(env, num_lines=4, spec=False):
@@ -56,7 +57,7 @@ def test_oldest_valid_prefers_round_robin_order(env):
 def test_endpoint_cycle_aggregation(env):
     cons = make_consumer(env, num_lines=2)
     cons.lines[0].try_fill("x")
-    env.timeout(10)
+    env.call_later(10, noop)
     env.run()
     assert cons.valid_cycles() == 10
     assert cons.empty_cycles() == 10  # line 1 stayed empty

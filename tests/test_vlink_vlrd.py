@@ -140,34 +140,45 @@ def test_fifo_kept_when_fresh_data_arrives_behind_backlog(env, device):
     assert line.consume().payload == "first"
 
 
+def _claims(env, device, sqi, count):
+    """Start *count* pushes' admission on *sqi*; each process's value is the
+    pool its entry came from once it is granted."""
+    return [env.process(device.acquire_entry(sqi)) for _ in range(count)]
+
+
 def test_admission_two_tier_pools(env, device):
     device.linktab.row(1)
     device.linktab.row(2)
     device.finalize_capacity()
-    grants = []
-    # Shared pool first...
-    for _ in range(10):
-        ev, pool = device.acquire_entry(1)
-        grants.append(pool)
-        assert ev.triggered
-    assert all(p == "shared" for p in grants)
-    # Exhaust shared (60 shared for 2 SQIs with reserve 2 each).
-    for _ in range(50):
-        device.acquire_entry(1)
-    ev, pool = device.acquire_entry(1)
-    assert pool == "reserved"
-    assert ev.triggered
+    # Shared pool first: 60 shared entries for 2 SQIs with reserve 2 each.
+    shared = _claims(env, device, 1, 60)
+    env.run()
+    assert [claim.value for claim in shared] == ["shared"] * 60
+    # Shared exhausted: SQI 1 falls back to its reserve, then waits on it.
+    reserved = _claims(env, device, 1, 3)
     # Reserve for SQI 2 is independent.
-    ev2, pool2 = device.acquire_entry(2)
-    assert pool2 == "reserved" and ev2.triggered
+    other = _claims(env, device, 2, 1)
+    env.run()
+    assert [claim.value for claim in reserved[:2]] == ["reserved"] * 2
+    assert reserved[2].is_alive
+    assert other[0].value == "reserved"
+    # Returning a shared entry does not admit the reserve waiter...
+    device.release_entry(1, "shared")
+    env.run()
+    assert reserved[2].is_alive
+    # ...returning one of its SQI's reserve entries does.
+    device.release_entry(1, "reserved")
+    env.run()
+    assert reserved[2].value == "reserved"
 
 
 def test_release_returns_to_correct_pool(env, device):
     device.linktab.row(1)
     device.finalize_capacity()
-    ev, pool = device.acquire_entry(1)
+    (claim,) = _claims(env, device, 1, 1)
+    env.run()
     used = device.entries_in_use
-    device.release_entry(1, pool)
+    device.release_entry(1, claim.value)
     assert device.entries_in_use == used - 1
 
 
