@@ -3,8 +3,10 @@
 The evaluation's queue traffic never reaches DRAM on the fast path (that is
 the whole point of keeping data "on the fast path, within the on-chip
 interconnect" — Section 2), but the MOESI software-queue baseline and cold
-misses do, so the substrate includes a simple fixed-latency DDR4 model with
-access accounting.
+misses do, so the substrate includes a simple fixed-latency DDR4 model that
+counts its line fills.  Dirty victims are absorbed by the L2
+(:meth:`~repro.mem.coherence.CoherentMemorySystem._handle_victim`), so no
+writeback ever reaches it.
 """
 
 from __future__ import annotations
@@ -20,21 +22,10 @@ class Dram:
 
     def __init__(self, config: "SystemConfig") -> None:
         self.latency = config.dram_latency
-        self.size_bytes = config.dram_bytes
         self.reads = 0
-        self.writes = 0
 
     def read(self) -> int:
         """One line fill from DRAM; returns the loaded latency for the
         calling process to ``yield`` (a sleep)."""
         self.reads += 1
         return self.latency
-
-    def write(self) -> int:
-        """One line writeback; returns the loaded latency to ``yield``."""
-        self.writes += 1
-        return self.latency
-
-    @property
-    def accesses(self) -> int:
-        return self.reads + self.writes

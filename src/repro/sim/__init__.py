@@ -6,7 +6,7 @@ processes, contention primitives (:class:`FifoServer`, :class:`Resource`),
 statistics, the instrumentation hook bus and seeded randomness.
 """
 
-from repro.sim.event import AllOf, Event
+from repro.sim.event import Event
 from repro.sim.kernel import Environment, NORMAL, URGENT
 from repro.sim.process import Process
 from repro.sim.resources import FifoServer, Resource
@@ -14,7 +14,6 @@ from repro.sim.rng import RngPool, bithash
 from repro.sim.stats import Counter, RunningStats, StateTimer, geometric_mean
 
 __all__ = [
-    "AllOf",
     "Counter",
     "Environment",
     "Event",

@@ -1,39 +1,36 @@
 """The discrete-event simulation kernel (:class:`Environment`).
 
-Pending events live in one binary heap (a plain list driven by
-:mod:`heapq`) keyed by ``(time, priority, sequence)``; the dispatch loop
-pops the earliest entry, advances the clock, and runs its callbacks.  The
-``sequence`` tiebreak makes runs fully deterministic: two events scheduled
-for the same cycle at the same priority fire in scheduling order.
+Pending work lives in one binary heap (a plain list driven by
+:mod:`heapq`) of entries of one form, ``(time, priority, seq, fn, arg)``;
+the dispatch loop pops the earliest entry, advances the clock, and calls
+``fn(arg)``.  The ``sequence`` tiebreak makes runs fully deterministic:
+two entries queued for the same cycle at the same priority run in
+queueing order, and tuple comparison never reaches ``fn``.
 
 Time is an integer cycle count.  All device latencies in this package are
 integral, which keeps the queue keys exact (no float comparisons) and runs
 reproducible bit-for-bit across platforms.
 
-Hot-path notes (see docs/PERFORMANCE.md §5): :meth:`Environment.run`,
-:meth:`Environment.run_until_complete` and :meth:`Environment.step` all
-drive the same loop (:meth:`Environment._loop`), with the dispatch body
-inlined so an event costs no kernel-side Python frame.  Deferred
-callbacks (:meth:`Environment.schedule_callback`,
-:meth:`Environment.call_later`) ride the queue as plain 5-tuples instead
-of allocating a shim :class:`Event` per call, and so does every process
-sleep (a bare ``yield delay``, see :mod:`repro.sim.process`) and every
-wake of a parked process (:class:`~repro.sim.resources.Resource`); the
-``sequence`` tiebreak guarantees tuple comparison never reaches the
-payload slot, and CPython's internal tuple freelist recycles the entries
-themselves (measured faster than a Python-level slab —
-docs/PERFORMANCE.md §5 records the comparison).  Event dispatch reads the polymorphic ``callbacks`` slot
-directly: the one-subscriber case calls the bare callable without ever
-materializing a callbacks list (see :mod:`repro.sim.event`).
+Every entry is a :meth:`Environment.call_later`: a process's start, each
+of its sleeps (a bare ``yield delay``), the wake of a parked process
+(:class:`~repro.sim.resources.Resource`, a network delivery, a line
+poll) and its exit (:mod:`repro.sim.process`).  The environment keeps
+the set of live processes; :meth:`Environment.run_until_complete` runs
+until the last one has exited, so joining needs no event.  Hot-path
+notes (docs/PERFORMANCE.md §5): :meth:`Environment.run` and
+:meth:`Environment.run_until_complete` drive the same loop
+(:meth:`Environment._loop`) with the dispatch body inlined, so an entry
+costs no kernel-side Python frame, and CPython's internal tuple freelist
+recycles the entries themselves (measured faster than a Python-level
+slab — docs/PERFORMANCE.md §5 records the comparison).
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from repro.errors import SchedulingError, SimulationError
-from repro.sim.event import _PENDING, AllOf, Event, PROCESSED
+from repro.errors import SchedulingError, SimDeadlockError, SimulationError
 from repro.sim.process import Process
 
 #: Priority levels: URGENT callbacks run before NORMAL ones in the same cycle.
@@ -41,12 +38,12 @@ URGENT = 0
 NORMAL = 1
 
 #: Window bound of an unbounded run: later than any reachable cycle, so
-#: the loop's window test stays one int compare per event.
+#: the loop's window test stays one int compare per entry.
 _NO_LIMIT = 1 << 62
 
 
 class Environment:
-    """Holds the simulation clock and the pending-event queue.
+    """Holds the simulation clock and the pending-entry queue.
 
     Typical use::
 
@@ -61,26 +58,28 @@ class Environment:
         "_seq",
         "_processed",
         "_active_process",
+        "_live",
         "_watchdog",
         "_watchdog_after",
     )
 
     def __init__(self, initial_time: int = 0) -> None:
         self._now: int = int(initial_time)
-        #: The heap.  Entries are ``(time, priority, seq, event)`` for
-        #: ordinary events or ``(time, priority, seq, callback, arg)`` for
-        #: deferred callbacks (see :meth:`schedule_callback`).  ``seq`` is
-        #: unique, so tuple comparisons never reach the payload slots.
+        #: The heap of ``(time, priority, seq, fn, arg)`` entries.  ``seq``
+        #: is unique, so tuple comparisons never reach ``fn``.
         self._queue: List[Tuple] = []
         self._seq: int = 0
         self._processed: int = 0
         self._active_process: Optional[Process] = None
+        #: Processes started and not yet exited, in start order (a dict
+        #: used as an ordered set, so a deadlock can name them).
+        self._live: Dict[Process, None] = {}
         # Observe-only watchdog hook: called with the current time by the
         # first dispatch at or past the deadline — the same firing point
-        # whether the dispatch came from step(), run(), or
-        # run_until_complete().  It schedules nothing and never mutates
-        # kernel state, so installing one cannot perturb the event
-        # sequence — it may only raise to abort a stalled run.
+        # whether the dispatch came from run() or run_until_complete().
+        # It schedules nothing and never mutates kernel state, so
+        # installing one cannot perturb the dispatch sequence — it may
+        # only raise to abort a stalled run.
         self._watchdog: Optional[Callable[[int], None]] = None
         self._watchdog_after: int = 0
 
@@ -103,7 +102,7 @@ class Environment:
 
         Kernel observability is boundary-only by design: the registry
         reads these counters after the run (obs.collector.finalize_system)
-        instead of adding even a None-check to the per-event dispatch loop,
+        instead of adding even a None-check to the per-entry dispatch loop,
         so metrics-off and metrics-on runs execute identical hot paths.
         """
         return self._seq
@@ -118,40 +117,10 @@ class Environment:
         """The process currently being resumed (None outside process code)."""
         return self._active_process
 
-    # -- event factories ----------------------------------------------------
-    def event(self, name: Optional[str] = None) -> Event:
-        """Create an untriggered :class:`Event`."""
-        return Event(self, name=name)
-
+    # -- scheduling ----------------------------------------------------------
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Wrap *generator* as a :class:`Process` and start it now."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Composite event firing when every child has fired."""
-        return AllOf(self, list(events))
-
-    # -- scheduling ----------------------------------------------------------
-    def schedule(self, event: Event, delay: int = 0, priority: int = NORMAL) -> None:
-        """Enqueue a triggered *event* for processing ``delay`` cycles ahead."""
-        if delay < 0:
-            raise SchedulingError(f"cannot schedule into the past (delay={delay})")
-        seq = self._seq
-        heappush(self._queue, (self._now + int(delay), priority, seq, event))
-        self._seq = seq + 1
-
-    def schedule_callback(self, callback: Callable[[Event], None], event: Event) -> None:
-        """Run *callback(event)* for an already-processed event via the queue.
-
-        The deferred call is stored directly in the queue entry — a 5-tuple
-        ``(time, priority, seq, callback, event)`` — so no shim
-        :class:`Event` is allocated per call.  It is scheduled URGENT at
-        the current cycle, so it runs before any NORMAL work pending for
-        this cycle.
-        """
-        seq = self._seq
-        heappush(self._queue, (self._now, URGENT, seq, callback, event))
-        self._seq = seq + 1
 
     def call_later(
         self,
@@ -160,13 +129,11 @@ class Environment:
         arg: Any = None,
         priority: int = NORMAL,
     ) -> None:
-        """Enqueue a bare *callback(arg)* ``delay`` cycles ahead.
+        """Enqueue *callback(arg)* ``delay`` cycles ahead.
 
-        The event-free counterpart of :meth:`schedule`: the deferred call
-        rides the queue as the same 5-tuple form :meth:`schedule_callback`
-        uses, so no :class:`Event` is allocated at all.  Useful for
-        periodic housekeeping where the full event lifecycle would only
-        add constant overhead.
+        The one way to queue work: the entry is the 5-tuple
+        ``(now + delay, priority, seq, callback, arg)``, its sequence
+        number drawn here.
         """
         if delay < 0:
             raise SchedulingError(f"cannot schedule into the past (delay={delay})")
@@ -178,11 +145,11 @@ class Environment:
     def set_watchdog(self, callback: Callable[[int], None], deadline: int) -> None:
         """Install the observe-only stall watchdog.
 
-        *callback(now)* runs inside the first dispatch whose event time is
-        at or past *deadline* — :meth:`step`, :meth:`run` and
-        :meth:`run_until_complete` share the firing point, since all three
-        drive the same loop.  The callback must either raise (aborting the
-        run, e.g. with :class:`~repro.errors.SimDeadlockError`) or call
+        *callback(now)* runs inside the first dispatch whose time is at or
+        past *deadline* — :meth:`run` and :meth:`run_until_complete` share
+        the firing point, since both drive the same loop.  The callback
+        must either raise (aborting the run, e.g. with
+        :class:`~repro.errors.SimDeadlockError`) or call
         :meth:`defer_watchdog` to arm the next deadline; returning without
         deferring re-fires it every dispatch.
         """
@@ -197,15 +164,18 @@ class Environment:
         self._watchdog = None
 
     def close(self) -> None:
-        """Drop every pending entry and the watchdog.
+        """Drop every pending entry, the live set and the watchdog.
 
-        A finished run leaves entries behind (parked polls, housekeeping
-        callbacks) whose bound methods point back into the model; the
-        environment cannot run on afterwards.  The clock and the event
+        A run stopped before its last exit (a limit, a deadlock, a
+        windowed run) leaves entries behind (parked polls, housekeeping
+        callbacks) whose bound methods point back into the model, and
+        the live set holds its unfinished processes; the environment
+        cannot run on afterwards.  The clock and the event
         counts stay as they were, but :attr:`queue_length` reads 0 from
         here on: read the leftover count before closing.
         """
         self._queue.clear()
+        self._live.clear()
         self._watchdog = None
 
     @property
@@ -213,26 +183,19 @@ class Environment:
         return self._watchdog is not None
 
     # -- execution -----------------------------------------------------------
-    def peek(self) -> Optional[int]:
-        """Time of the next event, or None if the queue is empty."""
-        queue = self._queue
-        return queue[0][0] if queue else None
-
-    def _loop(self, limit: int, target: Optional[Event], count: int) -> None:
-        """The dispatch loop behind :meth:`run`, :meth:`step` and
-        :meth:`run_until_complete`.
+    def _loop(self, limit: int, join: bool) -> None:
+        """The dispatch loop behind :meth:`run` and :meth:`run_until_complete`.
 
         Dispatches entries in ``(time, priority, seq)`` order and stops
-        when the queue is empty, the next entry lies past *limit*,
-        *target* has triggered, or *count* entries have run (a negative
-        *count* never runs out).  Callers read the stop reason off the
-        queue and the target.  Each entry leaves the queue before its
-        payload runs, so a raising watchdog or an unhandled failed event
+        when the queue is empty, the next entry lies past *limit*, or —
+        with *join* — no process is live.  Callers read the stop reason
+        off the queue and the live set.  Each entry leaves the queue
+        before it runs, so a raising watchdog or a failed process's exit
         consumes exactly that entry and leaves the rest intact.
         """
         queue = self._queue
         while queue:
-            if target is not None and target._value is not _PENDING:
+            if join and not self._live:
                 return
             entry = queue[0]
             when = entry[0]
@@ -243,73 +206,51 @@ class Environment:
             if self._watchdog is not None and when >= self._watchdog_after:
                 self._watchdog(when)
             self._processed += 1
-            if len(entry) == 5:
-                # Deferred callback (schedule_callback/call_later): no
-                # Event was allocated.
-                entry[3](entry[4])
-            else:
-                event = entry[3]
-                cbs = event.callbacks
-                event.callbacks = PROCESSED
-                if cbs is not None:
-                    if cbs.__class__ is list:
-                        for callback in cbs:
-                            callback(event)
-                    else:
-                        # Single subscriber stored as a bare callable — the
-                        # common case; no list was ever allocated for it.
-                        cbs(event)
-                if not event._ok and not event._defused:
-                    # A failed event nobody handled: surface the error loudly.
-                    raise event._value
-            count -= 1
-            if not count:
-                return
-
-    def step(self) -> None:
-        """Process the single earliest event.
-
-        Raises :class:`SimulationError` on an empty queue.
-        """
-        if not self._queue:
-            raise SimulationError("step() on an empty event queue")
-        self._loop(_NO_LIMIT, None, 1)
+            entry[3](entry[4])
 
     def run(self, until: Optional[int] = None) -> int:
         """Run until the queue drains or the clock passes *until*.
 
         Returns the final simulated time.  When *until* is given the clock
-        is advanced to exactly *until* even if the last event fired
+        is advanced to exactly *until* even if the last entry ran
         earlier, mirroring a wall-clock measurement window.
         ``run(until=env.now)`` is an explicit zero-width window: it
-        processes everything pending for the current cycle (events with
-        ``time == now``), leaves strictly-later events queued, and returns
-        with the clock unchanged.
+        dispatches everything pending for the current cycle (entries with
+        ``time == now``), leaves strictly-later entries queued, and
+        returns with the clock unchanged.
         """
         if until is None:
-            self._loop(_NO_LIMIT, None, -1)
+            self._loop(_NO_LIMIT, False)
         elif until < self._now:
             raise SchedulingError(f"until={until} is in the past (now={self._now})")
         else:
-            self._loop(until, None, -1)
+            self._loop(until, False)
             self._now = max(self._now, int(until))
         return self._now
 
-    def run_until_complete(self, process: Event, limit: Optional[int] = None) -> Any:
-        """Run until *process* terminates; returns its value.
+    def run_until_complete(self, limit: Optional[int] = None) -> int:
+        """Run until every process has exited; returns the end time.
 
-        Raises :class:`SimulationError` if the queue drains (deadlock) or the
-        optional *limit* is reached before the process completes.
+        The end time is that of the last process's exit entry; entries
+        still queued behind it stay queued.  Raises
+        :class:`~repro.errors.SimDeadlockError` naming the live processes
+        if the queue drains first (every one of them parked with nothing
+        left to wake it), and :class:`SimulationError` if the optional
+        *limit* is reached first.  A process that fails re-raises its
+        exception from here, at its exit.
         """
-        self._loop(_NO_LIMIT if limit is None else limit, process, -1)
-        if not process.triggered:
+        self._loop(_NO_LIMIT if limit is None else limit, True)
+        if self._live:
+            live = tuple(process.name for process in self._live)
             if self._queue:
                 raise SimulationError(
-                    f"simulation limit {limit} reached before {process!r} finished"
+                    f"simulation limit {limit} reached before "
+                    f"{', '.join(live)} finished"
                 )
-            raise SimulationError(
-                f"deadlock: event queue drained before {process!r} finished"
+            raise SimDeadlockError(
+                f"deadlock: event queue drained at tick {self._now} with "
+                f"{', '.join(live)} unfinished",
+                tick=self._now,
+                blocked=live,
             )
-        if not process.ok:
-            raise process.value
-        return process.value
+        return self._now

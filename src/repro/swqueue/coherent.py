@@ -56,9 +56,9 @@ def run_software_pingpong(
             value = yield from q_ab.dequeue(1)
             yield from q_ba.enqueue(1, value)
 
-    pa = env.process(side_a(), name="sw-a")
-    pb = env.process(side_b(), name="sw-b")
-    env.run_until_complete(env.all_of([pa, pb]))
+    env.process(side_a(), name="sw-a")
+    env.process(side_b(), name="sw-b")
+    env.run_until_complete()
     memory.check_coherence_invariant()
     return LatencyResult(
         mechanism="software (MOESI)",

@@ -171,11 +171,12 @@ class System:
     def run_to_completion(self, limit: Optional[int] = None) -> int:
         """Run until every spawned thread finishes; returns the end time.
 
-        Raises :class:`~repro.errors.SimulationError` on deadlock or when
-        *limit* cycles pass first.
+        Raises :class:`~repro.errors.SimDeadlockError` naming the
+        unfinished threads when the queue drains first, and
+        :class:`~repro.errors.SimulationError` when *limit* cycles pass
+        first.
         """
-        join = self.env.all_of(self._threads)
-        self.env.run_until_complete(join, limit=limit)
+        self.env.run_until_complete(limit=limit)
         if self.metrics is not None and getattr(self.metrics, "enabled", True):
             from repro.obs.collector import finalize_system
 

@@ -184,9 +184,9 @@ def software_reference_stream(num_messages: int, capacity: int = 8,
             value = yield from queue.dequeue(1)
             delivered.append(value)
 
-    pa = env.process(producer(), name="oracle-sw-producer")
-    pb = env.process(consumer(), name="oracle-sw-consumer")
-    env.run_until_complete(env.all_of([pa, pb]))
+    env.process(producer(), name="oracle-sw-producer")
+    env.process(consumer(), name="oracle-sw-consumer")
+    env.run_until_complete()
     return tuple(delivered)
 
 

@@ -1,18 +1,19 @@
 """Driver equivalence: every way of driving the kernel dispatches in the
 exact ``(time, priority, seq)`` order of a pure-Python sorted list.
 
-:meth:`Environment.run`, windowed ``run(until)``, :meth:`Environment.step`
-and :meth:`Environment.run_until_complete` share one dispatch loop.  This
-suite pins that at three levels:
+:meth:`Environment.run`, windowed ``run(until)`` (also stepped one
+pending cycle at a time) and :meth:`Environment.run_until_complete` share
+one dispatch loop.  This suite pins that at three levels:
 
-1. **Reference model** — Hypothesis-generated programs of schedule/
-   callback/process/sleep/late-subscribe operations run twice per driver: once
-   on the kernel as shipped (``heapq``) and once with the queue's push/pop
-   swapped for ``bisect.insort``/``list.pop(0)`` on a plain sorted list,
-   the simplest correct priority queue.  The dispatched
-   ``(time, priority, seq)`` keys, the program's observable trace, the
-   stop-point state and the watchdog firings must match.
-2. **Driver equivalence** — the windowed, step-driven and
+1. **Reference model** — Hypothesis-generated programs of recursive
+   ``call_later`` (any priority), far-future, sleeping-process and
+   parked-process operations run twice per driver: once on the kernel as
+   shipped (``heapq``) and once with the queue's push/pop swapped for
+   ``bisect.insort``/``list.pop(0)`` on a plain sorted list, the simplest
+   correct priority queue.  The dispatched ``(time, priority, seq)``
+   keys, the program's observable trace, the stop-point state and the
+   watchdog firings must match.
+2. **Driver equivalence** — the windowed, stepped and
    ``run_until_complete`` drivers dispatch exactly what one ``run()``
    does, and the watchdog fires where a pure-Python walk over the
    reference dispatch times says it must.
@@ -20,7 +21,7 @@ suite pins that at three levels:
    differential oracle matrix run with the sorted list in place of the
    heap and must match the heap run bit for bit.
 4. **Mutation kills** — a reversed seq tiebreak and a priority-blind push,
-   monkeypatched into :meth:`Environment.schedule`, must make the trace
+   monkeypatched into :meth:`Environment.call_later`, must make the trace
    diverge from the reference, proving the harness has teeth.
 
 The whole-system tests keep the ids of the three queue strategies the
@@ -44,6 +45,7 @@ from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.eval.runner import multipush_setting, run_workload, standard_settings
 from repro.sim.kernel import Environment, NORMAL, URGENT
+from repro.sim.process import PARK, Process
 from tests.conftest import QUEUE_IDS, noop
 
 ALT_QUEUE_IDS = [name for name in QUEUE_IDS if name != "heap"]
@@ -94,72 +96,37 @@ def execute(program, driver="run", until=0, target_delays=(1,), reference=False)
     the dispatch loop itself, which is where window and stop handling can
     go wrong):
 
-    - ``("timeout", delay, children)``     pre-triggered event at NORMAL
-    - ``("urgent", delay, children)``      pre-triggered event at URGENT
-    - ``("far", delay)``                   far-future NORMAL event
-    - ``("late_sub",)``                    subscribe to the most recently
-                                           processed event → URGENT
-                                           schedule_callback at *now*
-    - ``("call_later", delay, priority)``  event-free deferred call
-    - ``("process", delays)``              generator process yielding
-                                           pre-triggered NORMAL events
-    - ``("sleep", delays)``                generator process yielding
-                                           bare int delays (no Event)
+    - ``("call", delay, priority, children)``  ``call_later`` at *priority*
+    - ``("far", delay)``                       far-future NORMAL call
+    - ``("sleep", delays)``                    generator process yielding
+                                               bare int delays
+    - ``("park", delays)``                     generator process that arms
+                                               its own resume and parks
 
     Every driver also runs a *target* process sleeping through
-    *target_delays*; ``until_complete`` stops on it, then drains the rest.
-    *reference* runs the queue as a sorted list instead of a heap.
+    *target_delays*; ``until_complete`` stops when the last process has
+    exited, then drains the rest.  *reference* runs the queue as a sorted
+    list instead of a heap.
     """
     env = Environment()
     trace, keys, fires, marks = [], [], [], []
     ids = itertools.count()
-    done = []
 
     def fire(tag, ident, children):
-        def callback(event):
+        def callback(_arg):
             trace.append((tag, env.now, ident))
-            done.append(event)
             run_ops(children)
 
         return callback
-
-    def timer(delay, priority=NORMAL):
-        event = env.event()
-        event._ok, event._value = True, None
-        env.schedule(event, delay=delay, priority=priority)
-        return event
 
     def run_ops(ops):
         for op in ops:
             kind = op[0]
             ident = next(ids)
-            if kind == "timeout":
-                timer(op[1]).subscribe(fire("t", ident, op[2]))
-            elif kind == "urgent":
-                timer(op[1], URGENT).subscribe(fire("u", ident, op[2]))
+            if kind == "call":
+                env.call_later(op[1], fire("c", ident, op[3]), priority=op[2])
             elif kind == "far":
-                timer(op[1]).subscribe(fire("f", ident, ()))
-            elif kind == "late_sub":
-                if done:
-                    done[-1].subscribe(
-                        lambda e, i=ident: trace.append(("l", env.now, i))
-                    )
-                else:
-                    trace.append(("skip", env.now, ident))
-            elif kind == "call_later":
-                env.call_later(
-                    op[1],
-                    lambda arg, i=ident: trace.append(("c", env.now, i)),
-                    priority=op[2],
-                )
-            elif kind == "process":
-
-                def gen(delays=tuple(op[1]), i=ident):
-                    for d in delays:
-                        yield timer(d)
-                        trace.append(("p", env.now, i))
-
-                env.process(gen())
+                env.call_later(op[1], fire("f", ident, ()))
             elif kind == "sleep":
 
                 def sleeper(delays=tuple(op[1]), i=ident):
@@ -168,6 +135,15 @@ def execute(program, driver="run", until=0, target_delays=(1,), reference=False)
                         trace.append(("s", env.now, i))
 
                 env.process(sleeper())
+            elif kind == "park":
+
+                def parker(delays=tuple(op[1]), i=ident):
+                    for d in delays:
+                        env.call_later(d, Process._resume, env.active_process)
+                        yield PARK
+                        trace.append(("p", env.now, i))
+
+                env.process(parker())
             else:  # pragma: no cover - grammar guard
                 raise AssertionError(f"unknown op {op!r}")
 
@@ -184,9 +160,12 @@ def execute(program, driver="run", until=0, target_delays=(1,), reference=False)
     push = insort if reference else heapq.heappush
     base_pop = _sorted_pop if reference else heapq.heappop
 
+    last = [None]
+
     def pop(queue):
         entry = base_pop(queue)
         keys.append(entry[:3])
+        last[0] = entry[3]
         return entry
 
     with _queue_ops(push, pop):
@@ -201,11 +180,12 @@ def execute(program, driver="run", until=0, target_delays=(1,), reference=False)
             env.run()
         elif driver == "step":
             while env.queue_length:
-                env.step()
+                env.run(until=env._queue[0][0])
         elif driver == "until_complete":
-            value = env.run_until_complete(target)
-            marks.append(("complete", env.now, env.events_processed,
-                          env.queue_length, value, len(trace)))
+            end = env.run_until_complete()
+            marks.append(("complete", end, env.events_processed,
+                          env.queue_length, target.value,
+                          last[0] is Process._exit, len(env._live)))
             env.run()
         else:  # pragma: no cover - grammar guard
             raise AssertionError(f"unknown driver {driver!r}")
@@ -224,24 +204,18 @@ def expected_fires(times):
 
 
 def _op_strategy():
+    delays = st.lists(st.integers(0, 20), min_size=1, max_size=4)
+    priorities = st.sampled_from([-1, URGENT, NORMAL, 9])
     leaf = st.one_of(
         st.tuples(st.just("far"), st.integers(1500, 9000)),
-        st.just(("late_sub",)),
-        st.tuples(st.just("call_later"), st.integers(0, 50),
-                  st.sampled_from([-1, URGENT, NORMAL, 9])),
-        st.tuples(st.just("process"),
-                  st.lists(st.integers(0, 20), min_size=1, max_size=4)),
-        st.tuples(st.just("sleep"),
-                  st.lists(st.integers(0, 20), min_size=1, max_size=4)),
+        st.tuples(st.just("call"), st.integers(0, 50), priorities, st.just(())),
+        st.tuples(st.just("sleep"), delays),
+        st.tuples(st.just("park"), delays),
     )
     return st.recursive(
         leaf,
-        lambda children: st.one_of(
-            st.tuples(st.just("timeout"), st.integers(0, 50),
-                      st.lists(children, max_size=4)),
-            st.tuples(st.just("urgent"), st.integers(0, 50),
-                      st.lists(children, max_size=4)),
-        ),
+        lambda children: st.tuples(st.just("call"), st.integers(0, 50),
+                                   priorities, st.lists(children, max_size=4)),
         max_leaves=12,
     )
 
@@ -298,6 +272,7 @@ def test_windowed_runs_equivalent(program, target_delays, until):
 @given(program=PROGRAMS, target_delays=TARGETS)
 @settings(max_examples=40, deadline=None)
 def test_step_driven_runs_equivalent(program, target_delays):
+    """Stepping one pending cycle at a time with ``run(until=t)``."""
     result, reference = check_driver(program, target_delays, "step")
     assert result.now == reference.now
 
@@ -305,13 +280,14 @@ def test_step_driven_runs_equivalent(program, target_delays):
 @given(program=PROGRAMS, target_delays=TARGETS)
 @settings(max_examples=40, deadline=None)
 def test_run_until_complete_equivalent(program, target_delays):
-    """The stop point is the dispatch that finished the target: its final
-    observation is the last one before the stop, made at the stop time."""
+    """The stop point is the exit of the last live process: the last
+    entry dispatched before the stop is a process exit at the stop time,
+    and no process is live there (a callback queued for later may still
+    start one, which the drain after the stop runs)."""
     result, reference = check_driver(program, target_delays, "until_complete")
     assert result.now == reference.now
-    (_, now, processed, _pending, value, observed), = result.marks
-    assert value == "done"
-    assert result.trace[observed - 1] == ("target", now, -1)
+    (_, now, processed, _pending, value, on_exit, live), = result.marks
+    assert value == "done" and on_exit and live == 0
     assert result.keys[processed - 1][0] == now
 
 
@@ -400,56 +376,63 @@ def test_config_validates_scheduler_name():
 
 
 def test_inline_fast_paths_exposed():
-    """Each push path (call_later, schedule via succeed())
-    lands in the one heap list the dispatch loop pops from."""
+    """Each push path (call_later, a process start and its sleep) lands as
+    a ``(time, priority, seq, fn, arg)`` entry in the one heap list the
+    dispatch loop pops from."""
+
+    def sleeper():
+        yield 2
+
     env = Environment()
-    assert env._queue == [] and env.peek() is None
+    assert env._queue == []
     env.call_later(5, noop)
-    env.call_later(3, lambda arg: None)
-    event = env.event()
-    event.succeed()
-    assert [entry[0] for entry in sorted(env._queue)] == [0, 3, 5]
-    assert env._queue[0][0] == env.peek() == 0
+    env.call_later(3, noop, priority=URGENT)
+    proc = env.process(sleeper())
+    assert env._queue[0] == (0, NORMAL, 2, Process._resume, proc)
+    env.run(until=0)
+    assert sorted(env._queue) == [(2, NORMAL, 3, Process._resume, proc),
+                                  (3, URGENT, 1, noop, None),
+                                  (5, NORMAL, 0, noop, None)]
     assert env.queue_length == len(env._queue) == 3
 
 
 # -------------------------------------------------------------- mutation kill
-def _reversed_seq_schedule(self, event, delay=0, priority=NORMAL):
+def _reversed_seq_call_later(self, delay, callback, arg=None, priority=NORMAL):
     """Mutant: LIFO within a (time, priority) pair — negated seq."""
     seq = self._seq
-    kernel.heappush(self._queue, (self._now + delay, priority, -seq, event))
+    kernel.heappush(self._queue, (self._now + delay, priority, -seq, callback, arg))
     self._seq = seq + 1
 
 
-def _priority_blind_schedule(self, event, delay=0, priority=NORMAL):
+def _priority_blind_call_later(self, delay, callback, arg=None, priority=NORMAL):
     """Mutant: drops URGENT-before-NORMAL — everything lands NORMAL."""
     seq = self._seq
-    kernel.heappush(self._queue, (self._now + delay, NORMAL, seq, event))
+    kernel.heappush(self._queue, (self._now + delay, NORMAL, seq, callback, arg))
     self._seq = seq + 1
 
 
 def _mutant_trace(monkeypatch, mutant, program):
     with monkeypatch.context() as patch:
-        patch.setattr(Environment, "schedule", mutant)
+        patch.setattr(Environment, "call_later", mutant)
         return execute(program).trace
 
 
 def test_harness_kills_broken_seq_tiebreak(monkeypatch):
-    program = [("timeout", 5, ()), ("timeout", 5, ()), ("timeout", 5, ())]
+    program = [("call", 5, NORMAL, ())] * 3
     reference = execute(program, reference=True).trace
-    assert _mutant_trace(monkeypatch, _reversed_seq_schedule, program) != reference
+    assert _mutant_trace(monkeypatch, _reversed_seq_call_later, program) != reference
 
 
 def test_harness_kills_broken_urgent_priority(monkeypatch):
-    program = [("timeout", 5, ()), ("urgent", 5, ())]
+    program = [("call", 5, NORMAL, ()), ("call", 5, URGENT, ())]
     reference = execute(program, reference=True).trace
-    assert _mutant_trace(monkeypatch, _priority_blind_schedule, program) != reference
+    assert _mutant_trace(monkeypatch, _priority_blind_call_later, program) != reference
 
 
 def test_mutants_are_otherwise_plausible(monkeypatch):
     """The mutants pass a trivially-ordered program — the kills above are
     detecting the specific broken guarantee, not generic breakage."""
-    program = [("timeout", 3, ()), ("timeout", 9, ())]
+    program = [("call", 3, NORMAL, ()), ("call", 9, NORMAL, ())]
     reference = execute(program, reference=True).trace
-    assert _mutant_trace(monkeypatch, _reversed_seq_schedule, program) == reference
-    assert _mutant_trace(monkeypatch, _priority_blind_schedule, program) == reference
+    assert _mutant_trace(monkeypatch, _reversed_seq_call_later, program) == reference
+    assert _mutant_trace(monkeypatch, _priority_blind_call_later, program) == reference

@@ -1,14 +1,15 @@
-"""Hot-path regression tests: `__slots__` coverage, polymorphic callbacks,
-``call_later`` edge cases, and dispatch order on deep or dense queues.
+"""Hot-path regression tests: `__slots__` coverage, the one queue-entry
+form, ``call_later`` edge cases, and dispatch order on deep or dense
+queues.
 
 The allocation-free dispatch work (PERFORMANCE.md §5) rests on two
 properties that nothing else in the suite pins directly:
 
 * every per-event / per-component class in ``sim/`` carries ``__slots__``
   (an instance ``__dict__`` would be the kernel's largest allocation);
-* the ``Event.callbacks`` slot is polymorphic (None | callable | list |
-  PROCESSED) and all four states behave identically to the old
-  always-a-list protocol.
+* every queue entry is a ``(time, priority, seq, fn, arg)`` call, so the
+  dispatch loop has one branch-free body, and a process's exit is such
+  an entry: nothing subscribes to an event.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from pathlib import Path
 
 import pytest
 
+import repro.sim
 import repro.sim.event
 import repro.sim.hooks
+import repro.sim.kernel as kernel
 import repro.sim.process
 import repro.sim.request
 import repro.sim.resources
@@ -29,9 +32,9 @@ import repro.sim.rng
 import repro.sim.stats
 import repro.sim.transaction
 from repro.config import SystemConfig
-from repro.errors import SchedulingError, SimulationError
+from repro.errors import SchedulingError
 from repro.eval.runner import run_workload, setting_by_name
-from repro.sim.event import Event, PROCESSED
+from repro.sim.event import Event
 from repro.sim.kernel import Environment, NORMAL, URGENT
 from repro.sim.process import Process
 from repro.sim.resources import Resource
@@ -81,16 +84,16 @@ def test_sim_classes_define_slots(cls):
         )
 
 
-# ------------------------------------------- one wake primitive, no timer
+# ------------------------------------------------ one queue-entry form
 _SRC = Path(repro.sim.event.__file__).resolve().parents[1]
 
 
 def test_no_event_built_outside_sim():
-    """Only ``repro/sim`` builds events.  A model module sleeps with a bare
-    ``int``, waits by parking until the callback it armed resumes it, and
-    delays a callback with ``call_later`` (docs/PERFORMANCE.md §5): no
-    ``.event(`` or ``Event(`` call outside the kernel, and the kernel has
-    no timer event to build."""
+    """Only ``repro/sim`` builds events, and the kernel offers nothing to
+    schedule, subscribe to, join or time one with.  A model module sleeps
+    with a bare ``int``, waits by parking until the callback it armed
+    resumes it, and delays a callback with ``call_later``; a run ends on
+    the live-process set, not on an event (docs/PERFORMANCE.md §5)."""
     offenders = []
     for path in sorted(_SRC.rglob("*.py")):
         if path.relative_to(_SRC).parts[0] == "sim":
@@ -102,17 +105,26 @@ def test_no_event_built_outside_sim():
             ) or (isinstance(func, ast.Name) and func.id == "Event"):
                 offenders.append(f"{path.relative_to(_SRC)}:{node.lineno}")
     assert offenders == [], f"sleep, park or call_later instead: {offenders}"
-    assert not hasattr(Environment, "timeout")
-    assert not hasattr(repro.sim.event, "Timeout")
+    for name in ("schedule", "schedule_callback", "event", "all_of", "step",
+                 "peek", "timeout"):
+        assert not hasattr(Environment, name), name
+    for name in ("AllOf", "PROCESSED", "Timeout"):
+        assert not hasattr(repro.sim.event, name), name
+    assert "AllOf" not in repro.sim.__all__
+    for name in ("subscribe", "succeed", "fail", "defuse"):
+        assert not hasattr(Event, name), name
+    assert "count" not in inspect.signature(Environment._loop).parameters
 
 
 def test_incast_run_builds_only_threads_and_the_join(monkeypatch):
     """A scale-0.05 ``incast`` run under VL builds one ``Process`` per
-    thread and the one ``AllOf`` that joins them, and nothing else, while
-    producers wait on their prodBuf reserve."""
+    thread and nothing else (the join is the live-process set, not an
+    event), queues only ``(time, priority, seq, fn, arg)`` entries, and
+    has producers wait on their prodBuf reserve."""
     built = Counter()
+    widths = Counter()
     waits = []
-    init, release = Event.__init__, Resource.release
+    init, release, push = Event.__init__, Resource.release, kernel.heappush
 
     def counting_init(self, *args, **kwargs):
         built[type(self).__name__] += 1
@@ -122,13 +134,19 @@ def test_incast_run_builds_only_threads_and_the_join(monkeypatch):
         waits.append(bool(self._waiters))
         release(self)
 
+    def counting_push(queue, entry):
+        widths[len(entry)] += 1
+        push(queue, entry)
+
     monkeypatch.setattr(Event, "__init__", counting_init)
     monkeypatch.setattr(Resource, "release", counting_release)
+    monkeypatch.setattr(kernel, "heappush", counting_push)
     _, system = run_workload(
         "incast", setting_by_name("vl"), scale=0.05, seed=12648430,
         return_system=True,
     )
-    assert dict(built) == {"Process": len(system.threads), "AllOf": 1}
+    assert dict(built) == {"Process": len(system.threads)}
+    assert list(widths) == [5] and widths[5] == system.env.events_scheduled
     assert any(waits), "no push waited on its reserve"
 
 
@@ -192,9 +210,9 @@ def test_stalled_pop_resumes_once_and_polls_every_quantum(monkeypatch):
         ticks.append(poll.env.now)
         poll_tick(poll)
 
-    def counting_resume(proc, event=None):
+    def counting_resume(proc):
         resumes.append((proc.name, proc.env.now))
-        resume(proc, event)
+        resume(proc)
 
     monkeypatch.setattr(library, "_poll_tick", counting_tick)
     monkeypatch.setattr(Process, "_resume", counting_resume)
@@ -231,61 +249,68 @@ def test_stalled_pop_resumes_once_and_polls_every_quantum(monkeypatch):
                      + system.config.pop_fast_path_cost]
 
 
-# --------------------------------------------------- polymorphic callbacks slot
+# ------------------------------------------------------- process exit entry
+def _finishes(env, value=None, delay=0):
+    def body():
+        yield delay
+        return value
+
+    return env.process(body())
+
+
 def test_event_with_no_subscribers_dispatches(env):
-    ev = env.event()
-    ev.succeed("payload")
+    """A process nothing joins still dispatches its exit entry under a
+    plain ``run()``, which leaves the live set empty."""
+    proc = _finishes(env, "payload", delay=3)
     env.run()
-    assert ev.processed and ev.callbacks is PROCESSED
+    assert proc.value == "payload" and not env._live
+    assert env.events_processed == 3  # start, wake, exit
 
 
 def test_single_subscriber_needs_no_list(env):
-    got = []
-    ev = env.event()
-    ev.subscribe(lambda e: got.append(e.value))
-    assert callable(ev.callbacks) and not isinstance(ev.callbacks, list)
-    ev.succeed(41)
+    """A process is never subscribed to: the exit entry itself carries
+    the process, so finishing allocates nothing per waiter."""
+    proc = _finishes(env, 41)
+    assert env._live == {proc: None}
     env.run()
-    assert got == [41]
+    assert env._live == {} and proc.value == 41
 
 
 def test_second_subscriber_promotes_to_list(env):
-    got = []
-    ev = env.event()
-    ev.subscribe(lambda e: got.append("a"))
-    ev.subscribe(lambda e: got.append("b"))
-    ev.subscribe(lambda e: got.append("c"))
-    assert isinstance(ev.callbacks, list) and len(ev.callbacks) == 3
-    ev.succeed()
+    """Processes that finish in one cycle each queue their own exit entry,
+    in finish order: a second finisher adds an entry, never a list."""
+    procs = [_finishes(env, i, delay=2) for i in range(3)]
+    env.run(until=1)
+    seen = []
+    # Its seq falls between the three wakes and the exits they queue.
+    env.call_later(1, lambda _arg: seen.append(sorted(env._queue)))
     env.run()
-    assert got == ["a", "b", "c"]
+    assert seen == [[(2, NORMAL, 7 + i, Process._exit, proc)
+                     for i, proc in enumerate(procs)]]
 
 
 def test_late_subscribe_after_processed_still_delivers(env):
-    ev = env.event()
-    ev.succeed("v")
-    env.run()
-    got = []
-    ev.subscribe(lambda e: got.append(e.value))
-    assert got == []  # delivery goes through the queue, not inline
-    env.run()
-    assert got == ["v"]
+    """A process started after an earlier join returned is joined by the
+    next ``run_until_complete``."""
+    _finishes(env, delay=2)
+    assert env.run_until_complete() == 2
+    late = _finishes(env, "v", delay=5)
+    assert env.run_until_complete() == 7
+    assert late.value == "v"
 
 
 def test_subscribe_during_dispatch_of_same_event(env):
-    """A callback adding another subscriber to its own (now PROCESSED)
-    event must schedule it, not mutate the retired slot."""
-    got = []
+    """A process started by a callback while the join runs extends the
+    join: the live set is read at every dispatch, not fixed at the call."""
+    started = []
 
-    def first(e):
-        got.append("first")
-        e.subscribe(lambda e2: got.append("second"))
+    def spawn(_arg):
+        started.append(_finishes(env, "child", delay=10))
 
-    ev = env.event()
-    ev.subscribe(first)
-    ev.succeed()
-    env.run()
-    assert got == ["first", "second"]
+    first = _finishes(env, delay=1)
+    env.call_later(1, spawn)
+    assert env.run_until_complete() == 11
+    assert not first.is_alive and started[0].value == "child"
 
 
 # ----------------------------------------------------------- call_later edges
@@ -392,16 +417,16 @@ def test_ladder_single_cycle_burst_never_spills():
 
 
 def test_ladder_refill_restores_order_and_boundary():
-    """step() drains a deep queue in order, then rejects an empty one."""
+    """Windowed runs drain a deep queue in order, one pending cycle at a
+    time, and a run on the empty queue leaves the clock where it is."""
     env = Environment()
     out = []
     for t in range(1000):
         env.call_later((t * 389) % 1000, out.append, arg=(t * 389) % 1000)
     while env.queue_length:
-        env.step()
+        env.run(until=env._queue[0][0])
     assert out == list(range(1000)) and env.now == 999
-    with pytest.raises(SimulationError, match="empty"):
-        env.step()
+    assert env.run() == 999
 
 
 def test_ladder_refill_moves_whole_cycles():

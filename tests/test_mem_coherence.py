@@ -17,7 +17,8 @@ def mem(env):
 def run_op(env, gen):
     """Drive a yield-from memory operation to completion."""
     proc = env.process(gen)
-    return env.run_until_complete(proc)
+    env.run_until_complete()
+    return proc.value
 
 
 def test_load_returns_stored_value(env, mem):

@@ -3,9 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import SchedulingError, SimulationError
+from repro.errors import SchedulingError, SimDeadlockError, SimulationError
 from repro.sim.kernel import Environment, NORMAL, URGENT
+from repro.sim.process import PARK
 from tests.conftest import noop
+
+
+def step(env):
+    """Drive *env* through its next pending cycle with a windowed run."""
+    return env.run(until=env._queue[0][0])
 
 
 def test_clock_starts_at_initial_time():
@@ -14,8 +20,16 @@ def test_clock_starts_at_initial_time():
 
 
 def test_step_on_empty_queue_raises(env):
-    with pytest.raises(SimulationError):
-        env.step()
+    """Driving an empty queue with a process still live raises; with no
+    live process the join returns at once."""
+
+    def parked():
+        yield PARK
+
+    assert env.run_until_complete() == 0
+    env.process(parked())
+    with pytest.raises(SimDeadlockError):
+        env.run_until_complete()
 
 
 def test_run_returns_final_time(env):
@@ -46,10 +60,9 @@ def test_run_until_in_the_past_rejected(env):
 
 
 def test_negative_schedule_rejected(env):
-    ev = env.event()
-    ev._ok, ev._value = True, None
     with pytest.raises(SchedulingError):
-        env.schedule(ev, delay=-5)
+        env.call_later(-5, noop)
+    assert env.queue_length == 0
 
 
 def test_same_cycle_fifo_order(env):
@@ -63,14 +76,8 @@ def test_same_cycle_fifo_order(env):
 
 def test_urgent_priority_preempts_normal(env):
     order = []
-    normal = env.event()
-    normal._ok, normal._value = True, None
-    normal.subscribe(lambda e: order.append("normal"))
-    env.schedule(normal, delay=5, priority=NORMAL)
-    urgent = env.event()
-    urgent._ok, urgent._value = True, None
-    urgent.subscribe(lambda e: order.append("urgent"))
-    env.schedule(urgent, delay=5, priority=URGENT)
+    env.call_later(5, order.append, "normal", priority=NORMAL)
+    env.call_later(5, order.append, "urgent", priority=URGENT)
     env.run()
     assert order == ["urgent", "normal"]
 
@@ -81,17 +88,19 @@ def test_run_until_complete_returns_process_value(env):
         return "result"
 
     proc = env.process(work())
-    assert env.run_until_complete(proc) == "result"
-    assert env.now == 10
+    assert env.run_until_complete() == 10
+    assert proc.value == "result" and env.now == 10
 
 
 def test_run_until_complete_detects_deadlock(env):
     def work():
-        yield env.event()  # never triggered
+        yield 7
+        yield PARK  # nothing will resume it
 
-    proc = env.process(work())
-    with pytest.raises(SimulationError, match="deadlock"):
-        env.run_until_complete(proc)
+    env.process(work(), name="stuck")
+    with pytest.raises(SimDeadlockError, match="deadlock") as info:
+        env.run_until_complete()
+    assert info.value.tick == 7 and info.value.blocked == ("stuck",)
 
 
 def test_run_until_complete_respects_limit(env):
@@ -103,9 +112,10 @@ def test_run_until_complete_respects_limit(env):
         yield 10 ** 9
 
     env.process(ticker())
-    proc = env.process(work())
-    with pytest.raises(SimulationError, match="limit"):
-        env.run_until_complete(proc, limit=1000)
+    env.process(work())
+    with pytest.raises(SimulationError, match="limit") as info:
+        env.run_until_complete(limit=1000)
+    assert not isinstance(info.value, SimDeadlockError)
 
 
 def test_run_until_complete_reraises_process_error(env):
@@ -113,9 +123,9 @@ def test_run_until_complete_reraises_process_error(env):
         yield 1
         raise ValueError("inside process")
 
-    proc = env.process(work())
+    env.process(work())
     with pytest.raises(ValueError, match="inside process"):
-        env.run_until_complete(proc)
+        env.run_until_complete()
 
 
 @given(delays=st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=50))
@@ -146,16 +156,10 @@ def test_determinism_across_runs(delays):
     assert trace() == trace()
 
 
-def test_peek_reports_next_event_time(env):
-    assert env.peek() is None
-    env.call_later(42, noop)
-    assert env.peek() == 42
-
-
-# -- step()-vs-run() watchdog symmetry ---------------------------------------
-# step() is public but the stall-watchdog tests drive run(); all entry
-# points share one dispatch loop, and these tests pin that shared firing
-# point directly.
+# -- stepping cycle by cycle vs run(): watchdog symmetry ---------------------
+# The stall-watchdog tests drive whole runs; these step through one
+# pending cycle at a time with windowed runs (``step`` above), which share
+# the one dispatch loop, and pin that shared firing point directly.
 
 
 def test_step_fires_watchdog_at_deadline(env):
@@ -168,11 +172,11 @@ def test_step_fires_watchdog_at_deadline(env):
     for delay in (5, 10, 20):
         env.call_later(delay, noop)
     env.set_watchdog(watchdog, deadline=10)
-    env.step()
+    step(env)
     assert fires == []  # t=5 is before the deadline
-    env.step()
+    step(env)
     assert fires == [10]  # first dispatch at/past the deadline
-    env.step()
+    step(env)
     assert fires == [10]  # deferred past t=20
 
 
@@ -183,9 +187,9 @@ def test_step_watchdog_raise_aborts_and_preserves_queue(env):
     for delay in (5, 10, 20):
         env.call_later(delay, noop)
     env.set_watchdog(watchdog, deadline=10)
-    env.step()
+    step(env)
     with pytest.raises(SimulationError, match="stalled at 10"):
-        env.step()
+        step(env)
     # The failed dispatch consumed its entry; the rest is intact and the
     # run can resume after the watchdog is cleared.
     env.clear_watchdog()
@@ -199,14 +203,23 @@ def test_step_refires_watchdog_without_defer(env):
         env.call_later(delay, noop)
     env.set_watchdog(fires.append, deadline=0)
     for _ in range(3):
-        env.step()
+        step(env)
     assert fires == [5, 6, 7]
 
 
 def test_step_empty_queue_raises_with_watchdog_armed(env):
-    env.set_watchdog(lambda now: None, deadline=0)
-    with pytest.raises(SimulationError, match="empty event queue"):
-        env.step()
+    """The watchdog fires only inside a dispatch, so a queue that drains
+    with a process live is caught by the kernel's own typed error."""
+    fires = []
+
+    def parked():
+        yield PARK
+
+    env.process(parked())
+    env.set_watchdog(fires.append, deadline=5)
+    with pytest.raises(SimDeadlockError, match="queue drained"):
+        env.run_until_complete()
+    assert fires == []
 
 
 # -- run(until=now): the zero-width window -----------------------------------

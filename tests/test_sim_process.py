@@ -8,7 +8,7 @@ import pytest
 import repro.sim.kernel as kernel
 from repro.config import SystemConfig
 from repro.errors import SimDeadlockError, SimulationError
-from repro.sim.kernel import Environment
+from repro.sim.kernel import Environment, NORMAL
 from repro.sim.process import PARK, Process
 from repro.system import System
 from repro.verify.invariants import StallWatchdog
@@ -24,17 +24,23 @@ def test_process_requires_generator(env):
 
 
 def test_process_receives_event_values(env):
+    """A resume sends ``None``: a value reaches a parked process through
+    state the callback that resumes it has written."""
     got = []
+    box = []
+
+    def deliver(proc):
+        box.append("five")
+        Process._resume(proc)
 
     def work():
-        event = env.event()
-        env.call_later(5, event.succeed, "five")
-        value = yield event
-        got.append(value)
+        env.call_later(5, deliver, env.active_process)
+        value = yield PARK
+        got.append((env.now, value, box.pop()))
 
     env.process(work())
     env.run()
-    assert got == ["five"]
+    assert got == [(5, None, "five")]
 
 
 def test_process_is_joinable(env):
@@ -43,27 +49,33 @@ def test_process_is_joinable(env):
         return 99
 
     def parent():
-        result = yield env.process(child())
-        return result + 1
+        kid = env.process(child())
+        yield 3
+        return kid
 
     proc = env.process(parent())
-    assert env.run_until_complete(proc) == 100
+    assert env.run_until_complete() == 10
+    assert proc.value.value == 99
 
 
 def test_exception_thrown_into_process(env):
+    """An exception raised by a callee (here a sub-generator, after a
+    sleep) is caught with ordinary ``try``/``except`` in the process."""
     caught = []
 
-    def work():
-        ev = env.event()
-        env.call_later(1, lambda _e: ev.fail(ValueError("delivered")))
-        try:
-            yield ev
-        except ValueError as exc:
-            caught.append(str(exc))
+    def callee():
+        yield 1
+        raise ValueError("delivered")
 
-    env.process(work())
+    def work():
+        try:
+            yield from callee()
+        except ValueError as exc:
+            caught.append((env.now, str(exc)))
+
+    proc = env.process(work())
     env.run()
-    assert caught == ["delivered"]
+    assert caught == [(1, "delivered")] and proc.ok
 
 
 def test_uncaught_process_exception_fails_process(env):
@@ -72,15 +84,15 @@ def test_uncaught_process_exception_fails_process(env):
         raise RuntimeError("oops")
 
     proc = env.process(work())
-    proc.defuse()
-    env.run()
+    with pytest.raises(RuntimeError, match="oops"):
+        env.run()
     assert proc.triggered
     assert not proc.ok
     assert isinstance(proc.value, RuntimeError)
 
 
 def test_yielding_non_event_fails_with_helpful_error(env):
-    """Only an Event or a non-negative plain ``int`` may be yielded: a
+    """Only a non-negative plain ``int`` or ``PARK`` may be yielded: a
     string, a float, a negative int, a bool and a numpy integer all fail
     the process with a message naming both accepted forms."""
     for bad in ("42", 1.5, -1, True, np.int64(3)):
@@ -89,12 +101,12 @@ def test_yielding_non_event_fails_with_helpful_error(env):
             yield value
 
         proc = env.process(work())
-        proc.defuse()
-        env.run()
+        with pytest.raises(SimulationError):
+            env.run()
         assert not proc.ok, bad
         assert isinstance(proc.value, SimulationError), bad
         message = str(proc.value)
-        assert "Event" in message and "non-negative int delay" in message
+        assert "PARK" in message and "non-negative int delay" in message
 
 
 def test_yield_int_sleeps_exactly_delay_and_sends_none(env):
@@ -108,7 +120,7 @@ def test_yield_int_sleeps_exactly_delay_and_sends_none(env):
     env.process(work())
     env.run()
     assert got == [(9, None)]
-    # The start, two wakes and the process's own join event.
+    # The start, two wakes and the process's exit.
     assert env.events_processed == 4
 
 
@@ -133,12 +145,16 @@ def test_yield_zero_runs_after_pending_normal_work(env):
 
 
 def test_target_is_none_while_sleeping(env):
+    """A sleeping process waits on no event: its one queued entry is its
+    bare wake."""
+
     def work():
         yield 50
 
     proc = env.process(work())
     env.run(until=1)
-    assert proc.is_alive and proc.target is None
+    assert proc.is_alive
+    assert env._queue == [(50, NORMAL, 1, Process._resume, proc)]
 
 
 def _dispatch_keys(monkeypatch, body):
@@ -162,8 +178,8 @@ def _dispatch_keys(monkeypatch, body):
 
 
 def test_sleep_and_timeout_dispatch_under_identical_keys(monkeypatch):
-    """``yield d`` dispatches under the key of a timer event scheduled *d*
-    ahead in the yield expression (the kernel has no such event type)."""
+    """``yield d`` dispatches under the key of a timed resume armed *d*
+    ahead in the yield expression (the kernel has no timer event)."""
     delays = (3, 0, 5, 0, 3)
 
     def sleeper(env):
@@ -172,15 +188,13 @@ def test_sleep_and_timeout_dispatch_under_identical_keys(monkeypatch):
 
     def timed(env):
         for d in delays:
-            timer = env.event()
-            timer._ok, timer._value = True, None
-            env.schedule(timer, delay=d)
-            yield timer
+            env.call_later(d, Process._resume, env.active_process)
+            yield PARK
 
     keys = _dispatch_keys(monkeypatch, sleeper)
     assert keys == _dispatch_keys(monkeypatch, timed)
-    # Start, one wake per delay, the join event and the three entries
-    # the other work queues.
+    # Start, one wake per delay, the exit and the three entries the other
+    # work queues.
     assert len(keys) == len(delays) + 5
 
 
@@ -193,7 +207,7 @@ def test_parked_process_is_alive_with_no_target(env):
 
     proc = env.process(work())
     env.run()
-    assert proc.is_alive and proc.target is None
+    assert proc.is_alive and not proc.triggered
     assert env.queue_length == 0
 
 
@@ -221,14 +235,14 @@ def test_only_the_armed_callback_resumes_a_parked_process(env):
 
 
 def test_only_the_park_marker_parks(env):
-    """Any other bare object keeps the non-Event error contract."""
+    """Any other bare object fails the process."""
 
     def work():
         yield object()
 
     proc = env.process(work())
-    proc.defuse()
-    env.run()
+    with pytest.raises(SimulationError):
+        env.run()
     assert not proc.ok and isinstance(proc.value, SimulationError)
     assert "non-negative int delay" in str(proc.value)
 
@@ -250,20 +264,46 @@ def test_deadlock_with_parked_consumers_names_them():
     with pytest.raises(SimDeadlockError) as info:
         system.run_to_completion(limit=1_000_000)
     assert info.value.blocked == ("stuck-1", "stuck-2")
-    assert all(proc.is_alive and proc.target is None for proc in system.threads)
+    assert all(proc.is_alive for proc in system.threads)
+
+
+def test_drained_deadlock_is_typed_and_names_the_threads():
+    """Every ``pipeline`` thread parks on a full prodBuf reserve (the
+    generator's credit window outruns 16 entries), so the queue drains
+    and the watchdog, which fires only inside a dispatch, never runs.
+    The kernel's own error is the typed one: tick is the drain time and
+    ``blocked`` names the live threads as the watchdog would, so
+    ``run_workload`` passes it through unwrapped."""
+    from repro.eval.runner import run_workload, setting_by_name
+
+    systems = []
+    with pytest.raises(SimDeadlockError, match="queue drained") as info:
+        run_workload("pipeline", setting_by_name("vl"), scale=0.05,
+                     seed=12648430, config=SystemConfig(prodbuf_entries=16),
+                     on_system=systems.append)
+    system, = systems
+    assert info.value.tick == system.env.now > 0
+    assert info.value.blocked == tuple(
+        proc.name for proc in system.threads if proc.is_alive)
+    assert "pipe-gen" in info.value.blocked
+
+
+def _child():
+    yield 1
 
 
 def test_yielding_foreign_event_rejected(env):
+    """An event is not something to wait on: yielding one, even another
+    environment's process, fails the process."""
     other = Environment()
 
     def work():
-        yield other.event()
+        yield other.process(_child())
 
     proc = env.process(work())
-    proc.defuse()
-    env.run()
+    with pytest.raises(SimulationError, match="yielded <"):
+        env.run()
     assert not proc.ok
-    assert "different Environment" in str(proc.value)
 
 
 def test_process_is_alive_until_generator_returns(env):
@@ -279,17 +319,17 @@ def test_process_is_alive_until_generator_returns(env):
 
 
 def test_target_reports_waited_event(env):
-    timeout_holder = []
+    """What a parked process waits on is the entry it armed: the queue
+    holds the callback that will resume it, carrying the process."""
 
     def work():
-        t = env.event()
-        env.call_later(50, t.succeed)
-        timeout_holder.append(t)
-        yield t
+        env.call_later(50, Process._resume, env.active_process)
+        yield PARK
 
     proc = env.process(work())
     env.run(until=1)
-    assert proc.target is timeout_holder[0]
+    assert proc.is_alive
+    assert env._queue == [(50, NORMAL, 1, Process._resume, proc)]
 
 
 def test_two_processes_interleave(env):
@@ -322,4 +362,5 @@ def test_yield_from_subroutine(env):
         return value.upper()
 
     proc = env.process(work())
-    assert env.run_until_complete(proc) == "SUB-RESULT"
+    assert env.run_until_complete() == 5
+    assert proc.value == "SUB-RESULT"

@@ -32,7 +32,7 @@ def test_resource_grants_up_to_capacity(env):
     third = _user(env, res, log, "c")
     env.run(until=5)
     assert log == [("a", 0), ("b", 0)]
-    assert third.is_alive and third.target is None
+    assert third.is_alive and env.queue_length == 1  # only a's release
     env.run()
     assert log == [("a", 0), ("b", 0), ("c", 10)]
     assert res.in_use == 2
@@ -107,9 +107,13 @@ def test_handoff_keeps_in_use_constant(env):
     waiter = _user(env, res, log, "waiter")
     env.run(until=3)
     assert res.in_use == 1 and waiter.is_alive
-    env.step()  # the holder's release hands the unit to the waiter
-    assert env.now == 4 and res.in_use == 1 and log == [("holder", 0)]
+    # Queued now, this observation lands between the holder's release
+    # (its wake was queued at t=0) and the waiter's wake (queued by that
+    # release): the unit is handed over, not returned and re-taken.
+    seen = []
+    env.call_later(1, lambda _arg: seen.append((env.now, res.in_use, list(log))))
     env.run()
+    assert seen == [(4, 1, [("holder", 0)])]
     assert log == [("holder", 0), ("waiter", 4)]
     assert res.in_use == 1
     res.release()

@@ -42,9 +42,9 @@ def test_spsc_fifo_order():
             value = yield from queue.dequeue(1)
             received.append(value)
 
-    p = env.process(producer())
-    c = env.process(consumer())
-    env.run_until_complete(env.all_of([p, c]))
+    env.process(producer())
+    env.process(consumer())
+    env.run_until_complete()
     assert received == list(range(20))
     assert queue.enqueues == queue.dequeues == 20
 
@@ -69,7 +69,9 @@ def test_try_dequeue_empty_returns_none():
         value = yield from queue.try_dequeue(0)
         return value
 
-    assert env.run_until_complete(env.process(attempt())) is None
+    proc = env.process(attempt())
+    env.run_until_complete()
+    assert proc.ok and proc.value is None
 
 
 @given(
@@ -97,9 +99,11 @@ def test_mpmc_conservation(producers, consumers, per_producer):
 
     counts = [total // consumers] * consumers
     counts[0] += total - sum(counts)
-    procs = [env.process(producer(p)) for p in range(producers)]
-    procs += [env.process(consumer(c, n)) for c, n in enumerate(counts)]
-    env.run_until_complete(env.all_of(procs))
+    for p in range(producers):
+        env.process(producer(p))
+    for c, n in enumerate(counts):
+        env.process(consumer(c, n))
+    env.run_until_complete()
     expected = sorted(p * 1000 + i for p in range(producers) for i in range(per_producer))
     assert sorted(received) == expected
     mem.check_coherence_invariant()
@@ -143,7 +147,9 @@ def test_try_dequeue_success_returns_value_and_recycles():
         second = yield from queue.try_dequeue(1)
         return first, second
 
-    first, second = env.run_until_complete(env.process(driver()))
+    proc = env.process(driver())
+    env.run_until_complete()
+    first, second = proc.value
     assert first == 77
     assert second is None  # drained
     assert queue.dequeues == 1
@@ -164,7 +170,7 @@ def test_ring_wraps_through_multiple_laps():
             value = yield from queue.dequeue(1)
             received.append(value)
 
-    p = env.process(producer())
-    c = env.process(consumer())
-    env.run_until_complete(env.all_of([p, c]))
+    env.process(producer())
+    env.process(consumer())
+    env.run_until_complete()
     assert received == list(range(7))  # FIFO across 3+ laps of the ring

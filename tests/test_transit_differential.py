@@ -2,16 +2,18 @@
 Event form it replaced.
 
 A packet used to cross the network as events: ``FifoServer.serve``
-returned a timer event per link (a ``Timeout``, which the kernel no
-longer has; ``_timer`` below rebuilds it), a multi-hop route chained its hops
+returned a timer event per link, a multi-hop route chained its hops
 through a closure per hop and ended in a ``done`` event, and every
-caller subscribed a lambda to the result (or a coherence process yielded
-it).  The network now takes a continuation, ``transit_then(kind, fn,
-arg)``, and queues ``fn(arg)`` with ``call_later`` where the events were
-scheduled.  Each case here runs once with a test-local copy of the Event
-form monkeypatched in and once with the library as it is, and requires
-byte-identical results *and* the identical sequence of dispatched
-``(time, priority, seq)`` queue keys.
+caller subscribed a lambda to the result (or a coherence process waited
+on it).  The kernel no longer has subscribable events, so ``_OneShot``
+below rebuilds one: its subscribers fire from one ``call_later`` entry
+with the key the event's scheduling drew.  The network now takes a
+continuation, ``transit_then(kind, fn, arg)``, and queues ``fn(arg)``
+with ``call_later`` where the events were scheduled.  Each case here
+runs once with a test-local copy of the Event form monkeypatched in and
+once with the library as it is, and requires byte-identical results
+*and* the identical sequence of dispatched ``(time, priority, seq)``
+queue keys.
 
 The cases cover multi-hop transits (``scaling-halo`` on a 16-core mesh
 and torus), same-node and one-link deliveries, the shared bus with two
@@ -36,8 +38,8 @@ from repro.eval.scaling import scaling_config
 from repro.mem.bus import CoherenceNetwork, PacketKind
 from repro.mem.coherence import CoherentMemorySystem
 from repro.net.singlebus import SingleBusTopology
-from repro.sim.event import Event
 from repro.sim.hooks import BusHook, LinkHook
+from repro.sim.process import PARK, Process
 from repro.swqueue import run_software_pingpong
 from repro.system import System
 from repro.verify.fuzz import LinkSpec, ProgramSpec, run_fuzz_case
@@ -49,12 +51,34 @@ SCALE = 0.05
 
 
 # ------------------------------------------------- the Event form, verbatim
+class _OneShot:
+    """A one-shot event: its subscribers run, in subscription order, from
+    the one queue entry that :meth:`succeed` (or :func:`_timer`) queued,
+    under the ``(time, NORMAL, seq)`` key that scheduling the event drew."""
+
+    def __init__(self, env):
+        self.env = env
+        self.callbacks = []
+        self.fired = False
+
+    def subscribe(self, callback):
+        assert not self.fired, "every subscriber here joins before the event fires"
+        self.callbacks.append(callback)
+
+    def succeed(self):
+        self.env.call_later(0, _OneShot._fire, self)
+
+    def _fire(self):
+        self.fired = True
+        for callback in self.callbacks:
+            callback(self)
+
+
 def _timer(env, delay):
     """``env.timeout(delay)``: a triggered event scheduled *delay* ahead,
     its sequence number drawn here."""
-    event = Event(env)
-    event._ok, event._value = True, None
-    env.schedule(event, delay=delay)
+    event = _OneShot(env)
+    env.call_later(delay, _OneShot._fire, event)
     return event
 
 
@@ -101,7 +125,7 @@ def _topology_transit(topology, kind, src, dst):
         return _timer(env, topology.config.bus_occupancy)
     if len(links) == 1:
         return _traverse(topology, links[0], kind, src, dst)
-    done = Event(env, name=f"net-delivery[{kind}]")
+    done = _OneShot(env)
 
     def advance(index):
         hop = _traverse(topology, links[index], kind, src, dst)
@@ -134,7 +158,8 @@ def _response(network, src=0, dst=0):
 
 
 # Callers subscribed a lambda to the event (``library``, ``vlrd``,
-# ``multipush``); the coherence generators yielded it.
+# ``multipush``); a coherence generator parked and its process was
+# resumed by the event's subscriber.
 def _transit_then(self, kind, fn, arg, txn=None, src=0, dst=0):
     _transit(self, kind, txn=txn, src=src, dst=dst).subscribe(lambda _ev: fn(arg))
 
@@ -144,7 +169,10 @@ def _response_then(self, src, dst, fn, arg):
 
 
 def _bus_packet(self, src, dst):
-    yield _transit(self.network, PacketKind.COHERENCE, src=src, dst=dst)
+    process = self.env.active_process
+    _transit(self.network, PacketKind.COHERENCE, src=src, dst=dst).subscribe(
+        lambda _ev: Process._resume(process))
+    yield PARK
 
 
 def _run(monkeypatch, case, reference):
