@@ -81,10 +81,10 @@ class ThreadContext:
         falls behind its arrival schedule admits the next request
         immediately instead of waiting.
         """
-        delay = int(tick) - self.env.now
+        delay = int(tick) - self.env._now
         if delay > 0:
             yield delay
 
     @property
     def now(self) -> int:
-        return self.env.now
+        return self.env._now

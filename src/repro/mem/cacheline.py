@@ -29,6 +29,11 @@ class LineState(Enum):
     EMPTY = "empty"  # ready to accept a push (vacated or never filled)
     VALID = "valid"  # holds a delivered, not-yet-consumed message
 
+    #: Identity hash: a state keys each line's residency timer, and the
+    #: inherited ``Enum.__hash__`` is a Python frame per lookup.  No set
+    #: of states is ever iterated, so no order depends on it.
+    __hash__ = object.__hash__
+
 
 class ConsumerLine:
     """One cacheline of a consumer endpoint's receive buffer."""
@@ -94,9 +99,11 @@ class ConsumerLine:
         A miss (line still VALID) leaves the line untouched — the routing
         device will retry the push through the address-mapping pipeline.
         """
+        hooks = self.hooks
         if self._state is LineState.VALID:
             self.failed_fills += 1
-            self._publish("failed-fill", transaction_id)
+            if hooks is not None and LineHook in hooks.wanted:
+                self._publish("failed-fill", transaction_id)
             return False
         self._state = LineState.VALID
         self.timer.transition(LineState.VALID)
@@ -104,7 +111,8 @@ class ConsumerLine:
         self.fill_txn = transaction_id
         self.fills += 1
         self.unconfirmed = unconfirmed
-        self._publish("fill", transaction_id)
+        if hooks is not None and LineHook in hooks.wanted:
+            self._publish("fill", transaction_id)
         return True
 
     def confirm(self) -> None:
@@ -129,8 +137,9 @@ class ConsumerLine:
         self._state = LineState.EMPTY
         self.timer.transition(LineState.EMPTY)
         self.unconfirmed = False
-        self.last_vacate_time = self.env.now
-        self._publish("rollback", self.fill_txn)
+        self.last_vacate_time = self.env._now
+        if self.hooks is not None and LineHook in self.hooks.wanted:
+            self._publish("rollback", self.fill_txn)
         self.fill_txn = None
         return data
 
@@ -145,24 +154,24 @@ class ConsumerLine:
         self._state = LineState.EMPTY
         self.timer.transition(LineState.EMPTY)
         self.vacates += 1
-        self.last_vacate_time = self.env.now
-        self._publish("vacate", self.fill_txn)
+        self.last_vacate_time = self.env._now
+        if self.hooks is not None and LineHook in self.hooks.wanted:
+            self._publish("vacate", self.fill_txn)
         return data
 
     def _publish(self, transition: str, transaction_id: Optional[int]) -> None:
-        """Publish one occupancy transition (zero-cost on a silent bus)."""
-        hooks = self.hooks
-        if hooks is not None and hooks.wants(LineHook):
-            hooks.publish(
-                LineHook(
-                    tick=self.env._now,
-                    addr=self.addr,
-                    endpoint_id=self.endpoint_id,
-                    index=self.index,
-                    transition=transition,
-                    transaction_id=transaction_id,
-                )
+        """Publish one occupancy transition; callers test ``LineHook in
+        hooks.wanted`` first, so a silent bus costs no call."""
+        self.hooks.publish(
+            LineHook(
+                tick=self.env._now,
+                addr=self.addr,
+                endpoint_id=self.endpoint_id,
+                index=self.index,
+                transition=transition,
+                transaction_id=transaction_id,
             )
+        )
 
     # -- metrics ---------------------------------------------------------------
     def empty_cycles(self) -> int:

@@ -68,7 +68,13 @@ class SingleBusTopology(Topology):
         # channel (the first on a tie), occupancy then propagation.  The
         # queue entry count and order are part of the bit-identity contract.
         now = self.env._now
-        channel = min(self.channels, key=lambda s: max(s._free_at, now))
+        channel = None
+        for server in self.channels:
+            free_at = server._free_at
+            if free_at < now:
+                free_at = now
+            if channel is None or free_at < best:
+                channel, best = server, free_at
         channel.serve_then(self.latency, fn, arg)
 
     # ------------------------------------------------------------------ metrics

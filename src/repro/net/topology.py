@@ -211,10 +211,10 @@ class Topology:
             link.wait_cycles += wait
         server.serve_then(link.latency, fn, arg)
         hooks = self.hooks
-        if hooks is not None and hooks.wants(LinkHook):
+        if hooks is not None and LinkHook in hooks.wanted:
             hooks.publish(
                 LinkHook(
-                    tick=self.env.now,
+                    tick=self.env._now,
                     link=link.name,
                     kind=kind,
                     src=src,
@@ -240,14 +240,14 @@ class Topology:
 
     def utilization(self, elapsed: int = 0) -> float:
         """Mean busy fraction across all links over *elapsed* cycles."""
-        window = elapsed or self.env.now
+        window = elapsed or self.env._now
         if window <= 0 or not self._links:
             return 0.0
         return min(1.0, self.busy_cycles / (window * len(self._links)))
 
     def link_report(self, elapsed: int = 0) -> List[Dict]:
         """Per-link utilization/backpressure rows, construction order."""
-        window = elapsed or self.env.now
+        window = elapsed or self.env._now
         return [
             {
                 "link": link.name,

@@ -4,7 +4,7 @@ The package is strictly *observe-only*: every component here is a
 :class:`~repro.sim.hooks.HookBus` subscriber or a post-run reader, records
 simulation ticks (never wall-clock), and schedules no events — attaching
 the full stack cannot change a run's results, and leaving it off costs the
-hot paths nothing (the publishers' ``wants()`` guards stay False).
+hot paths nothing (the publishers' ``hooks.wanted`` guards stay False).
 
 Entry points:
 

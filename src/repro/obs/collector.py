@@ -7,7 +7,7 @@ per-algorithm push-delay decisions, cacheline fill/vacate churn, network
 occupancy, semantic push/delivery counts.  It is a plain
 :class:`~repro.sim.hooks.HookBus` subscriber: attaching one never changes
 a run's tick sequence, and with no collector attached the publishers'
-``wants()`` guards keep the hot path free.
+``hooks.wanted`` guards keep the hot path free.
 
 :func:`finalize_system` complements the streaming collector with the
 run-boundary numbers that need no per-event work at all: kernel event
@@ -141,15 +141,14 @@ def finalize_system(system: "System", registry: MetricsRegistry) -> None:
 
     Called once after the simulation completes; reads counters the kernel,
     network and library maintain anyway, so the metrics-off overhead of
-    these numbers is exactly zero.  Call it before
-    :meth:`~repro.system.System.close`: a closed kernel holds no pending
-    entries, so ``kernel.queue_length`` would read 0.
+    these numbers is exactly zero.  There is no pending-queue gauge: a
+    completed run ends on its last process exit with nothing queued, so
+    it would read 0 on every run that reaches here.
     """
     env = system.env
     registry.gauge_set("kernel.sim_time", float(env.now))
     registry.gauge_set("kernel.events.dispatched", float(env.events_processed))
     registry.gauge_set("kernel.events.scheduled", float(env.events_scheduled))
-    registry.gauge_set("kernel.queue_length", float(env.queue_length))
     registry.gauge_set("bus.busy_cycles", float(system.network.busy_cycles))
     registry.gauge_set(
         "bus.utilization", round(system.network.utilization(), 6)

@@ -11,18 +11,32 @@ Time is an integer cycle count.  All device latencies in this package are
 integral, which keeps the queue keys exact (no float comparisons) and runs
 reproducible bit-for-bit across platforms.
 
-Every entry is a :meth:`Environment.call_later`: a process's start, each
-of its sleeps (a bare ``yield delay``), the wake of a parked process
+Every entry is queued with :meth:`Environment.call_later` or re-armed
+by the dispatch loop: a process's start, each of its sleeps (a bare
+``yield delay``), the wake of a parked process
 (:class:`~repro.sim.resources.Resource`, a network delivery, a line
 poll) and its exit (:mod:`repro.sim.process`).  The environment keeps
 the set of live processes; :meth:`Environment.run_until_complete` runs
-until the last one has exited, so joining needs no event.  Hot-path
-notes (docs/PERFORMANCE.md §5): :meth:`Environment.run` and
+until the last one has exited, so joining needs no event.
+
+**Return-a-delay contract.**  A dispatched callback returns ``None`` or
+a non-negative ``int`` *delay*.  A delay re-arms the same ``(fn, arg)``
+at ``(now + delay, NORMAL, seq)``, its ``seq`` drawn right after the
+callback returns: exactly the key a ``call_later(delay, fn, arg)`` made
+as the callback's last statement would have, so a re-arm changes no
+dispatch order.  A process's sleep (``Process._resume``) and an idle
+line poll (``repro.vlink.library._poll_tick``) re-arm this way; every
+other callback returns ``None``.  A callback that calls one of them
+synchronously queues the returned delay itself.
+
+Hot-path notes (docs/PERFORMANCE.md §5): :meth:`Environment.run` and
 :meth:`Environment.run_until_complete` drive the same loop
 (:meth:`Environment._loop`) with the dispatch body inlined, so an entry
-costs no kernel-side Python frame, and CPython's internal tuple freelist
-recycles the entries themselves (measured faster than a Python-level
-slab — docs/PERFORMANCE.md §5 records the comparison).
+costs no kernel-side Python frame; the window limit and the watchdog
+deadline fold into one stop bound, so the loop makes one compare per
+entry; and CPython's internal tuple freelist recycles the entries
+themselves (measured faster than a Python-level slab —
+docs/PERFORMANCE.md §5 records the comparison).
 """
 
 from __future__ import annotations
@@ -61,6 +75,8 @@ class Environment:
         "_live",
         "_watchdog",
         "_watchdog_after",
+        "_limit",
+        "_stop",
     )
 
     def __init__(self, initial_time: int = 0) -> None:
@@ -82,6 +98,11 @@ class Environment:
         # only raise to abort a stalled run.
         self._watchdog: Optional[Callable[[int], None]] = None
         self._watchdog_after: int = 0
+        #: The running loop's window limit, and the loop's one stop bound:
+        #: the earlier of that limit and the cycle before the watchdog
+        #: deadline.  Every watchdog setter recomputes it.
+        self._limit: int = _NO_LIMIT
+        self._stop: int = _NO_LIMIT
 
     # -- clock -------------------------------------------------------------
     @property
@@ -91,8 +112,9 @@ class Environment:
 
     @property
     def events_processed(self) -> int:
-        """Total queue entries dispatched so far (the wall-clock benchmark's
-        events/sec denominator)."""
+        """Total queue entries dispatched (the wall-clock benchmark's
+        events/sec denominator).  The loop counts in a local and stores
+        the count when it returns or raises: read it between runs."""
         return self._processed
 
     @property
@@ -155,13 +177,23 @@ class Environment:
         """
         self._watchdog = callback
         self._watchdog_after = int(deadline)
+        self._rebound()
 
     def defer_watchdog(self, deadline: int) -> None:
         """Move the watchdog deadline forward (progress was observed)."""
         self._watchdog_after = int(deadline)
+        self._rebound()
 
     def clear_watchdog(self) -> None:
         self._watchdog = None
+        self._rebound()
+
+    def _rebound(self) -> None:
+        """Recompute the loop's stop bound from the limit and the watchdog."""
+        if self._watchdog is None:
+            self._stop = self._limit
+        else:
+            self._stop = min(self._limit, self._watchdog_after - 1)
 
     def close(self) -> None:
         """Drop every pending entry, the live set and the watchdog.
@@ -169,14 +201,18 @@ class Environment:
         A run stopped before its last exit (a limit, a deadlock, a
         windowed run) leaves entries behind (parked polls, housekeeping
         callbacks) whose bound methods point back into the model, and
-        the live set holds its unfinished processes; the environment
-        cannot run on afterwards.  The clock and the event
-        counts stay as they were, but :attr:`queue_length` reads 0 from
-        here on: read the leftover count before closing.
+        the live set holds its unfinished processes, whose suspended
+        generator frames point back into the model too; each of those
+        generators is closed here (``GeneratorExit`` at its suspension
+        point).  The environment cannot run on afterwards.  The clock and
+        the event counts stay as they were, but :attr:`queue_length`
+        reads 0 from here on: read the leftover count before closing.
         """
         self._queue.clear()
+        for process in self._live:
+            process.generator.close()
         self._live.clear()
-        self._watchdog = None
+        self.clear_watchdog()
 
     @property
     def has_watchdog(self) -> bool:
@@ -192,21 +228,45 @@ class Environment:
         off the queue and the live set.  Each entry leaves the queue
         before it runs, so a raising watchdog or a failed process's exit
         consumes exactly that entry and leaves the rest intact.
+
+        One compare per entry against the stop bound covers both the
+        window and the watchdog; an entry past it is either past *limit*
+        (stop) or at/past the watchdog deadline (fire, then dispatch).
+        A callback's returned delay re-arms it through ``heappush`` with
+        the ``seq`` drawn here, after the callback returned (the
+        module docstring's return-a-delay contract).
         """
         queue = self._queue
-        while queue:
-            if join and not self._live:
-                return
-            entry = queue[0]
-            when = entry[0]
-            if when > limit:
-                return
-            heappop(queue)
-            self._now = when
-            if self._watchdog is not None and when >= self._watchdog_after:
-                self._watchdog(when)
-            self._processed += 1
-            entry[3](entry[4])
+        live = self._live
+        push, pop = heappush, heappop
+        self._limit = limit
+        self._rebound()
+        processed = self._processed
+        try:
+            while queue:
+                if join and not live:
+                    return
+                entry = queue[0]
+                when = entry[0]
+                if when > self._stop:
+                    if when > limit:
+                        return
+                    pop(queue)
+                    self._now = when
+                    self._watchdog(when)
+                else:
+                    pop(queue)
+                    self._now = when
+                processed += 1
+                fn = entry[3]
+                arg = entry[4]
+                delay = fn(arg)
+                if delay is not None:
+                    seq = self._seq
+                    push(queue, (when + delay, NORMAL, seq, fn, arg))
+                    self._seq = seq + 1
+        finally:
+            self._processed = processed
 
     def run(self, until: Optional[int] = None) -> int:
         """Run until the queue drains or the clock passes *until*.

@@ -4,13 +4,20 @@ A :class:`Process` drives a Python generator.  Each ``yield`` hands the
 kernel one of two things:
 
 * a non-negative ``int`` *delay* — a plain sleep.  The process resumes
-  exactly *delay* cycles later with ``None``: the wake rides the kernel
-  queue as one :meth:`~repro.sim.kernel.Environment.call_later` entry
-  whose sequence number is drawn at the yield.  This is the only way to
-  sleep; a callback that must run later is itself a ``call_later``.
+  exactly *delay* cycles later with ``None``: :meth:`Process._resume`
+  returns the delay, and the dispatch loop re-arms the same
+  ``(Process._resume, process)`` entry under ``(now + delay, NORMAL,
+  seq)`` with the sequence number drawn at the yield (the kernel's
+  return-a-delay contract, :mod:`repro.sim.kernel`).  This is the only
+  way to sleep; a callback that must run later is itself a
+  ``call_later``.
 * :data:`PARK` — the process parks: nothing is queued for it, and it
   stays alive until the kernel callback that the process armed before
-  parking calls ``Process._resume(process)``, which sends ``None``.  The
+  parking resumes it, which sends ``None``: it queues
+  ``call_later(0, Process._resume, process)``, or calls
+  ``Process._resume(process)`` itself and queues the delay that call
+  returns (the process's next sleep) with
+  ``call_later(delay, Process._resume, process)``.  The
   stalled pop of :mod:`repro.vlink.library` parks on its line poll this
   way, so a poll that finds the line still empty costs one callback and
   no generator resume; a :class:`~repro.sim.resources.Resource` waiter
@@ -71,17 +78,21 @@ class Process(Event):
         """True while the generator has not finished."""
         return self._value is _PENDING
 
-    def _resume(self) -> None:
-        """Advance the generator by one slice (kernel callback).
+    def _resume(self) -> Optional[int]:
+        """Advance the generator by one slice (kernel callback); returns
+        the sleep delay, or None.
 
         Sends ``None``: the start, the end of a sleep and the end of a
         park all look alike to the generator.  Hot path: runs once per
         yield across every process in the simulation, so the sleep test
         comes first and the park test second (a park queues nothing: the
-        callback the process armed resumes it).  A sleep's wake is queued
-        through :meth:`Environment.call_later` with the unbound function
-        and ``self`` as its argument; a bound method cached on the
-        process would be a reference cycle.
+        callback the process armed resumes it).  A sleep returns its
+        delay and the dispatch loop re-arms this entry (the unbound
+        function with ``self`` as its argument; a bound method cached on
+        the process would be a reference cycle).  A caller outside the
+        loop must queue a returned delay itself, with
+        ``call_later(delay, Process._resume, self)``, and nothing in
+        between.
         """
         env = self.env
         env._active_process = self
@@ -90,16 +101,15 @@ class Process(Event):
         except StopIteration as stop:
             env._active_process = None
             self._finish(True, stop.value)
-            return
+            return None
         except BaseException as exc:
             env._active_process = None
             self._finish(False, exc)
-            return
+            return None
         env._active_process = None
 
         if result.__class__ is int and result >= 0:
-            env.call_later(result, Process._resume, self)
-            return
+            return result
         if result is not PARK:
             self._finish(
                 False,

@@ -221,7 +221,7 @@ class RequestLog:
             return
         from repro.sim.hooks import RequestHook
 
-        if not hooks.wants(RequestHook):
+        if RequestHook not in hooks.wanted:
             return
         hooks.publish(
             RequestHook(

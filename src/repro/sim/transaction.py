@@ -226,7 +226,7 @@ class TransactionLog:
         next_id = self._next_id
         tid = next_id.get(kind, 0)
         next_id[kind] = tid + 1
-        if self.hooks.wants(self._event):
+        if self._event in self.hooks.wanted:
             return tid, TransactionRecord(tid, sqi, kind)
         return tid, None
 

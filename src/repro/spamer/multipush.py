@@ -217,7 +217,7 @@ class MultiPushSpeculation(SpecBufSpeculation):
                     burst.claims.append(claim)
                     burst.by_entry[id(entry)] = claim
                     self._bursts[cursor.index] = burst
-                    if self.hooks.wants(SpecDecisionHook):
+                    if SpecDecisionHook in self.hooks.wanted:
                         self.hooks.publish(
                             SpecDecisionHook(
                                 tick=now,
@@ -253,7 +253,7 @@ class MultiPushSpeculation(SpecBufSpeculation):
         claim = BurstClaim(entry, line)
         burst.claims.append(claim)
         burst.by_entry[id(entry)] = claim
-        if self.hooks.wants(SpecDecisionHook):
+        if SpecDecisionHook in self.hooks.wanted:
             self.hooks.publish(
                 SpecDecisionHook(
                     tick=now,
@@ -263,7 +263,7 @@ class MultiPushSpeculation(SpecBufSpeculation):
                     delay=0,
                 )
             )
-        self.stats.add("burst_claims")
+        self.stats.counts["burst_claims"] += 1
         return SpecTarget(line, cursor.index, now, unconfirmed=True)
 
     # ---------------------------------------------------------------- responses
@@ -282,7 +282,7 @@ class MultiPushSpeculation(SpecBufSpeculation):
             # A cancelled claim's response came back; the device stamps
             # ROLLED_BACK and hands the entry to complete_rollback().
             burst.outstanding -= 1
-            if self.hooks.wants(SpecBufHook):
+            if SpecBufHook in self.hooks.wanted:
                 self.hooks.publish(
                     SpecBufHook(tick=now, sqi=entry.sqi,
                                 entry_index=spec_entry.index, hit=hit)
@@ -293,7 +293,7 @@ class MultiPushSpeculation(SpecBufSpeculation):
             # Oldest claim: exactly the single-push response path — the
             # inner algorithm learns, a miss sticky-retries via retry().
             self.algorithm.on_response(spec_entry, hit, now)
-            if self.hooks.wants(SpecBufHook):
+            if SpecBufHook in self.hooks.wanted:
                 self.hooks.publish(
                     SpecBufHook(tick=now, sqi=entry.sqi,
                                 entry_index=spec_entry.index, hit=hit)
@@ -301,7 +301,7 @@ class MultiPushSpeculation(SpecBufSpeculation):
             if hit:
                 self._confirm_front(burst, spec_entry, now)
             return None
-        if self.hooks.wants(SpecBufHook):
+        if SpecBufHook in self.hooks.wanted:
             self.hooks.publish(
                 SpecBufHook(tick=now, sqi=entry.sqi,
                             entry_index=spec_entry.index, hit=hit)
@@ -356,7 +356,7 @@ class MultiPushSpeculation(SpecBufSpeculation):
             claim.entry.spec_entry_index = None
             claim.entry.spec_unconfirmed = False
             est.record(True)
-            self.stats.add("burst_confirms")
+            self.stats.counts["burst_confirms"] += 1
             if not burst.claims or not burst.claims[0].landed:
                 break
         self._maybe_finish(burst, spec_entry)
@@ -397,15 +397,15 @@ class MultiPushSpeculation(SpecBufSpeculation):
         claim = burst.by_entry.pop(id(entry))
         entry.spec_entry_index = None
         entry.spec_unconfirmed = False
-        self.stats.add("spec_rollbacks")
+        self.stats.counts["spec_rollbacks"] += 1
         if hit:
             # The stash filled claim.line (unconfirmed).  Invalidating it
             # costs a real network traversal — the wasted-push charge.
             burst.invalidations += 1
             network = self.device.network
-            src = network.srd_node(self.device.srd_index)
-            dst = network.core_node(claim.line.core_id)
-            self.stats.add("rollback_invalidations")
+            src = network.srd_nodes[self.device.srd_index]
+            dst = network.core_nodes[claim.line.core_id]
+            self.stats.counts["rollback_invalidations"] += 1
             network.transit_then(
                 PacketKind.COHERENCE,
                 self._invalidated,

@@ -66,7 +66,7 @@ class SpecBufSpeculation(SpeculationPolicy):
             head = self.specbuf.ring_head(endpoint.sqi)
             assert head is not None
             row.spec_head = head.index
-        self.stats.add("spec_registrations")
+        self.stats.counts["spec_registrations"] += 1
 
     # --------------------------------------------------------- speculation path
     def select(
@@ -89,7 +89,7 @@ class SpecBufSpeculation(SpeculationPolicy):
                 if tick is not None:
                     cursor.on_fly = True
                     row.spec_head = cursor.next_index
-                    if self.hooks.wants(SpecDecisionHook):
+                    if SpecDecisionHook in self.hooks.wanted:
                         self.hooks.publish(
                             SpecDecisionHook(
                                 tick=now,
@@ -109,7 +109,7 @@ class SpecBufSpeculation(SpeculationPolicy):
         assert entry.spec_entry_index is not None
         spec_entry = self.specbuf.entry(entry.spec_entry_index)
         self.algorithm.on_response(spec_entry, hit, now)
-        if self.hooks.wants(SpecBufHook):
+        if SpecBufHook in self.hooks.wanted:
             self.hooks.publish(
                 SpecBufHook(
                     tick=now, sqi=entry.sqi, entry_index=spec_entry.index, hit=hit
@@ -135,7 +135,7 @@ class SpecBufSpeculation(SpeculationPolicy):
         assert entry.spec_entry_index is not None
         spec_entry = self.specbuf.entry(entry.spec_entry_index)
         tick = self.algorithm.send_tick(spec_entry, now)
-        if self.hooks.wants(SpecDecisionHook):
+        if SpecDecisionHook in self.hooks.wanted:
             self.hooks.publish(
                 SpecDecisionHook(
                     tick=now,

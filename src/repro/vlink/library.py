@@ -145,7 +145,7 @@ class QueueLibrary:
         now = self.env._now
         txn.stamp(state, now, detail)
         hooks = self.system.hooks
-        if hooks.wants(TransactionHook):
+        if TransactionHook in hooks.wanted:
             hooks.publish(
                 TransactionHook(
                     tick=now,
@@ -183,10 +183,10 @@ class QueueLibrary:
         )
         producer.pushes += 1
         hooks = self.system.hooks
-        if hooks.wants(PushHook):
+        if PushHook in hooks.wanted:
             hooks.publish(
                 PushHook(
-                    tick=self.env.now,
+                    tick=self.env._now,
                     sqi=message.sqi,
                     producer_id=message.producer_id,
                     seq=message.seq,
@@ -200,8 +200,8 @@ class QueueLibrary:
             PacketKind.PUSH_DATA,
             device.accept_push,
             message,
-            src=network.core_node(producer.core_id),
-            dst=network.srd_node(device.srd_index),
+            src=network.core_nodes[producer.core_id],
+            dst=network.srd_nodes[device.srd_index],
         )
         return message
 
@@ -274,10 +274,10 @@ class QueueLibrary:
 
         # ---- fast path / delivery: read, trace first use, vacate.
         hooks = self.system.hooks
-        if hooks.wants(TraceHook):
+        if TraceHook in hooks.wanted:
             hooks.publish(
                 TraceHook(
-                    tick=self.env.now,
+                    tick=self.env._now,
                     kind=EventKind.FIRST_USE,
                     transaction_id=line.fill_txn or 0,
                     sqi=consumer.sqi,
@@ -287,10 +287,10 @@ class QueueLibrary:
         message = line.consume()
         if message.txn is not None:
             self._stamp(message.txn, TxnState.RETIRED)
-        if hooks.wants(DeliveryHook):
+        if DeliveryHook in hooks.wanted:
             hooks.publish(
                 DeliveryHook(
-                    tick=self.env.now,
+                    tick=self.env._now,
                     sqi=message.sqi,
                     endpoint_id=consumer.endpoint_id,
                     producer_id=message.producer_id,
@@ -321,8 +321,8 @@ class QueueLibrary:
             PacketKind.REQUEST,
             device.accept_request,
             request,
-            src=network.core_node(consumer.core_id),
-            dst=network.srd_node(device.srd_index),
+            src=network.core_nodes[consumer.core_id],
+            dst=network.srd_nodes[device.srd_index],
         )
 
 
@@ -401,29 +401,33 @@ class _StalledPop:
         return False
 
 
-def _poll_tick(poll: _StalledPop) -> None:
+def _poll_tick(poll: _StalledPop) -> Optional[int]:
     """One poll of a parked pop (a kernel callback).
 
     In the order the generator loop checked them: the stop condition, the
     due work, then the line itself.  A poll that finds nothing to act on
-    re-queues itself at once, so the next poll draws its sequence number
-    exactly where the loop's ``yield quantum`` did; any other poll resumes
-    the parked generator, synchronously, inside this dispatch.
+    returns its quantum, and the dispatch loop re-arms it, so the next
+    poll draws its sequence number exactly where the loop's ``yield
+    quantum`` did.  Any other poll resumes the parked generator,
+    synchronously, inside this dispatch, and queues the sleep that
+    resume returns, as the loop would have.
     """
     try:
         if poll.stop_check is not None and poll.stop_check():
             poll.stopped = True
         else:
-            env = poll.env
-            now = env._now
+            now = poll.env._now
             if now < poll.due or not poll.act(now):
                 line = poll.line
                 if line._state is not _VALID or line.unconfirmed:
-                    env.call_later(poll.quantum, _poll_tick, poll)
-                    return
+                    return poll.quantum
     except Exception as exc:  # raised inside the popping thread, as before
         poll.error = exc
-    Process._resume(poll.process)
+    process = poll.process
+    delay = Process._resume(process)
+    if delay is not None:
+        poll.env.call_later(delay, Process._resume, process)
+    return None
 
 
 _VALID = LineState.VALID

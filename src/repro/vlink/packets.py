@@ -44,6 +44,9 @@ class ProdEntry:
     """A prodBuf entry holding producer data inside the routing device."""
 
     message: Message
+    #: The message's SQI, copied at construction: a plain field, since
+    #: every pipeline stage reads it.
+    sqi: int
     arrived_at: int          # cycle the push packet reached the device
     attempts: int = 0        # push attempts so far (retries after misses)
     #: specBuf entry index of the in-flight speculative attempt (if any);
@@ -53,10 +56,6 @@ class ProdEntry:
     #: the stash lands unconfirmed (invisible to the consumer) until the
     #: burst head confirms, or is rolled back on a misprediction.
     spec_unconfirmed: bool = False
-
-    @property
-    def sqi(self) -> int:
-        return self.message.sqi
 
 
 @dataclass

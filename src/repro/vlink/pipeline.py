@@ -165,9 +165,14 @@ class MappingPipeline:
         sqi: int,
         detail: str = "",
     ) -> None:
-        """Stamp *record* (if any) and publish the state change on the bus."""
+        """Stamp *record* (if any) and publish the state change on the bus.
+
+        Hot callers skip the call when there is nothing to do (no record
+        and no :class:`TransactionHook` in ``hooks.wanted``), which is
+        every packet of a silent run.
+        """
         hooks = self.hooks
-        wanted = hooks.wants(TransactionHook)
+        wanted = TransactionHook in hooks.wanted
         if record is None and not wanted:
             return
         now = self.env._now
@@ -184,8 +189,11 @@ class MappingPipeline:
         self, kind: EventKind, time: int, transaction_id: int, sqi: int,
         detail: str = "",
     ) -> None:
-        """Publish one Figure-7 trace moment (possibly back-timestamped)."""
-        if self.hooks.wants(TraceHook):
+        """Publish one Figure-7 trace moment (possibly back-timestamped).
+
+        Hot callers test ``TraceHook in hooks.wanted`` first.
+        """
+        if TraceHook in self.hooks.wanted:
             self.hooks.publish(
                 TraceHook(
                     tick=int(time),
@@ -237,10 +245,13 @@ class MappingPipeline:
         cannot be stashed into an earlier ring position — this is what
         keeps delivery per-producer FIFO across mis-speculations.
         """
-        self.stats.add("spec_retries")
+        self.stats.counts["spec_retries"] += 1
         entry.spec_unconfirmed = spec.unconfirmed
-        self.stamp(entry.message.txn, TxnState.MAPPED, entry.sqi, "retry")
-        delay = self.stage_latency + max(0, spec.send_tick - self.env.now)
+        txn = entry.message.txn
+        if txn is not None or TransactionHook in self.hooks.wanted:
+            self.stamp(txn, TxnState.MAPPED, entry.sqi, "retry")
+        ahead = spec.send_tick - self.env._now
+        delay = self.stage_latency + (ahead if ahead > 0 else 0)
         self.env.call_later(
             delay, lambda _arg: self._dispatch(entry, spec.line, True))
 
@@ -250,7 +261,9 @@ class MappingPipeline:
         if row.buffered_data:
             # Keep per-SQI FIFO: fresh arrivals queue behind parked packets.
             row.buffered_data.append(entry)
-            self.stamp(entry.message.txn, TxnState.BUFFERED, entry.sqi, "backlog")
+            txn = entry.message.txn
+            if txn is not None or TransactionHook in self.hooks.wanted:
+                self.stamp(txn, TxnState.BUFFERED, entry.sqi, "backlog")
             self.kick(row)
             return
         self._map_front(row, entry)
@@ -262,32 +275,43 @@ class MappingPipeline:
             self._matched(request, entry)
             self._dispatch(entry, request.line, False)
             return
-        spec = self.speculation.select(row, entry, self.env.now)
+        spec = self.speculation.select(row, entry, self.env._now)
         if spec is not None:
             self._speculated(entry, spec)
             return
         row.buffered_data.append(entry)
-        self.stats.add("buffered")
-        self.stamp(entry.message.txn, TxnState.BUFFERED, entry.sqi)
+        self.stats.counts["buffered"] += 1
+        txn = entry.message.txn
+        if txn is not None or TransactionHook in self.hooks.wanted:
+            self.stamp(txn, TxnState.BUFFERED, entry.sqi)
 
     def _matched(self, request: ConsRequest, entry: ProdEntry) -> None:
         """Bookkeeping for an on-demand pairing (Stage-3 consTgt mux)."""
-        self.trace(
-            EventKind.REQUEST_ARRIVE,
-            request.arrived_at,
-            entry.message.transaction_id,
-            entry.sqi,
-        )
-        self.stamp(entry.message.txn, TxnState.MAPPED, entry.sqi, "on-demand")
-        self.stamp(request.txn, TxnState.MATCHED, request.sqi)
+        wanted = self.hooks.wanted
+        if TraceHook in wanted:
+            self.trace(
+                EventKind.REQUEST_ARRIVE,
+                request.arrived_at,
+                entry.message.transaction_id,
+                entry.sqi,
+            )
+        stamping = TransactionHook in wanted
+        if stamping or entry.message.txn is not None:
+            self.stamp(entry.message.txn, TxnState.MAPPED, entry.sqi, "on-demand")
+        if stamping or request.txn is not None:
+            self.stamp(request.txn, TxnState.MATCHED, request.sqi)
 
     def _speculated(self, entry: ProdEntry, spec: SpecTarget) -> None:
         """Stage-3 specTgt path: schedule the delayed speculative dispatch."""
         entry.spec_entry_index = spec.entry_index
         entry.spec_unconfirmed = spec.unconfirmed
-        delay = max(0, spec.send_tick - self.env.now)
-        self.stats.add("spec_selected")
-        self.stamp(entry.message.txn, TxnState.MAPPED, entry.sqi, "speculative")
+        delay = spec.send_tick - self.env._now
+        if delay < 0:
+            delay = 0
+        self.stats.counts["spec_selected"] += 1
+        txn = entry.message.txn
+        if txn is not None or TransactionHook in self.hooks.wanted:
+            self.stamp(txn, TxnState.MAPPED, entry.sqi, "speculative")
         self.env.call_later(
             delay, lambda _arg: self._dispatch(entry, spec.line, True))
 
@@ -309,7 +333,7 @@ class MappingPipeline:
             # (an MSHR-style CAM match).  Re-issued fetches from the polling
             # loop would otherwise accumulate and exhaust consBuf.
             self._consbuf_occupancy -= 1
-            self.stats.add("requests_coalesced")
+            self.stats.counts["requests_coalesced"] += 1
             self.stamp(request.txn, TxnState.COALESCED, request.sqi)
             return
         if row.buffered_data:
@@ -337,7 +361,7 @@ class MappingPipeline:
                 self._matched(request, entry)
                 self._dispatch(entry, request.line, False)
                 continue
-            spec = self.speculation.select(row, row.buffered_data[0], self.env.now)
+            spec = self.speculation.select(row, row.buffered_data[0], self.env._now)
             if spec is not None:
                 entry = row.buffered_data.popleft()
                 self._speculated(entry, spec)

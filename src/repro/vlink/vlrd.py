@@ -34,7 +34,7 @@ from repro.config import SystemConfig
 from repro.mem.bus import CoherenceNetwork, PacketKind
 from repro.mem.cacheline import ConsumerLine
 from repro.registry import register_device
-from repro.sim.hooks import EventKind, HookBus
+from repro.sim.hooks import EventKind, HookBus, TraceHook, TransactionHook
 from repro.sim.resources import Resource
 from repro.sim.stats import Counter
 from repro.sim.transaction import TxnState
@@ -196,25 +196,34 @@ class VirtualLinkRoutingDevice:
 
     # ----------------------------------------------------------- producer side
     def accept_push(self, message: Message) -> None:
-        """A vl_push packet arrived over the network (credit already held)."""
-        self.stats.add("data_arrivals")
-        self.pipeline.stamp(message.txn, TxnState.PUSHED, message.sqi)
-        self.pipeline.trace(
-            EventKind.DATA_ARRIVE, self.env.now, message.transaction_id, message.sqi
-        )
-        entry = ProdEntry(message, arrived_at=self.env.now)
-        self.pipeline.ingress(entry)
+        """A vl_push packet arrived over the network (credit already held).
+
+        The hot path guards each stamp and trace moment at the call site
+        (a record to stamp, or a subscriber on the bus), so a silent run
+        enters neither helper.
+        """
+        self.stats.counts["data_arrivals"] += 1
+        now = self.env._now
+        wanted = self.hooks.wanted
+        if message.txn is not None or TransactionHook in wanted:
+            self.pipeline.stamp(message.txn, TxnState.PUSHED, message.sqi)
+        if TraceHook in wanted:
+            self.pipeline.trace(
+                EventKind.DATA_ARRIVE, now, message.transaction_id, message.sqi
+            )
+        self.pipeline.ingress(ProdEntry(message, message.sqi, arrived_at=now))
 
     # ----------------------------------------------------------- consumer side
     def accept_request(self, request: ConsRequest) -> None:
         """A vl_fetch packet arrived over the network."""
-        request.arrived_at = self.env.now
-        self.stats.add("request_arrivals")
-        self.pipeline.stamp(request.txn, TxnState.ARRIVED, request.sqi)
+        request.arrived_at = self.env._now
+        self.stats.counts["request_arrivals"] += 1
+        if request.txn is not None or TransactionHook in self.hooks.wanted:
+            self.pipeline.stamp(request.txn, TxnState.ARRIVED, request.sqi)
         if not self.pipeline.admit_request(request):
             # consBuf exhausted: the store is NACKed; the consumer's poll
             # loop re-issues the fetch later.
-            self.stats.add("requests_dropped")
+            self.stats.counts["requests_dropped"] += 1
             self.pipeline.stamp(request.txn, TxnState.DROPPED, request.sqi, "NACK")
             return
 
@@ -222,22 +231,26 @@ class VirtualLinkRoutingDevice:
     def _dispatch(self, entry: ProdEntry, line: ConsumerLine, speculative: bool) -> None:
         """Send one stash packet to *line* and handle the response."""
         entry.attempts += 1
-        self.stats.add("push_attempts")
-        self.stats.add("spec_pushes" if speculative else "ondemand_pushes")
-        self.pipeline.stamp(
-            entry.message.txn,
-            TxnState.STASHED,
-            entry.sqi,
-            "speculative" if speculative else "on-demand",
-        )
+        counts = self.stats.counts
+        counts["push_attempts"] += 1
+        counts["spec_pushes" if speculative else "ondemand_pushes"] += 1
+        txn = entry.message.txn
+        if txn is not None or TransactionHook in self.hooks.wanted:
+            self.pipeline.stamp(
+                txn,
+                TxnState.STASHED,
+                entry.sqi,
+                "speculative" if speculative else "on-demand",
+            )
         # On NoC topologies the stash crosses the device→consumer distance
         # (and the response signal rides the same distance back).
+        network = self.network
         stash = _Stash(entry, line, speculative,
-                       self.network.srd_node(self.srd_index),
-                       self.network.core_node(line.core_id))
-        self.network.transit_then(
+                       network.srd_nodes[self.srd_index],
+                       network.core_nodes[line.core_id])
+        network.transit_then(
             PacketKind.STASH, self._delivered, stash,
-            txn=entry.message.txn, src=stash.src, dst=stash.dst,
+            txn=txn, src=stash.src, dst=stash.dst,
         )
 
     def _delivered(self, stash: "_Stash") -> None:
@@ -249,11 +262,11 @@ class VirtualLinkRoutingDevice:
             entry.message.transaction_id,
             unconfirmed=entry.spec_unconfirmed,
         )
-        if hit:
+        if hit and TraceHook in self.hooks.wanted:
             txn = entry.message.transaction_id
             self.pipeline.trace(EventKind.LINE_VACATE, vacate_time, txn, entry.sqi)
             self.pipeline.trace(
-                EventKind.LINE_FILL, self.env.now, txn, entry.sqi,
+                EventKind.LINE_FILL, self.env._now, txn, entry.sqi,
                 detail="speculative" if stash.speculative else "on-demand",
             )
         stash.hit = hit
@@ -269,33 +282,35 @@ class VirtualLinkRoutingDevice:
         row = self.linktab.row(entry.sqi)
         verdict = None
         if speculative:
-            verdict = self.pipeline.speculation.on_response(entry, hit, self.env.now)
-        self.pipeline.stamp(
-            entry.message.txn, TxnState.RESPONDED, entry.sqi,
-            "hit" if hit else "miss",
-        )
+            verdict = self.pipeline.speculation.on_response(entry, hit, self.env._now)
+        txn = entry.message.txn
+        stamping = txn is not None or TransactionHook in self.hooks.wanted
+        if stamping:
+            self.pipeline.stamp(
+                txn, TxnState.RESPONDED, entry.sqi, "hit" if hit else "miss",
+            )
+        counts = self.stats.counts
         if verdict == "rollback":
             # A burst misprediction cancelled this push: it is charged as a
             # wasted speculative push, the packet is stamped ROLLED_BACK,
             # and the policy owns its continuation (invalidating a landed
             # line over the network, re-injecting the message FIFO-front).
-            self.stats.add("push_failures")
-            self.stats.add("spec_failures")
-            self.pipeline.stamp(
-                entry.message.txn, TxnState.ROLLED_BACK, entry.sqi, "burst"
-            )
-            self.pipeline.speculation.complete_rollback(entry, hit, self.env.now)
+            counts["push_failures"] += 1
+            counts["spec_failures"] += 1
+            if stamping:
+                self.pipeline.stamp(txn, TxnState.ROLLED_BACK, entry.sqi, "burst")
+            self.pipeline.speculation.complete_rollback(entry, hit, self.env._now)
             self.pipeline.kick(row)
             return
         if hit:
-            self.stats.add("push_hits")
-            self.stats.add("spec_hits" if speculative else "ondemand_hits")
+            counts["push_hits"] += 1
+            counts["spec_hits" if speculative else "ondemand_hits"] += 1
             self.release_entry(entry.sqi, entry.message.credit_pool)
         else:
-            self.stats.add("push_failures")
-            self.stats.add("spec_failures" if speculative else "ondemand_failures")
+            counts["push_failures"] += 1
+            counts["spec_failures" if speculative else "ondemand_failures"] += 1
             target = (
-                self.pipeline.speculation.retry(entry, self.env.now)
+                self.pipeline.speculation.retry(entry, self.env._now)
                 if speculative and entry.spec_entry_index is not None
                 else None
             )

@@ -10,7 +10,9 @@ one dispatch loop.  This suite pins that at three levels:
    parked-process operations run twice per driver: once on the kernel as
    shipped (``heapq``) and once with the queue's push/pop swapped for
    ``bisect.insort``/``list.pop(0)`` on a plain sorted list, the simplest
-   correct priority queue.  The dispatched ``(time, priority, seq)``
+   correct priority queue.  Every push goes through the swapped
+   primitive: ``call_later``'s and the dispatch loop's re-arm of a
+   returned delay (a sleep, an idle poll) alike.  The dispatched ``(time, priority, seq)``
    keys, the program's observable trace, the stop-point state and the
    watchdog firings must match.
 2. **Driver equivalence** — the windowed, stepped and
@@ -21,8 +23,12 @@ one dispatch loop.  This suite pins that at three levels:
    differential oracle matrix run with the sorted list in place of the
    heap and must match the heap run bit for bit.
 4. **Mutation kills** — a reversed seq tiebreak and a priority-blind push,
-   monkeypatched into :meth:`Environment.call_later`, must make the trace
-   diverge from the reference, proving the harness has teeth.
+   swapped in for the kernel's ``heappush`` (so they reach ``call_later``
+   and the loop's re-arm alike), must make the trace diverge from the
+   reference, proving the harness has teeth.  A loop that draws the
+   re-arm's seq before the callback runs instead of after is killed by
+   ``tests/test_sim_process.py::test_sleep_and_timeout_dispatch_under_identical_keys``,
+   which holds a sleep to the key of a resume armed with ``call_later``.
 
 The whole-system tests keep the ids of the three queue strategies the
 kernel dropped for its one heap (``tests/conftest.py``); every id runs
@@ -89,7 +95,8 @@ def _reference_queue():
 
 
 # --------------------------------------------------------- the op interpreter
-def execute(program, driver="run", until=0, target_delays=(1,), reference=False):
+def execute(program, driver="run", until=0, target_delays=(1,), reference=False,
+            push=None):
     """Interpret an op program on a fresh Environment; return its Result.
 
     Ops (recursive — children run inside the parent's callback, i.e. from
@@ -106,7 +113,7 @@ def execute(program, driver="run", until=0, target_delays=(1,), reference=False)
     Every driver also runs a *target* process sleeping through
     *target_delays*; ``until_complete`` stops when the last process has
     exited, then drains the rest.  *reference* runs the queue as a sorted
-    list instead of a heap.
+    list instead of a heap; *push* replaces the heap push (a mutant).
     """
     env = Environment()
     trace, keys, fires, marks = [], [], [], []
@@ -157,7 +164,8 @@ def execute(program, driver="run", until=0, target_delays=(1,), reference=False)
         fires.append(now)
         env.defer_watchdog(now + WATCHDOG_GAP)
 
-    push = insort if reference else heapq.heappush
+    if push is None:
+        push = insort if reference else heapq.heappush
     base_pop = _sorted_pop if reference else heapq.heappop
 
     last = [None]
@@ -397,42 +405,67 @@ def test_inline_fast_paths_exposed():
 
 
 # -------------------------------------------------------------- mutation kill
-def _reversed_seq_call_later(self, delay, callback, arg=None, priority=NORMAL):
+def _reversed_seq_push(queue, entry):
     """Mutant: LIFO within a (time, priority) pair — negated seq."""
-    seq = self._seq
-    kernel.heappush(self._queue, (self._now + delay, priority, -seq, callback, arg))
-    self._seq = seq + 1
+    heapq.heappush(queue, entry[:2] + (-entry[2],) + entry[3:])
 
 
-def _priority_blind_call_later(self, delay, callback, arg=None, priority=NORMAL):
+def _priority_blind_push(queue, entry):
     """Mutant: drops URGENT-before-NORMAL — everything lands NORMAL."""
-    seq = self._seq
-    kernel.heappush(self._queue, (self._now + delay, NORMAL, seq, callback, arg))
-    self._seq = seq + 1
+    heapq.heappush(queue, (entry[0], NORMAL) + entry[2:])
 
 
-def _mutant_trace(monkeypatch, mutant, program):
-    with monkeypatch.context() as patch:
-        patch.setattr(Environment, "call_later", mutant)
-        return execute(program).trace
+def _mutant_trace(mutant, program, target_delays=(1,)):
+    return execute(program, target_delays=target_delays, push=mutant).trace
 
 
-def test_harness_kills_broken_seq_tiebreak(monkeypatch):
+#: Same-key ties only between re-armed sleeps: p1 sleeps 5 from cycle 0,
+#: p2 (started by a call at cycle 1) sleeps 4, and both wake at (5,
+#: NORMAL) in the order their re-arms drew seq; the target wakes alone.
+REARM_TIE = [("sleep", (5,)), ("call", 1, NORMAL, [("sleep", (4,))])]
+
+
+def test_every_push_goes_through_the_heap_primitive():
+    """``call_later`` and the loop's re-arms both push through
+    ``kernel.heappush``: the primitive a mutant or the sorted-list
+    reference replaces sees every entry the kernel ever queues."""
+    pushed = []
+
+    def counting_push(queue, entry):
+        pushed.append(entry[3])
+        heapq.heappush(queue, entry)
+
+    program = REARM_TIE + [("park", (2, 3))]
+    env_scheduled = execute(program, push=counting_push).scheduled
+    assert len(pushed) == env_scheduled
+    assert pushed.count(Process._resume) > len(program) + 1  # re-arms included
+
+
+def test_harness_kills_broken_seq_tiebreak():
     program = [("call", 5, NORMAL, ())] * 3
     reference = execute(program, reference=True).trace
-    assert _mutant_trace(monkeypatch, _reversed_seq_call_later, program) != reference
+    assert _mutant_trace(_reversed_seq_push, program) != reference
 
 
-def test_harness_kills_broken_urgent_priority(monkeypatch):
+def test_harness_kills_broken_seq_tiebreak_in_the_rearm():
+    """The reversed tiebreak reaches the entries the loop re-arms: the
+    two sleeps waking in one cycle swap."""
+    reference = execute(REARM_TIE, target_delays=(50,), reference=True).trace
+    mutant = _mutant_trace(_reversed_seq_push, REARM_TIE, target_delays=(50,))
+    assert mutant != reference
+    assert sorted(mutant) == sorted(reference)
+
+
+def test_harness_kills_broken_urgent_priority():
     program = [("call", 5, NORMAL, ()), ("call", 5, URGENT, ())]
     reference = execute(program, reference=True).trace
-    assert _mutant_trace(monkeypatch, _priority_blind_call_later, program) != reference
+    assert _mutant_trace(_priority_blind_push, program) != reference
 
 
-def test_mutants_are_otherwise_plausible(monkeypatch):
+def test_mutants_are_otherwise_plausible():
     """The mutants pass a trivially-ordered program — the kills above are
     detecting the specific broken guarantee, not generic breakage."""
     program = [("call", 3, NORMAL, ()), ("call", 9, NORMAL, ())]
     reference = execute(program, reference=True).trace
-    assert _mutant_trace(monkeypatch, _reversed_seq_call_later, program) == reference
-    assert _mutant_trace(monkeypatch, _priority_blind_call_later, program) == reference
+    assert _mutant_trace(_reversed_seq_push, program) == reference
+    assert _mutant_trace(_priority_blind_push, program) == reference

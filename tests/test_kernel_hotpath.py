@@ -9,7 +9,10 @@ properties that nothing else in the suite pins directly:
   (an instance ``__dict__`` would be the kernel's largest allocation);
 * every queue entry is a ``(time, priority, seq, fn, arg)`` call, so the
   dispatch loop has one branch-free body, and a process's exit is such
-  an entry: nothing subscribes to an event.
+  an entry: nothing subscribes to an event;
+* only a sleep (``Process._resume``) and an idle line poll
+  (``_poll_tick``) return a delay for the loop to re-arm; every other
+  callback returns ``None``.
 """
 
 from __future__ import annotations
@@ -208,11 +211,11 @@ def test_stalled_pop_resumes_once_and_polls_every_quantum(monkeypatch):
 
     def counting_tick(poll):
         ticks.append(poll.env.now)
-        poll_tick(poll)
+        return poll_tick(poll)
 
     def counting_resume(proc):
         resumes.append((proc.name, proc.env.now))
-        resume(proc)
+        return resume(proc)
 
     monkeypatch.setattr(library, "_poll_tick", counting_tick)
     monkeypatch.setattr(Process, "_resume", counting_resume)
@@ -247,6 +250,37 @@ def test_stalled_pop_resumes_once_and_polls_every_quantum(monkeypatch):
     assert woken == [end, end + system.config.slow_path_penalty,
                      end + system.config.slow_path_penalty
                      + system.config.pop_fast_path_cost]
+
+
+def test_only_sleeps_and_idle_polls_rearm(monkeypatch):
+    """Across the result-digest cells (scale 0.05) every entry the loop
+    re-arms from a returned delay is ``Process._resume`` or
+    ``_poll_tick``, and both do re-arm; any other callback returning a
+    value would be queued again by mistake."""
+    from tests.test_result_digest import _cells
+
+    rearmed = Counter()
+    in_call_later = []
+    call_later, heappush = Environment.call_later, kernel.heappush
+
+    def tracked_call_later(self, *args, **kwargs):
+        in_call_later.append(True)
+        try:
+            call_later(self, *args, **kwargs)
+        finally:
+            in_call_later.pop()
+
+    def push(queue, entry):
+        if not in_call_later:
+            rearmed[entry[3]] += 1
+        heappush(queue, entry)
+
+    monkeypatch.setattr(Environment, "call_later", tracked_call_later)
+    monkeypatch.setattr(kernel, "heappush", push)
+    for _name, run, kwargs in _cells():
+        run(kwargs)
+    assert set(rearmed) == {Process._resume, library._poll_tick}
+    assert min(rearmed.values()) > 1000
 
 
 # ------------------------------------------------------- process exit entry

@@ -236,13 +236,21 @@ def _requeue(env, seq, time=None, priority=None) -> None:
 
 
 def _late_poll(monkeypatch):
-    call_later = Environment.call_later
+    call_later, poll_tick = Environment.call_later, library._poll_tick
 
     def late(self, delay, callback, arg=None, priority=NORMAL):
-        if callback is library._poll_tick:
+        if callback is late_tick:
             priority = 2
         call_later(self, delay, callback, arg, priority)
 
+    def late_tick(poll):
+        # An idle poll returns its quantum for the loop to re-arm at
+        # NORMAL; queue it through the late call_later instead.
+        delay = poll_tick(poll)
+        if delay is not None:
+            poll.env.call_later(delay, late_tick, poll)
+
+    monkeypatch.setattr(library, "_poll_tick", late_tick)
     monkeypatch.setattr(Environment, "call_later", late)
 
 

@@ -83,7 +83,7 @@ def test_callbacks_run_in_subscription_order(env):
     procs = [env.process(_returns(i, delay=3), name=f"p{i}") for i in range(3)]
     with pytest.MonkeyPatch.context() as patch:
         exit_ = Process._exit
-        patch.setattr(Process, "_exit", lambda p: (exits.append(p.name), exit_(p)))
+        patch.setattr(Process, "_exit", lambda p: exits.append(p.name) or exit_(p))
         env.run()
     assert exits == ["p0", "p1", "p2"]
     assert [p.value for p in procs] == [0, 1, 2]

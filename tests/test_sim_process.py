@@ -31,7 +31,7 @@ def test_process_receives_event_values(env):
 
     def deliver(proc):
         box.append("five")
-        Process._resume(proc)
+        return Process._resume(proc)
 
     def work():
         env.call_later(5, deliver, env.active_process)
@@ -177,25 +177,66 @@ def _dispatch_keys(monkeypatch, body):
     return keys
 
 
-def test_sleep_and_timeout_dispatch_under_identical_keys(monkeypatch):
-    """``yield d`` dispatches under the key of a timed resume armed *d*
-    ahead in the yield expression (the kernel has no timer event)."""
-    delays = (3, 0, 5, 0, 3)
+SLEEP_DELAYS = (3, 0, 5, 0, 3)
+
+
+def _sleep_and_timed_keys(monkeypatch):
+    """The dispatched keys of a process sleeping through SLEEP_DELAYS and
+    of one arming ``call_later(d, Process._resume, p)`` before each park."""
 
     def sleeper(env):
-        for d in delays:
+        for d in SLEEP_DELAYS:
             yield d
 
     def timed(env):
-        for d in delays:
+        for d in SLEEP_DELAYS:
             env.call_later(d, Process._resume, env.active_process)
             yield PARK
 
-    keys = _dispatch_keys(monkeypatch, sleeper)
-    assert keys == _dispatch_keys(monkeypatch, timed)
+    return _dispatch_keys(monkeypatch, sleeper), _dispatch_keys(monkeypatch, timed)
+
+
+def test_sleep_and_timeout_dispatch_under_identical_keys(monkeypatch):
+    """``yield d`` dispatches under the key of a timed resume armed *d*
+    ahead in the yield expression (the kernel has no timer event): the
+    loop's re-arm of the returned delay draws its seq after the slice,
+    where that ``call_later`` would have."""
+    keys, timed = _sleep_and_timed_keys(monkeypatch)
+    assert keys == timed
     # Start, one wake per delay, the exit and the three entries the other
     # work queues.
-    assert len(keys) == len(delays) + 5
+    assert len(keys) == len(SLEEP_DELAYS) + 5
+
+
+def _early_seq_loop(self, limit, join):
+    """Mutant of ``Environment._loop``: the re-arm's seq is drawn before
+    the callback runs, so a sleep sorts ahead of the work its own slice
+    queued for the same cycle."""
+    queue = self._queue
+    while queue:
+        if join and not self._live:
+            return
+        entry = queue[0]
+        when = entry[0]
+        if when > limit:
+            return
+        kernel.heappop(queue)
+        self._now = when
+        self._processed += 1
+        seq = self._seq
+        self._seq = seq + 1
+        delay = entry[3](entry[4])
+        if delay is not None:
+            kernel.heappush(queue, (when + delay, NORMAL, seq, entry[3], entry[4]))
+
+
+def test_identical_keys_check_kills_an_early_rearm_seq(monkeypatch):
+    """Kill pair: with the re-arm's seq drawn before the callback, the
+    sleep and timed-resume keys of the check above part."""
+    with monkeypatch.context() as patch:
+        patch.setattr(Environment, "_loop", _early_seq_loop)
+        keys, timed = _sleep_and_timed_keys(monkeypatch)
+    assert keys != timed
 
 
 def test_parked_process_is_alive_with_no_target(env):

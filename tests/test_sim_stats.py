@@ -14,8 +14,8 @@ from tests.conftest import noop
 # -------------------------------------------------------------------- Counter
 def test_counter_accumulates():
     c = Counter()
-    c.add("hits")
-    c.add("hits", 4)
+    c.counts["hits"] += 1
+    c.counts["hits"] += 4
     assert c.get("hits") == 5
     assert c.get("misses") == 0
     assert c.as_dict() == {"hits": 5}
