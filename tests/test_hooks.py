@@ -7,6 +7,7 @@ from repro.sim.hooks import (
     EventKind,
     HookBus,
     HookEvent,
+    PushHook,
     SpecBufHook,
     TraceHook,
     TransactionHook,
@@ -77,16 +78,25 @@ def test_exception_in_one_subscriber_does_not_drop_events_for_others():
 
 
 def test_wants_guards_silent_buses():
+    """``wanted`` is the set every publisher's guard reads: it follows
+    subscribe, the HookEvent catch-all and unsubscribe."""
     bus = HookBus()
-    assert not bus.wants(BusHook)
+    assert bus.wanted == frozenset()
     assert not bus
-    bus.subscribe(TraceHook, lambda e: None)
-    assert bus.wants(TraceHook)
-    assert not bus.wants(BusHook)
+    trace = bus.subscribe(TraceHook, lambda e: None)
+    assert bus.wanted == {TraceHook}
+    assert BusHook not in bus.wanted
     assert bus.subscriber_count == 1
     # Subscribing to the base class makes every event type wanted.
-    bus.subscribe(HookEvent, lambda e: None)
-    assert bus.wants(BusHook) and bus.wants(TransactionHook)
+    catch_all = bus.subscribe(HookEvent, lambda e: None)
+    assert BusHook in bus.wanted and TransactionHook in bus.wanted
+    assert all(t in bus.wanted for t in (HookEvent, TraceHook, PushHook))
+    assert bus.unsubscribe(catch_all)
+    assert bus.wanted == {TraceHook}
+    assert bus.unsubscribe(trace)
+    assert bus.wanted == frozenset()
+    assert not bus.unsubscribe(trace)
+    assert bus.wanted == frozenset()
 
 
 def test_trace_recorder_attaches_as_subscriber():
@@ -108,4 +118,4 @@ def test_disabled_trace_recorder_does_not_subscribe():
     build no TraceHook at all."""
     system = System(device="spamer", algorithm="tuned")
     assert system.hooks.subscriber_count == 0
-    assert not system.hooks.wants(TraceHook)
+    assert TraceHook not in system.hooks.wanted

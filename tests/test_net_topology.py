@@ -265,7 +265,7 @@ def test_no_link_hooks_without_subscribers(env):
     hooks = HookBus()
     mesh = build_topology("mesh", env, cfg(num_cores=16), hooks=hooks)
     mesh.transit_then("stash", 0, 1, _ignore, None)
-    env.run()  # wants() gate: publish never constructs events
+    env.run()  # wanted gate: publish never constructs events
     assert hooks.errors == []
 
 

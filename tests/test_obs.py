@@ -233,7 +233,9 @@ def test_collector_detach_stops_counting():
                     algorithm="tuned")
     registry = MetricsRegistry()
     collector = MetricsCollector(system.hooks, registry)
+    assert system.hooks.wanted
     collector.detach()
+    assert system.hooks.wanted == frozenset()
     build_pingpong(system, rounds=5)
     system.run_to_completion()
     assert registry.counter("push.messages") == 0
@@ -257,7 +259,7 @@ def test_system_skips_collector_for_null_registry():
     system.run_to_completion()  # must not crash, must not subscribe
     from repro.sim.hooks import PushHook
 
-    assert not system.hooks.wants(PushHook)
+    assert PushHook not in system.hooks.wanted
     assert NULL_METRICS.counter("push.messages") == 0
 
 
@@ -341,7 +343,9 @@ def test_perfetto_detach_stops_streaming():
     system = System(config=SystemConfig(num_cores=4), device="spamer",
                     algorithm="tuned")
     sink = PerfettoTraceSink(system.hooks)
+    assert system.hooks.wanted
     sink.detach()
+    assert system.hooks.wanted == frozenset()
     build_pingpong(system, rounds=5)
     system.run_to_completion()
     assert sink.events == []

@@ -83,7 +83,7 @@ def _reference_pop_impl(self, consumer, stop_check):
         line = consumer.current_line
 
     hooks = self.system.hooks
-    if hooks.wants(TraceHook):
+    if TraceHook in hooks.wanted:
         hooks.publish(
             TraceHook(
                 tick=self.env.now,
@@ -96,7 +96,7 @@ def _reference_pop_impl(self, consumer, stop_check):
     message = line.consume()
     if message.txn is not None:
         self._stamp(message.txn, TxnState.RETIRED)
-    if hooks.wants(DeliveryHook):
+    if DeliveryHook in hooks.wanted:
         hooks.publish(
             DeliveryHook(
                 tick=self.env.now,

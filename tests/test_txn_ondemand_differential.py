@@ -60,7 +60,7 @@ def _eager_pipeline_stamp(pipeline, record, state, sqi, detail=""):
     now = pipeline.env.now
     if record is not None:
         record.stamp(state, now, detail)
-    if pipeline.hooks.wants(TransactionHook):
+    if TransactionHook in pipeline.hooks.wanted:
         pipeline.hooks.publish(
             TransactionHook(
                 tick=now, record=record, state=state, sqi=sqi, detail=detail
@@ -71,7 +71,7 @@ def _eager_pipeline_stamp(pipeline, record, state, sqi, detail=""):
 def _eager_library_stamp(library, txn, state, detail=""):
     txn.stamp(state, library.env.now, detail)
     hooks = library.system.hooks
-    if hooks.wants(TransactionHook):
+    if TransactionHook in hooks.wanted:
         hooks.publish(
             TransactionHook(
                 tick=library.env.now,
