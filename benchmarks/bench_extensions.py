@@ -54,7 +54,7 @@ def test_multirouter_scaling(benchmark):
         setting = standard_settings()[1]  # 0delay
         out = {}
         for routers in (1, 2, 4):
-            cfg = SystemConfig(num_routers=routers, prodbuf_entries=8)
+            cfg = SystemConfig(num_srds=routers, prodbuf_entries=8)
             m = run_workload("FIR", setting, scale=BENCH_SCALE, config=cfg,
                              seed=BENCH_SEED)
             out[routers] = m.exec_cycles

@@ -82,11 +82,6 @@ class SystemConfig:
     consbuf_entries: int = 64
     linktab_entries: int = 64
     specbuf_entries: int = 64
-    #: Number of routing devices attached to the network.  The paper treats
-    #: the router "like a slice of system cache ... (as such a system could
-    #: have more than one router)" but evaluates one; more routers shard
-    #: SQIs across independent buffer pools and mapping pipelines.
-    num_routers: int = 1
 
     # -------------------------------------------------- transaction latencies
     #: One-way propagation core <-> routing device over the coherence network.
@@ -94,9 +89,6 @@ class SystemConfig:
     #: Cycles a packet occupies the shared network (serialization of a
     #: 64-byte line onto a wide on-chip interconnect).
     bus_occupancy: int = 3
-    #: Parallel network channels: 1 = shared bus (the evaluated model);
-    #: more approximate a crossbar/NoC with independent links.
-    bus_channels: int = 1
 
     # ------------------------------------------------------------- interconnect
     #: Interconnect fabric (any name in :func:`repro.net.topology_names`).
@@ -115,11 +107,12 @@ class SystemConfig:
     #: traversal — the calibration that makes mesh-vs-bus comparisons
     #: about *contention and distance spread*, not a flat rescale.
     link_latency: int = 12
-    #: Number of SRD shards.  Virtual links partition across shards by
-    #: queue id (``sqi % num_srds``); each shard has its own buffer pool
+    #: Number of SRD shards.  The paper treats the router "like a slice of
+    #: system cache ... (as such a system could have more than one
+    #: router)" but evaluates one.  Virtual links partition across shards
+    #: by queue id (``sqi % num_srds``); each shard has its own buffer pool
     #: and mapping pipeline, sits on its own network node, and cross-shard
-    #: stash traffic pays real network distance.  Alias of the older
-    #: ``num_routers`` knob (they must agree when both are set).
+    #: stash traffic pays real network distance.
     num_srds: int = 1
     #: SRD/VLRD address-mapping pipeline depth (Section 3.1: three stages).
     srd_pipeline_latency: int = 3
@@ -210,9 +203,7 @@ class SystemConfig:
             "consbuf_entries",
             "linktab_entries",
             "specbuf_entries",
-            "num_routers",
             "num_srds",
-            "bus_channels",
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -246,28 +237,6 @@ class SystemConfig:
             )
         if self.watchdog_cycles < 1:
             raise ConfigError("watchdog_cycles must be >= 1")
-        # bus_occupancy=0 on ONE channel is the legal ideal-network
-        # ablation (infinite bandwidth, pure latency).  With several
-        # channels it is contradictory: channel selection and utilization
-        # both key on occupancy, so extra channels can neither be chosen
-        # differently nor accumulate busy cycles — the configuration
-        # silently degenerates to one channel while reporting many.
-        if self.bus_occupancy == 0 and self.bus_channels > 1:
-            raise ConfigError(
-                "bus_occupancy=0 with bus_channels>1 is contradictory: "
-                "zero-occupancy packets never distinguish channels, so "
-                "utilization accounting over multiple channels is "
-                "meaningless; use bus_channels=1 for the ideal-network "
-                "ablation"
-            )
-        if self.num_srds > 1 and self.num_routers > 1 and (
-            self.num_srds != self.num_routers
-        ):
-            raise ConfigError(
-                f"num_srds={self.num_srds} conflicts with "
-                f"num_routers={self.num_routers}; the knobs are aliases — "
-                "set one (or both to the same value)"
-            )
         if self.mesh_dims is not None:
             if self.topology not in ("mesh", "torus"):
                 raise ConfigError(
@@ -307,13 +276,6 @@ class SystemConfig:
                 )
 
     # ----------------------------------------------------------------- helpers
-    @property
-    def effective_srds(self) -> int:
-        """Routing-device shard count, honouring both spellings of the
-        knob (``num_srds`` is the interconnect-era alias of
-        ``num_routers``; validation rejects a disagreement)."""
-        return self.num_srds if self.num_srds > 1 else self.num_routers
-
     def to_dict(self) -> Dict:
         """Serialize to a plain dict (JSON-friendly; caches nested)."""
         from dataclasses import asdict
@@ -337,12 +299,6 @@ class SystemConfig:
         import json
 
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SystemConfig":
-        import json
-
-        return cls.from_dict(json.loads(text))
 
     def with_overrides(self, **kwargs) -> "SystemConfig":
         """Return a copy with the given fields replaced."""

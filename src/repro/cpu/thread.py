@@ -74,17 +74,6 @@ class ThreadContext:
         cycles = self.system.rng.jitter(self._jitter_stream, base, fraction)
         yield self.core.compute(cycles)
 
-    def wait_until(self, tick: int) -> Generator:
-        """Sleep (off-core, a plain ``yield delay``) until absolute *tick*.
-
-        No-op when *tick* is already past — an open-system session that
-        falls behind its arrival schedule admits the next request
-        immediately instead of waiting.
-        """
-        delay = int(tick) - self.env._now
-        if delay > 0:
-            yield delay
-
     @property
     def now(self) -> int:
         return self.env._now

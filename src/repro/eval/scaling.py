@@ -110,7 +110,7 @@ class ScalingResult:
             {
                 "cores": config.num_cores,
                 "topology": config.topology,
-                "srds": config.effective_srds,
+                "srds": config.num_srds,
                 "setting": metrics.setting,
                 "cycles": metrics.exec_cycles,
                 "messages": metrics.messages_delivered,

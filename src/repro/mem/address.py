@@ -19,8 +19,6 @@ device accesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 from repro.errors import ConfigError, RegistrationError
 from repro.units import CACHELINE_BYTES
 
@@ -92,22 +90,3 @@ class AddressSpace:
     @staticmethod
     def is_specbuf_window(addr: int) -> bool:
         return SPECBUF_WINDOW_BASE <= addr < SPECBUF_WINDOW_BASE + DEVICE_WINDOW_BYTES
-
-    @staticmethod
-    def consbuf_window_addr(sqi: int) -> int:
-        """The device address a vl_fetch for *sqi* stores to."""
-        return CONSBUF_WINDOW_BASE + sqi * CACHELINE_BYTES
-
-    @staticmethod
-    def specbuf_window_addr(sqi: int) -> int:
-        """The device address a spamer_register for *sqi* stores to."""
-        return SPECBUF_WINDOW_BASE + sqi * CACHELINE_BYTES
-
-    @staticmethod
-    def sqi_of_window_addr(addr: int) -> Optional[int]:
-        """Recover the SQI encoded in a device-window address, else None."""
-        if AddressSpace.is_consbuf_window(addr):
-            return (addr - CONSBUF_WINDOW_BASE) // CACHELINE_BYTES
-        if AddressSpace.is_specbuf_window(addr):
-            return (addr - SPECBUF_WINDOW_BASE) // CACHELINE_BYTES
-        return None

@@ -34,7 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import SystemConfig
     from repro.sim.hooks import HookBus
     from repro.sim.kernel import Environment
-    from repro.sim.transaction import TransactionRecord
 
 
 class PacketKind(Enum):
@@ -71,15 +70,9 @@ class CoherenceNetwork:
         #: Instrumentation bus; occupancy events are published per accepted
         #: packet when somebody subscribed to ``BusHook`` (None = silent).
         self.hooks = hooks
-        #: The fabric model (:mod:`repro.net`): ``single-bus`` replicates
-        #: the historical earliest-free-channel arithmetic bit-for-bit;
-        #: NoC topologies route hop-by-hop through per-link servers.
+        #: The fabric model (:mod:`repro.net`): ``single-bus`` is one FIFO
+        #: server; NoC topologies route hop-by-hop through per-link servers.
         self.topology = build_topology(config.topology, env, config, hooks=hooks)
-        #: Compatibility aliases for the shared-bus model (empty/None on
-        #: NoC topologies, whose links are exposed via :meth:`links`).
-        self.channels = getattr(self.topology, "channels", [])
-        self.server = self.channels[0] if self.channels else None
-        self.latency = config.bus_latency
         self.counters = Counter()
         #: Node ids by core id and by SRD shard index: placement is
         #: static, so it is read once here and the packet path indexes a
@@ -89,7 +82,7 @@ class CoherenceNetwork:
         )
         self.srd_nodes = tuple(
             self.topology.srd_node(index)
-            for index in range(max(1, config.effective_srds))
+            for index in range(config.num_srds)
         )
 
     def transit_then(
@@ -97,7 +90,6 @@ class CoherenceNetwork:
         kind: PacketKind,
         fn: Callable[[Any], None],
         arg: Any,
-        txn: Optional["TransactionRecord"] = None,
         src: int = 0,
         dst: int = 0,
     ) -> None:
@@ -105,10 +97,7 @@ class CoherenceNetwork:
         at delivery.
 
         On the ``single-bus`` topology *src*/*dst* are ignored (every pair
-        is equidistant).  *txn* threads the packet's transaction record
-        through the network layer so instrumentation can attribute
-        occupancy to lifecycles; the network itself only forwards it to
-        :class:`BusHook` subscribers.
+        is equidistant).
         """
         key = kind._value_
         counts = self.counters.counts
@@ -157,7 +146,7 @@ class CoherenceNetwork:
         return self.topology.link_report(elapsed)
 
     def utilization(self, elapsed: int = 0) -> float:
-        """Busy fraction over *elapsed* cycles across all channels/links
+        """Busy fraction over *elapsed* cycles across the bus or all links
         (default window: current sim time)."""
         return self.topology.utilization(elapsed)
 

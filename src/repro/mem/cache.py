@@ -141,10 +141,6 @@ class SetAssocCache:
         return False
 
     # -- introspection ---------------------------------------------------------
-    @property
-    def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets)
-
     def state_of(self, addr: int) -> MoesiState:
         entry = self.peek(addr)
         return entry.state if entry is not None else MoesiState.INVALID

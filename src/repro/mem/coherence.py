@@ -64,10 +64,6 @@ class CoherentMemorySystem:
         self.counters = Counter()
 
     # ------------------------------------------------------------- value store
-    def peek_value(self, addr: int) -> int:
-        """Read the architectural value without simulating time (debug/tests)."""
-        return self.values.get(addr, 0)
-
     def poke_value(self, addr: int, value: int) -> None:
         """Set the architectural value without simulating time (initialisation)."""
         self.values[addr] = value
@@ -244,15 +240,6 @@ class CoherentMemorySystem:
             self.values[addr] = new
             return True
         return False
-
-    def fetch_add(self, core: int, addr: int, amount: int) -> Generator:
-        """Atomic fetch-and-add; returns the previous value."""
-        self.counters.counts["atomics"] += 1
-        yield from self._acquire_writable(core, addr)
-        yield self.config.l1d.hit_latency
-        previous = self.values.get(addr, 0)
-        self.values[addr] = previous + amount
-        return previous
 
     # ------------------------------------------------------------- invariants
     def check_coherence_invariant(self) -> None:

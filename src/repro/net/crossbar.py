@@ -1,6 +1,6 @@
 """Full crossbar NoC.
 
-Every agent — ``num_cores`` cores plus ``effective_srds`` SRD shards —
+Every agent — ``num_cores`` cores plus ``num_srds`` SRD shards —
 gets a private ingress link into the switch and a private egress link out
 of it; any packet crosses exactly two links.  There is no path contention
 (disjoint src/dst pairs never share a link) but there *is* endpoint
@@ -35,7 +35,7 @@ class CrossbarTopology(Topology):
     ) -> None:
         super().__init__(env, config, hooks=hooks)
         self._num_cores = config.num_cores
-        self._num_srds = max(1, config.effective_srds)
+        self._num_srds = config.num_srds
         total = self._num_cores + self._num_srds
         self._ingress: List[Link] = [
             self._add_link(f"xbar.in[{self._node_label(i)}]") for i in range(total)

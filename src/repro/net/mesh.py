@@ -66,7 +66,7 @@ class MeshTopology(Topology):
     def srd_node(self, srd_index: int) -> int:
         # Evenly spaced along the row-major scan, offset to interior
         # positions: shard s of k sits at the ((2s+1)/2k)-quantile node.
-        srds = max(1, self.config.effective_srds)
+        srds = self.config.num_srds
         return ((2 * srd_index + 1) * self.num_nodes) // (2 * srds)
 
     # ----------------------------------------------------------------- routing

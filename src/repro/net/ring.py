@@ -50,7 +50,7 @@ class RingTopology(Topology):
         return core_id
 
     def srd_node(self, srd_index: int) -> int:
-        srds = max(1, self.config.effective_srds)
+        srds = self.config.num_srds
         return (srd_index * self.n) // srds
 
     # ----------------------------------------------------------------- routing

@@ -1,12 +1,12 @@
 """The historical shared-bus model, expressed as a topology.
 
 This is *exactly* the arithmetic :class:`~repro.mem.bus.CoherenceNetwork`
-used before the topology layer existed: ``bus_channels`` parallel FIFO
-servers, each packet picking the earliest-free channel, serializing for
-``bus_occupancy`` cycles and propagating for ``bus_latency``.  Distance is
-invisible — every (src, dst) pair costs the same — which is the Table 1
-16-core configuration's model and the default, so golden metrics and trace
-fixtures stay bit-identical.
+used before the topology layer existed: one FIFO server on which each
+packet serializes for ``bus_occupancy`` cycles and then propagates for
+``bus_latency``.  Distance is invisible — every (src, dst) pair costs the
+same — which is the Table 1 16-core configuration's model and the
+default, so golden metrics and trace fixtures stay bit-identical.  A
+fabric with independent links is ``crossbar``, ``mesh`` or ``torus``.
 """
 
 from __future__ import annotations
@@ -33,10 +33,7 @@ class SingleBusTopology(Topology):
         hooks: Optional["HookBus"] = None,
     ) -> None:
         super().__init__(env, config, hooks=hooks)
-        self.channels = [
-            FifoServer(env, config.bus_occupancy, name=f"coherence-network[{i}]")
-            for i in range(config.bus_channels)
-        ]
+        self.server = FifoServer(env, config.bus_occupancy, name="coherence-network")
         self.latency = config.bus_latency
 
     # --------------------------------------------------------------- placement
@@ -64,35 +61,24 @@ class SingleBusTopology(Topology):
     def transit_then(
         self, kind: str, src: int, dst: int, fn: Callable[[Any], None], arg: Any
     ) -> None:
-        # The pre-topology CoherenceNetwork arithmetic: earliest-free
-        # channel (the first on a tie), occupancy then propagation.  The
-        # queue entry count and order are part of the bit-identity contract.
-        now = self.env._now
-        channel = None
-        for server in self.channels:
-            free_at = server._free_at
-            if free_at < now:
-                free_at = now
-            if channel is None or free_at < best:
-                channel, best = server, free_at
-        channel.serve_then(self.latency, fn, arg)
+        # The pre-topology CoherenceNetwork arithmetic: occupancy then
+        # propagation.  The queue entry count and order are part of the
+        # bit-identity contract.
+        self.server.serve_then(self.latency, fn, arg)
 
     # ------------------------------------------------------------------ metrics
     def links(self) -> List:
-        # Channels are not spatial links; per-link reporting stays empty so
+        # The bus is not a spatial link; per-link reporting stays empty so
         # obs gauges/tracks only appear for real NoC topologies.
         return []
 
     @property
     def busy_cycles(self) -> int:
-        return sum(channel.busy_cycles for channel in self.channels)
+        return self.server.busy_cycles
 
     @property
     def wait_cycles(self) -> int:
         return 0
 
     def utilization(self, elapsed: int = 0) -> float:
-        window = elapsed or self.env.now
-        if window <= 0:
-            return 0.0
-        return min(1.0, self.busy_cycles / (window * len(self.channels)))
+        return self.server.utilization(elapsed or None)

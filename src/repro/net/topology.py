@@ -123,6 +123,10 @@ class Topology:
         self.hooks = hooks
         self._links: List[Link] = []
         self._route_cache: Dict[Tuple[int, int], Tuple[Link, ...]] = {}
+        #: Link traversals so far.  Every link serializes a packet for
+        #: ``bus_occupancy`` cycles, so this one count gives the fabric's
+        #: busy time without a walk over the links.
+        self.packets_served = 0
 
     # -------------------------------------------------------------- link setup
     def _add_link(self, name: str) -> Link:
@@ -210,6 +214,7 @@ class Topology:
         if wait > 0:
             link.wait_cycles += wait
         server.serve_then(link.latency, fn, arg)
+        self.packets_served += 1
         hooks = self.hooks
         if hooks is not None and LinkHook in hooks.wanted:
             hooks.publish(
@@ -231,7 +236,7 @@ class Topology:
 
     @property
     def busy_cycles(self) -> int:
-        return sum(link.busy_cycles for link in self._links)
+        return self.packets_served * self.config.bus_occupancy
 
     @property
     def wait_cycles(self) -> int:

@@ -80,7 +80,7 @@ class TorusTopology(Topology):
         # Same quantile placement as the mesh; on a torus every node is
         # "interior", but keeping the placement identical isolates the
         # wraparound links as the only mesh/torus difference.
-        srds = max(1, self.config.effective_srds)
+        srds = self.config.num_srds
         return ((2 * srd_index + 1) * self.num_nodes) // (2 * srds)
 
     # ----------------------------------------------------------------- routing

@@ -31,9 +31,13 @@ from repro.sim.hooks import (
     SpecDecisionHook,
     TransactionHook,
 )
+from repro.sim.transaction import TxnState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.system import System
+
+
+_RETIRED = TxnState.RETIRED
 
 
 class MetricsCollector:
@@ -42,8 +46,8 @@ class MetricsCollector:
     Metric names form a stable dotted catalogue (docs/OBSERVABILITY.md):
 
     ``txn.stage.<edge>``            histogram of per-stage cycles
-    ``txn.latency``                 end-to-end message latency histogram
-    ``txn.retries``                 stash attempts beyond the first
+    ``txn.latency``                 end-to-end latency, once per retired message
+    ``txn.retries``                 stash attempts beyond the first, likewise
     ``spec.hits`` / ``spec.misses`` specBuf response outcomes
     ``spec.decision.<algo>``        push-delay histogram per algorithm
     ``spec.retry.<algo>``           sticky-slot retry count per algorithm
@@ -87,17 +91,17 @@ class MetricsCollector:
     def _on_transaction(self, event: TransactionHook) -> None:
         reg = self.registry
         record = event.record
-        if record is None or len(record.stamps) < 2:
+        if len(record.stamps) < 2:
             return
         prev, last = record.stamps[-2], record.stamps[-1]
         reg.observe(
             f"txn.stage.{prev.state.value}->{last.state.value}",
             last.tick - prev.tick,
         )
-        if record.retired and record.kind == "message":
-            latency = record.latency
-            if latency is not None:
-                reg.observe("txn.latency", latency)
+        # Once per message, on its RETIRED stamp: the hit response of the
+        # last stash may stamp RESPONDED after it.
+        if event.state is _RETIRED and record.kind == "message":
+            reg.observe("txn.latency", record.latency)
             extra = record.attempts - 1
             if extra > 0:
                 reg.inc("txn.retries", extra)

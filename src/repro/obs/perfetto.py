@@ -145,7 +145,7 @@ class PerfettoTraceSink:
     # --------------------------------------------------------------- handlers
     def _on_transaction(self, event: TransactionHook) -> None:
         record = event.record
-        if record is None or len(record.stamps) < 2:
+        if len(record.stamps) < 2:
             return
         prev, last = record.stamps[-2], record.stamps[-1]
         pid, tid = self._track(
@@ -350,8 +350,7 @@ class JsonlTraceSink:
         self._emit(
             {
                 "ev": "txn", "t": event.tick, "state": event.state.value,
-                "sqi": event.sqi, "tid": record.tid if record else None,
-                "kind": record.kind if record else None,
+                "sqi": record.sqi, "tid": record.tid, "kind": record.kind,
                 "detail": event.detail,
             }
         )

@@ -27,9 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple, Type
+from typing import (
+    Any, Callable, Dict, FrozenSet, List, Optional, Tuple, Type, TYPE_CHECKING,
+)
 
-from repro.sim.transaction import TransactionRecord, TxnState
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.transaction import TransactionRecord, TxnState
 
 
 class EventKind(Enum):
@@ -68,11 +71,18 @@ class TraceHook(HookEvent):
 
 @dataclass(frozen=True, slots=True)
 class TransactionHook(HookEvent):
-    """A transaction entered a new lifecycle state."""
+    """A transaction entered a new lifecycle state.
 
-    record: Optional[TransactionRecord] = None
-    state: TxnState = TxnState.CREATED
-    sqi: int = 0
+    Published by :meth:`TransactionRecord.stamp
+    <repro.sim.transaction.TransactionRecord.stamp>`, so ``record`` is
+    always set (its ``sqi``/``kind``/``tid`` name the packet).  A record
+    exists only for a packet born while a subscriber was on the bus: a
+    subscriber attached after a packet's birth sees none of its stamps,
+    so attach before the run.
+    """
+
+    record: "TransactionRecord"
+    state: "TxnState"
     detail: str = ""
 
 

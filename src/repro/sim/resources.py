@@ -86,11 +86,11 @@ class FifoServer:
 
     Models the shared coherence-network bus: each packet occupies the server
     for ``service_time`` cycles (its *occupancy*); total busy cycles divided
-    by elapsed time is the bus utilization reported in Figure 10b.
+    by elapsed time is the bus utilization reported in Figure 10b.  The
+    service time is fixed, so busy cycles are ``packets_served`` times it.
     """
 
-    __slots__ = ("env", "name", "service_time", "_free_at", "busy_cycles",
-                 "packets_served")
+    __slots__ = ("env", "name", "service_time", "_free_at", "packets_served")
 
     def __init__(self, env: "Environment", service_time: int, name: str = "bus") -> None:
         if service_time < 0:
@@ -99,7 +99,6 @@ class FifoServer:
         self.name = name
         self.service_time = int(service_time)
         self._free_at: int = env.now
-        self.busy_cycles: int = 0
         self.packets_served: int = 0
 
     def serve_then(
@@ -117,9 +116,12 @@ class FifoServer:
         free_at = self._free_at
         finish = (free_at if free_at > now else now) + self.service_time
         self._free_at = finish
-        self.busy_cycles += self.service_time
         self.packets_served += 1
         env.call_later(finish - now + extra_delay, fn, arg)
+
+    @property
+    def busy_cycles(self) -> int:
+        return self.packets_served * self.service_time
 
     def utilization(self, elapsed: Optional[int] = None) -> float:
         """Fraction of cycles the server was busy over *elapsed* (default: now)."""

@@ -28,15 +28,20 @@ stay bit-identical with recording on or off).  A system builds them on
 demand: only when a :class:`~repro.sim.hooks.TransactionHook` subscriber
 is attached as the packet is born.  An unobserved run hands out the same
 dense ids and builds no record at all.
+
+So the record is the one guard of every stamp site: a layer stamps with
+``if txn is not None: txn.stamp(state, now)``, and
+:meth:`TransactionRecord.stamp` publishes the transition on the bus the
+log handed the record.  A subscriber attached after a packet's birth
+sees none of that packet's stamps.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.hooks import HookBus
+from repro.sim.hooks import HookBus, TransactionHook
 
 
 class TxnState(Enum):
@@ -114,20 +119,29 @@ _new_stamp = tuple.__new__
 class TransactionRecord:
     """The queryable journey of one packet through the system."""
 
-    __slots__ = ("tid", "sqi", "kind", "stamps")
+    __slots__ = ("tid", "sqi", "kind", "stamps", "hooks")
 
-    def __init__(self, tid: int, sqi: int, kind: str = "message") -> None:
+    def __init__(
+        self, tid: int, sqi: int, kind: str = "message",
+        hooks: Optional[HookBus] = None,
+    ) -> None:
         self.tid = tid
         self.sqi = sqi
         self.kind = kind
         self.stamps: List[TxnStamp] = []
+        #: The bus each stamp is published on (None: stamps only).
+        self.hooks = hooks
 
     # ------------------------------------------------------------------ record
-    def stamp(self, state: TxnState, tick: int, detail: str = "") -> TxnStamp:
-        """Append one state transition at *tick*."""
-        entry = _new_stamp(TxnStamp, (state, int(tick), detail))
-        self.stamps.append(entry)
-        return entry
+    def stamp(self, state: TxnState, tick: int, detail: str = "") -> None:
+        """Append one state transition at *tick* and publish it as a
+        :class:`~repro.sim.hooks.TransactionHook` while one is wanted."""
+        self.stamps.append(_new_stamp(TxnStamp, (state, tick, detail)))
+        hooks = self.hooks
+        if hooks is not None and TransactionHook in hooks.wanted:
+            hooks.publish(
+                TransactionHook(tick=tick, record=self, state=state, detail=detail)
+            )
 
     # ------------------------------------------------------------------- query
     @property
@@ -175,17 +189,6 @@ class TransactionRecord:
             return None
         return end - start
 
-    def stage_durations(self) -> Iterator[Tuple[str, int]]:
-        """Yield ``(stage_label, cycles)`` for each consecutive stamp pair.
-
-        Labels name the edge, e.g. ``created->pushed``; retries produce
-        repeated edges (``responded->mapped`` for a Figure 5 re-entry), so
-        aggregating these across transactions gives per-stage latency
-        histograms.
-        """
-        for prev, nxt in zip(self.stamps, self.stamps[1:]):
-            yield f"{prev.state.value}->{nxt.state.value}", nxt.tick - prev.tick
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = self.state.value if self.state else "empty"
         return (
@@ -202,20 +205,18 @@ class TransactionLog:
     many request records interleave with them.
 
     A record is built iff a :class:`~repro.sim.hooks.TransactionHook`
-    subscriber is on *hooks* when the id is taken.  Otherwise :meth:`take`
+    subscriber is on *hooks* when the id is taken, and it publishes its
+    stamps on *hooks*.  Otherwise :meth:`take`
     returns the id with no record, and the packet's stamp sites skip it;
     ids and :meth:`count` are the same either way.  The log keeps no
     record: each lives exactly as long as the packet that carries it and
     whatever subscriber holds on to it.
     """
 
-    __slots__ = ("hooks", "_event", "_next_id")
+    __slots__ = ("hooks", "_next_id")
 
-    def __init__(self, hooks: "HookBus") -> None:
-        from repro.sim.hooks import TransactionHook
-
+    def __init__(self, hooks: HookBus) -> None:
         self.hooks = hooks
-        self._event = TransactionHook
         self._next_id: Dict[str, int] = {}
 
     def take(
@@ -226,8 +227,9 @@ class TransactionLog:
         next_id = self._next_id
         tid = next_id.get(kind, 0)
         next_id[kind] = tid + 1
-        if self._event in self.hooks.wanted:
-            return tid, TransactionRecord(tid, sqi, kind)
+        hooks = self.hooks
+        if TransactionHook in hooks.wanted:
+            return tid, TransactionRecord(tid, sqi, kind, hooks)
         return tid, None
 
     def count(self, kind: str = "message") -> int:

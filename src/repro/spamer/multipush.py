@@ -184,19 +184,6 @@ class MultiPushSpeculation(SpecBufSpeculation):
             est.seed(self.stats.get("spec_pushes"), self.stats.get("spec_hits"))
         return est
 
-    def burst_snapshot(self) -> Dict[int, dict]:
-        """Per-entry burst state for diagnostics and the property tests."""
-        return {
-            index: {
-                "claims": len(b.claims),
-                "pen": len(b.pen),
-                "draining": b.draining,
-                "outstanding": b.outstanding,
-                "invalidations": b.invalidations,
-            }
-            for index, b in self._bursts.items()
-        }
-
     # --------------------------------------------------------- speculation path
     def select(
         self, row: LinkRow, entry: ProdEntry, now: int
@@ -410,7 +397,6 @@ class MultiPushSpeculation(SpecBufSpeculation):
                 PacketKind.COHERENCE,
                 self._invalidated,
                 (burst, claim, spec_entry),
-                txn=entry.message.txn,
                 src=src,
                 dst=dst,
             )
@@ -441,8 +427,10 @@ class MultiPushSpeculation(SpecBufSpeculation):
         for entry in reversed(pen):
             row.buffered_data.appendleft(entry)
         burst.draining = False
+        now = self.device.env._now
         for entry in pen:
-            pipeline.stamp(entry.message.txn, TxnState.BUFFERED, entry.sqi,
-                           "rollback")
+            txn = entry.message.txn
+            if txn is not None:
+                txn.stamp(TxnState.BUFFERED, now, "rollback")
         self._maybe_finish(burst, spec_entry)
         pipeline.kick(row)

@@ -63,11 +63,6 @@ class SoftwareQueue:
     def _payload_addr(self, index: int) -> int:
         return self._seq_addr(index) + 8
 
-    @property
-    def footprint_bytes(self) -> int:
-        """Bytes of coherent memory the queue occupies."""
-        return (2 + self.capacity) * CACHELINE_BYTES
-
     # ------------------------------------------------------------------ enqueue
     def enqueue(self, core: int, value: int) -> Generator:
         """Lock-free enqueue (``yield from``); spins while the ring is full."""

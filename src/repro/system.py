@@ -95,7 +95,7 @@ class System:
                 hooks=self.hooks,
                 security=security,
             )
-            for _ in range(self.config.effective_srds)
+            for _ in range(self.config.num_srds)
         ]
         # Each shard learns its index so it knows its network node on NoC
         # topologies (cross-shard traffic pays real distance).

@@ -220,8 +220,6 @@ class InvariantChecker:
     def _on_transaction(self, event: TransactionHook) -> None:
         self.events_seen += 1
         record = event.record
-        if record is None:
-            return
         key = (record.kind, record.tid)
         prev = self._txn_state.get(key)
         if not is_legal_transition(prev, event.state):
@@ -358,9 +356,6 @@ class StallWatchdog:
         self._last_progress = self._progress()
         env.set_watchdog(self._check, env.now + self.window)
         return self
-
-    def uninstall(self) -> None:
-        self.system.env.clear_watchdog()
 
     # ----------------------------------------------------------------- progress
     def _progress(self) -> int:

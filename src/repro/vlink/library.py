@@ -31,11 +31,9 @@ from typing import Any, Generator, Optional, TYPE_CHECKING
 from repro.errors import RegistrationError, WorkloadError
 from repro.mem.bus import PacketKind
 from repro.mem.cacheline import LineState
-from repro.sim.hooks import (
-    DeliveryHook, EventKind, PushHook, TraceHook, TransactionHook,
-)
+from repro.sim.hooks import DeliveryHook, EventKind, PushHook, TraceHook
 from repro.sim.process import PARK, Process
-from repro.sim.transaction import TransactionRecord, TxnState
+from repro.sim.transaction import TxnState
 from repro.vlink.endpoint import ConsumerEndpoint, ProducerEndpoint
 from repro.vlink.packets import ConsRequest, Message
 
@@ -64,8 +62,8 @@ class QueueLibrary:
         """Allocate a fresh SQI (one linkTab row)."""
         sqi = self._next_sqi
         self._next_sqi += 1
-        # Reserve the row eagerly on the owning router (SQIs shard across
-        # routers when config.num_routers > 1).
+        # Reserve the row eagerly on the owning shard (SQIs shard across
+        # devices when config.num_srds > 1).
         self.system.device_for(sqi).linktab.row(sqi)
         return sqi
 
@@ -138,24 +136,6 @@ class QueueLibrary:
                 f"core {core_id} out of range (system has {self.config.num_cores})"
             )
 
-    def _stamp(
-        self, txn: TransactionRecord, state: TxnState, detail: str = ""
-    ) -> None:
-        """Stamp a lifecycle transition and publish it on the hook bus."""
-        now = self.env._now
-        txn.stamp(state, now, detail)
-        hooks = self.system.hooks
-        if TransactionHook in hooks.wanted:
-            hooks.publish(
-                TransactionHook(
-                    tick=now,
-                    record=txn,
-                    state=state,
-                    sqi=txn.sqi,
-                    detail=detail,
-                )
-            )
-
     # ------------------------------------------------------------------- push
     def push(self, producer: ProducerEndpoint, payload: Any) -> Generator:
         """Enqueue one message (``yield from`` inside a thread program)."""
@@ -170,7 +150,7 @@ class QueueLibrary:
         pool = yield from device.acquire_entry(producer.sqi)
         tid, txn = self.system.transactions.take(producer.sqi)
         if txn is not None:
-            self._stamp(txn, TxnState.CREATED)
+            txn.stamp(TxnState.CREATED, self.env._now)
         message = Message(
             payload=payload,
             sqi=producer.sqi,
@@ -286,7 +266,7 @@ class QueueLibrary:
         yield cfg.pop_fast_path_cost
         message = line.consume()
         if message.txn is not None:
-            self._stamp(message.txn, TxnState.RETIRED)
+            message.txn.stamp(TxnState.RETIRED, self.env._now)
         if DeliveryHook in hooks.wanted:
             hooks.publish(
                 DeliveryHook(
@@ -307,7 +287,9 @@ class QueueLibrary:
         """Fire a vl_fetch packet at the device (posted, non-blocking)."""
         _, txn = self.system.transactions.take(consumer.sqi, "request")
         if txn is not None:
-            self._stamp(txn, TxnState.CREATED, "prerequest" if prerequest else "")
+            txn.stamp(
+                TxnState.CREATED, self.env._now, "prerequest" if prerequest else ""
+            )
         request = ConsRequest(
             sqi=consumer.sqi,
             line=consumer.current_line,

@@ -15,8 +15,11 @@ baseline device runs :class:`NullSpeculation` (never speculates, rejects
 pipeline with their own policy instead of monkeying with the device class.
 
 The pipeline stamps each packet's :class:`~repro.sim.transaction.
-TransactionRecord`, when it has one (MAPPED / BUFFERED / MATCHED /
-COALESCED), and publishes trace moments onto the hook bus; it schedules
+TransactionRecord` when it has one (MAPPED / BUFFERED / MATCHED /
+COALESCED): a packet carries a record only when a
+:class:`~repro.sim.hooks.TransactionHook` subscriber was on the bus at
+its birth, and the record publishes its own stamps.  The pipeline also
+publishes trace moments onto the hook bus; it schedules
 only the stage-latency delays the monolithic device used to (as
 event-free :meth:`~repro.sim.kernel.Environment.call_later` entries under
 the same queue keys), so refactored runs are bit-identical to the
@@ -29,8 +32,8 @@ from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.errors import RegistrationError
 from repro.mem.cacheline import ConsumerLine
-from repro.sim.hooks import EventKind, HookBus, TraceHook, TransactionHook
-from repro.sim.transaction import TransactionRecord, TxnState
+from repro.sim.hooks import EventKind, HookBus, TraceHook
+from repro.sim.transaction import TxnState
 from repro.vlink.linktab import LinkRow, LinkTab
 from repro.vlink.packets import ConsRequest, ProdEntry
 
@@ -158,33 +161,6 @@ class MappingPipeline:
         self._consbuf_occupancy = 0
 
     # ------------------------------------------------------------------ helpers
-    def stamp(
-        self,
-        record: Optional[TransactionRecord],
-        state: TxnState,
-        sqi: int,
-        detail: str = "",
-    ) -> None:
-        """Stamp *record* (if any) and publish the state change on the bus.
-
-        Hot callers skip the call when there is nothing to do (no record
-        and no :class:`TransactionHook` in ``hooks.wanted``), which is
-        every packet of a silent run.
-        """
-        hooks = self.hooks
-        wanted = TransactionHook in hooks.wanted
-        if record is None and not wanted:
-            return
-        now = self.env._now
-        if record is not None:
-            record.stamp(state, now, detail)
-        if wanted:
-            hooks.publish(
-                TransactionHook(
-                    tick=now, record=record, state=state, sqi=sqi, detail=detail
-                )
-            )
-
     def trace(
         self, kind: EventKind, time: int, transaction_id: int, sqi: int,
         detail: str = "",
@@ -248,8 +224,8 @@ class MappingPipeline:
         self.stats.counts["spec_retries"] += 1
         entry.spec_unconfirmed = spec.unconfirmed
         txn = entry.message.txn
-        if txn is not None or TransactionHook in self.hooks.wanted:
-            self.stamp(txn, TxnState.MAPPED, entry.sqi, "retry")
+        if txn is not None:
+            txn.stamp(TxnState.MAPPED, self.env._now, "retry")
         ahead = spec.send_tick - self.env._now
         delay = self.stage_latency + (ahead if ahead > 0 else 0)
         self.env.call_later(
@@ -262,8 +238,8 @@ class MappingPipeline:
             # Keep per-SQI FIFO: fresh arrivals queue behind parked packets.
             row.buffered_data.append(entry)
             txn = entry.message.txn
-            if txn is not None or TransactionHook in self.hooks.wanted:
-                self.stamp(txn, TxnState.BUFFERED, entry.sqi, "backlog")
+            if txn is not None:
+                txn.stamp(TxnState.BUFFERED, self.env._now, "backlog")
             self.kick(row)
             return
         self._map_front(row, entry)
@@ -282,24 +258,24 @@ class MappingPipeline:
         row.buffered_data.append(entry)
         self.stats.counts["buffered"] += 1
         txn = entry.message.txn
-        if txn is not None or TransactionHook in self.hooks.wanted:
-            self.stamp(txn, TxnState.BUFFERED, entry.sqi)
+        if txn is not None:
+            txn.stamp(TxnState.BUFFERED, self.env._now)
 
     def _matched(self, request: ConsRequest, entry: ProdEntry) -> None:
         """Bookkeeping for an on-demand pairing (Stage-3 consTgt mux)."""
-        wanted = self.hooks.wanted
-        if TraceHook in wanted:
+        if TraceHook in self.hooks.wanted:
             self.trace(
                 EventKind.REQUEST_ARRIVE,
                 request.arrived_at,
                 entry.message.transaction_id,
                 entry.sqi,
             )
-        stamping = TransactionHook in wanted
-        if stamping or entry.message.txn is not None:
-            self.stamp(entry.message.txn, TxnState.MAPPED, entry.sqi, "on-demand")
-        if stamping or request.txn is not None:
-            self.stamp(request.txn, TxnState.MATCHED, request.sqi)
+        txn = entry.message.txn
+        if txn is not None:
+            txn.stamp(TxnState.MAPPED, self.env._now, "on-demand")
+        txn = request.txn
+        if txn is not None:
+            txn.stamp(TxnState.MATCHED, self.env._now)
 
     def _speculated(self, entry: ProdEntry, spec: SpecTarget) -> None:
         """Stage-3 specTgt path: schedule the delayed speculative dispatch."""
@@ -310,8 +286,8 @@ class MappingPipeline:
             delay = 0
         self.stats.counts["spec_selected"] += 1
         txn = entry.message.txn
-        if txn is not None or TransactionHook in self.hooks.wanted:
-            self.stamp(txn, TxnState.MAPPED, entry.sqi, "speculative")
+        if txn is not None:
+            txn.stamp(TxnState.MAPPED, self.env._now, "speculative")
         self.env.call_later(
             delay, lambda _arg: self._dispatch(entry, spec.line, True))
 
@@ -334,7 +310,8 @@ class MappingPipeline:
             # loop would otherwise accumulate and exhaust consBuf.
             self._consbuf_occupancy -= 1
             self.stats.counts["requests_coalesced"] += 1
-            self.stamp(request.txn, TxnState.COALESCED, request.sqi)
+            if request.txn is not None:
+                request.txn.stamp(TxnState.COALESCED, self.env._now)
             return
         if row.buffered_data:
             entry = row.buffered_data.popleft()

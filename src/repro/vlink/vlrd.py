@@ -34,7 +34,7 @@ from repro.config import SystemConfig
 from repro.mem.bus import CoherenceNetwork, PacketKind
 from repro.mem.cacheline import ConsumerLine
 from repro.registry import register_device
-from repro.sim.hooks import EventKind, HookBus, TraceHook, TransactionHook
+from repro.sim.hooks import EventKind, HookBus, TraceHook
 from repro.sim.resources import Resource
 from repro.sim.stats import Counter
 from repro.sim.transaction import TxnState
@@ -200,14 +200,13 @@ class VirtualLinkRoutingDevice:
 
         The hot path guards each stamp and trace moment at the call site
         (a record to stamp, or a subscriber on the bus), so a silent run
-        enters neither helper.
+        enters neither.
         """
         self.stats.counts["data_arrivals"] += 1
         now = self.env._now
-        wanted = self.hooks.wanted
-        if message.txn is not None or TransactionHook in wanted:
-            self.pipeline.stamp(message.txn, TxnState.PUSHED, message.sqi)
-        if TraceHook in wanted:
+        if message.txn is not None:
+            message.txn.stamp(TxnState.PUSHED, now)
+        if TraceHook in self.hooks.wanted:
             self.pipeline.trace(
                 EventKind.DATA_ARRIVE, now, message.transaction_id, message.sqi
             )
@@ -216,16 +215,17 @@ class VirtualLinkRoutingDevice:
     # ----------------------------------------------------------- consumer side
     def accept_request(self, request: ConsRequest) -> None:
         """A vl_fetch packet arrived over the network."""
-        request.arrived_at = self.env._now
+        request.arrived_at = now = self.env._now
         self.stats.counts["request_arrivals"] += 1
-        if request.txn is not None or TransactionHook in self.hooks.wanted:
-            self.pipeline.stamp(request.txn, TxnState.ARRIVED, request.sqi)
+        txn = request.txn
+        if txn is not None:
+            txn.stamp(TxnState.ARRIVED, now)
         if not self.pipeline.admit_request(request):
             # consBuf exhausted: the store is NACKed; the consumer's poll
             # loop re-issues the fetch later.
             self.stats.counts["requests_dropped"] += 1
-            self.pipeline.stamp(request.txn, TxnState.DROPPED, request.sqi, "NACK")
-            return
+            if txn is not None:
+                txn.stamp(TxnState.DROPPED, now, "NACK")
 
     # ------------------------------------------------------------ push path
     def _dispatch(self, entry: ProdEntry, line: ConsumerLine, speculative: bool) -> None:
@@ -235,11 +235,10 @@ class VirtualLinkRoutingDevice:
         counts["push_attempts"] += 1
         counts["spec_pushes" if speculative else "ondemand_pushes"] += 1
         txn = entry.message.txn
-        if txn is not None or TransactionHook in self.hooks.wanted:
-            self.pipeline.stamp(
-                txn,
+        if txn is not None:
+            txn.stamp(
                 TxnState.STASHED,
-                entry.sqi,
+                self.env._now,
                 "speculative" if speculative else "on-demand",
             )
         # On NoC topologies the stash crosses the device→consumer distance
@@ -249,8 +248,7 @@ class VirtualLinkRoutingDevice:
                        network.srd_nodes[self.srd_index],
                        network.core_nodes[line.core_id])
         network.transit_then(
-            PacketKind.STASH, self._delivered, stash,
-            txn=txn, src=stash.src, dst=stash.dst,
+            PacketKind.STASH, self._delivered, stash, src=stash.src, dst=stash.dst,
         )
 
     def _delivered(self, stash: "_Stash") -> None:
@@ -284,11 +282,8 @@ class VirtualLinkRoutingDevice:
         if speculative:
             verdict = self.pipeline.speculation.on_response(entry, hit, self.env._now)
         txn = entry.message.txn
-        stamping = txn is not None or TransactionHook in self.hooks.wanted
-        if stamping:
-            self.pipeline.stamp(
-                txn, TxnState.RESPONDED, entry.sqi, "hit" if hit else "miss",
-            )
+        if txn is not None:
+            txn.stamp(TxnState.RESPONDED, self.env._now, "hit" if hit else "miss")
         counts = self.stats.counts
         if verdict == "rollback":
             # A burst misprediction cancelled this push: it is charged as a
@@ -297,8 +292,8 @@ class VirtualLinkRoutingDevice:
             # line over the network, re-injecting the message FIFO-front).
             counts["push_failures"] += 1
             counts["spec_failures"] += 1
-            if stamping:
-                self.pipeline.stamp(txn, TxnState.ROLLED_BACK, entry.sqi, "burst")
+            if txn is not None:
+                txn.stamp(TxnState.ROLLED_BACK, self.env._now, "burst")
             self.pipeline.speculation.complete_rollback(entry, hit, self.env._now)
             self.pipeline.kick(row)
             return

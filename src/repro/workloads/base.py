@@ -271,11 +271,6 @@ class Workload(ABC):
                 "requests never completed"
             )
 
-    def table2_row(self) -> str:
-        """The workload's Table 2 row: description + topology."""
-        topo = "+".join(spec.label() for spec in self.topology())
-        return f"{self.description} {topo}"
-
     def total_messages(self) -> int:
         """Messages produced (available after a run)."""
         return sum(self.produced.values())

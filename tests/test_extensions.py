@@ -111,7 +111,7 @@ def test_factory_knows_learned_algorithms():
 
 # ---------------------------------------------------------------- multi-router
 def test_multirouter_shards_sqis():
-    cfg = SystemConfig(num_routers=2)
+    cfg = SystemConfig(num_srds=2)
     system = System(config=cfg, device="vl")
     sqis = [system.library.create_queue() for _ in range(4)]
     owners = {s: system.device_for(s) for s in sqis}
@@ -121,14 +121,14 @@ def test_multirouter_shards_sqis():
 
 
 def test_multirouter_runs_workload_correctly():
-    cfg = SystemConfig(num_routers=4)
+    cfg = SystemConfig(num_srds=4)
     setting = standard_settings()[1]  # 0delay
     m = run_workload("halo", setting, scale=SCALE, config=cfg, limit=100_000_000)
     assert m.messages_delivered == m.messages_produced
 
 
 def test_multirouter_aggregates_stats():
-    cfg = SystemConfig(num_routers=2)
+    cfg = SystemConfig(num_srds=2)
     setting = standard_settings()[0]
     m = run_workload("firewall", setting, scale=SCALE, config=cfg,
                      limit=100_000_000)
@@ -140,7 +140,7 @@ def test_multirouter_relieves_buffer_pressure():
     setting = standard_settings()[1]
     cycles = {}
     for routers in (1, 4):
-        cfg = SystemConfig(num_routers=routers, prodbuf_entries=8)
+        cfg = SystemConfig(num_srds=routers, prodbuf_entries=8)
         m = run_workload("FIR", setting, scale=SCALE, config=cfg,
                          limit=100_000_000)
         cycles[routers] = m.exec_cycles
@@ -149,7 +149,7 @@ def test_multirouter_relieves_buffer_pressure():
 
 def test_invalid_router_count_rejected():
     with pytest.raises(ConfigError):
-        SystemConfig(num_routers=0)
+        SystemConfig(num_srds=0)
 
 
 # -------------------------------------------------------------------- autotune

@@ -1,7 +1,6 @@
 """Unit tests for the address-space layout and device windows."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError, RegistrationError
 from repro.mem.address import (
@@ -65,17 +64,6 @@ def test_device_window_classification():
     assert not AddressSpace.is_consbuf_window(SPECBUF_WINDOW_BASE)
     assert not AddressSpace.is_specbuf_window(0x1000)
 
-
-@given(sqi=st.integers(min_value=0, max_value=1000))
-@settings(max_examples=50, deadline=None)
-def test_sqi_window_roundtrip(sqi):
-    """Property: the SQI encoded in either window decodes back."""
-    assert AddressSpace.sqi_of_window_addr(AddressSpace.consbuf_window_addr(sqi)) == sqi
-    assert AddressSpace.sqi_of_window_addr(AddressSpace.specbuf_window_addr(sqi)) == sqi
-
-
-def test_non_window_address_decodes_to_none():
-    assert AddressSpace.sqi_of_window_addr(0x2000) is None
 
 
 def test_too_small_dram_rejected():

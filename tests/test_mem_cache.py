@@ -85,8 +85,3 @@ def test_peek_does_not_count_stats(cache):
     cache.peek(0x40)
     assert cache.hits == 0
 
-
-def test_resident_lines_counter(cache):
-    for i in range(4):
-        cache.install(i * 64, MoesiState.SHARED)
-    assert cache.resident_lines == 4

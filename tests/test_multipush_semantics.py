@@ -72,8 +72,9 @@ def assert_burst_balance(system) -> None:
         policy = device.pipeline.speculation
         if not isinstance(policy, MultiPushSpeculation):
             continue
-        assert policy.burst_snapshot() == {}, (
-            f"unresolved bursts at quiesce: {policy.burst_snapshot()}"
+        assert policy._bursts == {}, (
+            "unresolved bursts at quiesce: "
+            f"{ {i: vars(b) for i, b in policy._bursts.items()} }"
         )
         assert device.specbuf.on_fly_count() == 0
     claims = stats.get("burst_claims")

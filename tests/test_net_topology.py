@@ -240,15 +240,6 @@ def test_single_bus_matches_historical_arithmetic(env):
     assert bus.busy_cycles == 9
 
 
-def test_single_bus_multichannel_picks_earliest_free(env):
-    bus = build_topology("single-bus", env, cfg(bus_channels=2))
-    done = []
-    for _ in range(2):
-        bus.transit_then("stash", 0, 1, lambda _: done.append(env.now), None)
-    env.run()
-    assert done == [39, 39]  # two channels, no serialization
-
-
 # ------------------------------------------------------------------ hooks
 def test_link_hook_published_per_traversal(env):
     hooks = HookBus()

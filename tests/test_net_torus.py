@@ -113,7 +113,7 @@ def test_srd_placement_matches_mesh(env):
     topo = torus(env)
     mesh = build_topology("mesh", Environment(),
                           cfg(num_cores=16).with_overrides(topology="mesh"))
-    srds = max(1, topo.config.effective_srds)
+    srds = topo.config.num_srds
     for i in range(srds):
         assert topo.srd_node(i) == mesh.srd_node(i)
 

@@ -186,6 +186,19 @@ def test_collector_counts_semantic_events():
     assert hits + misses == stats.get("spec_pushes", 0)
     assert reg.histogram("txn.latency").count == 30
 
+    # FIR/tuned and pipeline/0delay stamp RESPONDED after RETIRED on many
+    # messages (the hit response of the last stash rides back after the
+    # pop); each message still counts once.
+    for workload, setting in (("FIR", "tuned"), ("pipeline", "0delay")):
+        reg = MetricsRegistry()
+        metrics = run_workload(
+            workload, setting_by_name(setting), scale=0.05, seed=12648430,
+            on_system=lambda system: attach_collector(system, reg),
+        )
+        delivered = metrics.messages_delivered
+        assert reg.histogram("txn.latency").count == delivered
+        assert reg.counter("txn.retries") == metrics.push_attempts - delivered
+
 
 def test_collector_records_decisions_per_algorithm():
     _, reg, _ = run_observed(algorithm="tuned")

@@ -95,7 +95,7 @@ def _reference_pop_impl(self, consumer, stop_check):
     yield cfg.pop_fast_path_cost
     message = line.consume()
     if message.txn is not None:
-        self._stamp(message.txn, TxnState.RETIRED)
+        message.txn.stamp(TxnState.RETIRED, self.env.now)
     if DeliveryHook in hooks.wanted:
         hooks.publish(
             DeliveryHook(

@@ -299,7 +299,6 @@ def _lifo_server(monkeypatch):
         start = max(now, self._free_at)
         finish = start + self.service_time
         self._free_at = finish
-        self.busy_cycles += self.service_time
         self.packets_served += 1
         env.call_later(finish - now + extra_delay, fn, arg)
         batch = batches.get(self)

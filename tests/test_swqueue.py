@@ -130,14 +130,6 @@ def test_software_pingpong_is_deterministic():
 
 
 # --------------------------------------------------------- coverage top-ups
-def test_footprint_counts_head_tail_and_slots():
-    from repro.units import CACHELINE_BYTES
-
-    _env, _mem, queue = make_queue(capacity=4)
-    # Head line + tail line + one line per slot.
-    assert queue.footprint_bytes == 6 * CACHELINE_BYTES
-
-
 def test_try_dequeue_success_returns_value_and_recycles():
     env, mem, queue = make_queue(capacity=2)
 
@@ -154,7 +146,7 @@ def test_try_dequeue_success_returns_value_and_recycles():
     assert second is None  # drained
     assert queue.dequeues == 1
     # The slot's sequence word was recycled for the next lap.
-    assert mem.peek_value(queue._seq_addr(0)) == queue.capacity
+    assert mem.values[queue._seq_addr(0)] == queue.capacity
 
 
 def test_ring_wraps_through_multiple_laps():

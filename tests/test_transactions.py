@@ -42,9 +42,8 @@ def test_record_stamps_and_queries():
     assert record.last(TxnState.STASHED) == 70
     assert record.ticks(TxnState.RESPONDED) == [60, 100]
     assert record.latency == 110
-    edges = dict(record.stage_durations())
-    assert edges["created->pushed"] == 15
-    assert edges["responded->retired"] == 20
+    assert record.first(TxnState.PUSHED) - record.first(TxnState.CREATED) == 15
+    assert record.last(TxnState.RETIRED) - record.last(TxnState.RESPONDED) == 20
 
 
 def test_log_keeps_dense_per_kind_id_sequences():

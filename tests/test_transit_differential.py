@@ -16,8 +16,7 @@ once with the library as it is, and requires byte-identical results
 queue keys.
 
 The cases cover multi-hop transits (``scaling-halo`` on a 16-core mesh
-and torus), same-node and one-link deliveries, the shared bus with two
-channels, multi-push rollback (k=2 rollbacks, and the landed-claim
+and torus), same-node and one-link deliveries, multi-push rollback (k=2 rollbacks, and the landed-claim
 invalidation packet, which needs a burst of at least three claims) and
 the MOESI software ping-pong on the mesh, whose coherence packets park
 the calling process.
@@ -87,7 +86,6 @@ def _serve(server, extra_delay=0):
     start = max(server.env.now, server._free_at)
     finish = start + server.service_time
     server._free_at = finish
-    server.busy_cycles += server.service_time
     server.packets_served += 1
     return _timer(server.env, finish - server.env.now + int(extra_delay))
 
@@ -98,6 +96,7 @@ def _traverse(topology, link, kind, src, dst):
     if wait > 0:
         link.wait_cycles += wait
     event = _serve(link.server, extra_delay=link.latency)
+    topology.packets_served += 1
     hooks = topology.hooks
     if hooks is not None and LinkHook in hooks.wanted:
         hooks.publish(
@@ -118,8 +117,7 @@ def _topology_transit(topology, kind, src, dst):
     """``SingleBusTopology.transit`` and ``Topology.transit``."""
     env = topology.env
     if isinstance(topology, SingleBusTopology):
-        channel = min(topology.channels, key=lambda s: max(s._free_at, env.now))
-        return _serve(channel, extra_delay=topology.latency)
+        return _serve(topology.server, extra_delay=topology.latency)
     links = topology.route(src, dst)
     if not links:
         return _timer(env, topology.config.bus_occupancy)
@@ -138,7 +136,7 @@ def _topology_transit(topology, kind, src, dst):
     return done
 
 
-def _transit(network, kind, txn=None, src=0, dst=0):
+def _transit(network, kind, src=0, dst=0):
     """``CoherenceNetwork.transit``."""
     network.counters.counts[kind.value] += 1
     network.counters.counts["total_packets"] += 1
@@ -160,8 +158,8 @@ def _response(network, src=0, dst=0):
 # Callers subscribed a lambda to the event (``library``, ``vlrd``,
 # ``multipush``); a coherence generator parked and its process was
 # resumed by the event's subscriber.
-def _transit_then(self, kind, fn, arg, txn=None, src=0, dst=0):
-    _transit(self, kind, txn=txn, src=src, dst=dst).subscribe(lambda _ev: fn(arg))
+def _transit_then(self, kind, fn, arg, src=0, dst=0):
+    _transit(self, kind, src=src, dst=dst).subscribe(lambda _ev: fn(arg))
 
 
 def _response_then(self, src, dst, fn, arg):
@@ -216,7 +214,6 @@ WORKLOAD_CASES = [
     ("scaling-halo", "tuned", "mesh16", dict(config=scaling_config(16, "mesh"))),
     ("scaling-halo", "vl", "torus16", dict(config=scaling_config(16, "torus"))),
     ("scaling-halo", "tuned", "torus16", dict(config=scaling_config(16, "torus"))),
-    ("incast", "tuned", "bus-2ch", dict(config=SystemConfig(bus_channels=2))),
     (
         "incast",
         "multipush",

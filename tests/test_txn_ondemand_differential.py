@@ -7,8 +7,10 @@ anybody read it.  Records are now built only when a
 :class:`~repro.sim.hooks.TransactionHook` subscriber is on the bus when
 the packet is born; an unobserved run takes the same ids and builds
 none.  Each case here runs once with a
-test-local copy of the eager form monkeypatched in and once with the
-library as it is, and requires:
+test-local copy of the eager form monkeypatched in (at
+``TransactionLog.take`` and ``TransactionRecord.stamp``, the one stamp
+method every layer calls) and once with the library as it is, and
+requires:
 
 * a silent run builds no record, with the same per-kind id counts and
   byte-identical results;
@@ -31,8 +33,6 @@ from repro.sim.transaction import (
     TxnStamp,
     TxnState,
 )
-from repro.vlink.library import QueueLibrary
-from repro.vlink.pipeline import MappingPipeline
 from repro.workloads.arrival import ArrivalSpec
 from tests.conftest import collect_records
 from tests.test_result_digest import canonical_bytes
@@ -47,47 +47,22 @@ def _eager_take(log, sqi, kind="message"):
     """``TransactionLog.open``: a record for every id."""
     tid = log._next_id.get(kind, 0)
     log._next_id[kind] = tid + 1
-    return tid, TransactionRecord(tid, sqi, kind)
+    return tid, TransactionRecord(tid, sqi, kind, log.hooks)
 
 
-def _eager_record_stamp(record, state, tick, detail=""):
-    entry = TxnStamp(state, int(tick), detail)
-    record.stamps.append(entry)
-    return entry
-
-
-def _eager_pipeline_stamp(pipeline, record, state, sqi, detail=""):
-    now = pipeline.env.now
-    if record is not None:
-        record.stamp(state, now, detail)
-    if TransactionHook in pipeline.hooks.wanted:
-        pipeline.hooks.publish(
-            TransactionHook(
-                tick=now, record=record, state=state, sqi=sqi, detail=detail
-            )
-        )
-
-
-def _eager_library_stamp(library, txn, state, detail=""):
-    txn.stamp(state, library.env.now, detail)
-    hooks = library.system.hooks
+def _eager_stamp(record, state, tick, detail=""):
+    """Stamp every record, publishing only while a subscriber listens."""
+    record.stamps.append(TxnStamp(state, int(tick), detail))
+    hooks = record.hooks
     if TransactionHook in hooks.wanted:
         hooks.publish(
-            TransactionHook(
-                tick=library.env.now,
-                record=txn,
-                state=state,
-                sqi=txn.sqi,
-                detail=detail,
-            )
+            TransactionHook(tick=tick, record=record, state=state, detail=detail)
         )
 
 
 def _patch_eager(monkeypatch):
     monkeypatch.setattr(TransactionLog, "take", _eager_take)
-    monkeypatch.setattr(TransactionRecord, "stamp", _eager_record_stamp)
-    monkeypatch.setattr(MappingPipeline, "stamp", _eager_pipeline_stamp)
-    monkeypatch.setattr(QueueLibrary, "_stamp", _eager_library_stamp)
+    monkeypatch.setattr(TransactionRecord, "stamp", _eager_stamp)
 
 
 # ---------------------------------------------------------------- the cases
@@ -144,9 +119,8 @@ def _hook_stream():
     def record(event):
         rec = event.record
         stream.append(
-            (event.tick, event.state, event.sqi, event.detail,
-             rec.kind if rec else None, rec.tid if rec else None,
-             tuple(rec.stamps[-2:]) if rec else ())
+            (event.tick, event.state, rec.sqi, event.detail, rec.kind, rec.tid,
+             tuple(rec.stamps[-2:]))
         )
 
     def attach(system):
@@ -177,7 +151,6 @@ def test_subscriber_sees_the_eager_hook_stream(monkeypatch, kwargs):
     stream, attach = _hook_stream()
     ondemand_bytes, _, _ = _run(kwargs, on_system=attach)
     assert len(stream) > 0
-    assert all(entry[5] is not None for entry in stream)
     # Every record's first transition is its birth, on both kinds.
     first = {}
     for entry in stream:
