@@ -12,10 +12,10 @@ Public API highlights:
   with a delay algorithm: ``"0delay"``, ``"adapt"``, ``"tuned"``).
 * :mod:`repro.workloads` — the paper's 8 task-parallel benchmarks.
 * :mod:`repro.eval` — runners regenerating every table and figure.
-* :mod:`repro.registry` — :func:`~repro.registry.register_device` /
-  :func:`~repro.registry.register_algorithm` decorators plugging new
-  routing devices and delay algorithms into ``System``, the runners and
-  the CLI with zero core edits.
+* :mod:`repro.registry` — one :class:`~repro.registry.Registry` per
+  component kind (``DEVICES``, ``ALGORITHMS``, ``TOPOLOGIES``,
+  ``ARRIVALS``); ``@DEVICES.register(name)`` plugs a new routing device
+  into ``System``, the runners and the CLI with zero core edits.
 """
 
 from repro.config import CacheConfig, DEFAULT_CONFIG, SystemConfig
@@ -30,14 +30,7 @@ from repro.errors import (
     SimulationError,
     WorkloadError,
 )
-from repro.registry import (
-    algorithm_names,
-    device_names,
-    register_algorithm,
-    register_device,
-    resolve_algorithm,
-    resolve_device,
-)
+from repro.registry import ALGORITHMS, ARRIVALS, DEVICES, TOPOLOGIES, Registry
 from repro.spamer import (
     AdaptiveDelay,
     DelayAlgorithm,
@@ -48,7 +41,6 @@ from repro.spamer import (
     TunedDelay,
     TunedParams,
     ZeroDelay,
-    algorithm_by_name,
 )
 from repro.system import System
 from repro.vlink import QueueLibrary, VirtualLinkRoutingDevice
@@ -56,11 +48,14 @@ from repro.vlink import QueueLibrary, VirtualLinkRoutingDevice
 __version__ = "1.0.0"
 
 __all__ = [
+    "ALGORITHMS",
+    "ARRIVALS",
     "AdaptiveDelay",
     "BufferFullError",
     "CacheConfig",
     "ConfigError",
     "DEFAULT_CONFIG",
+    "DEVICES",
     "DelayAlgorithm",
     "DeviceError",
     "FixedDelay",
@@ -68,6 +63,7 @@ __all__ = [
     "ProtocolError",
     "QueueLibrary",
     "RegistrationError",
+    "Registry",
     "ReproError",
     "SchedulingError",
     "SecurityPolicy",
@@ -75,17 +71,11 @@ __all__ = [
     "SpamerRoutingDevice",
     "System",
     "SystemConfig",
+    "TOPOLOGIES",
     "TunedDelay",
     "TunedParams",
     "VirtualLinkRoutingDevice",
     "WorkloadError",
     "ZeroDelay",
-    "algorithm_by_name",
-    "algorithm_names",
-    "device_names",
-    "register_algorithm",
-    "register_device",
-    "resolve_algorithm",
-    "resolve_device",
     "__version__",
 ]

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigError
+from repro.registry import TOPOLOGIES
 from repro.units import CACHELINE_BYTES, DEFAULT_CLOCK_HZ, GiB, KiB, MiB
 
 
@@ -91,7 +92,7 @@ class SystemConfig:
     bus_occupancy: int = 3
 
     # ------------------------------------------------------------- interconnect
-    #: Interconnect fabric (any name in :func:`repro.net.topology_names`).
+    #: Interconnect fabric (any name in ``repro.registry.TOPOLOGIES.names()``).
     #: ``single-bus`` is the distance-free model the paper's 16-core
     #: evaluation implies and keeps all golden figures bit-identical;
     #: ``mesh``/``ring``/``crossbar`` route hop-by-hop through per-link
@@ -187,14 +188,6 @@ class SystemConfig:
     #: no progress (no push, pop, or device action) for this many cycles.
     watchdog_cycles: int = 1_000_000
 
-    # ------------------------------------------------------- component defaults
-    #: Routing-device flavor :class:`~repro.system.System` builds when the
-    #: caller names none (any name in :func:`repro.registry.device_names`).
-    default_device: str = "vl"
-    #: Delay algorithm used when a speculating device is built without one;
-    #: ``None`` defers to the device registration's own default.
-    default_algorithm: Optional[str] = None
-
     def __post_init__(self) -> None:
         if self.num_cores < 1:
             raise ConfigError(f"need at least one core, got {self.num_cores}")
@@ -252,28 +245,10 @@ class SystemConfig:
                     f"mesh_dims {rows}x{cols} has {rows * cols} nodes, "
                     f"fewer than num_cores={self.num_cores}"
                 )
-        # Component defaults are validated against the registry lazily: the
-        # shipped defaults skip the check so importing this module does not
-        # drag in the device/algorithm modules (registry imports are cycle
-        # prone at config-import time).
-        if self.default_device != "vl":
-            from repro.registry import resolve_device
-
-            resolve_device(self.default_device)
-        # Same lazy pattern for the topology registry: the shipped default
-        # skips the lookup so importing config stays import-cycle free.
+        # The shipped default skips the lookup, so building the default
+        # config does not import the fabric modules.
         if self.topology != "single-bus":
-            from repro.net.topology import resolve_topology
-
-            resolve_topology(self.topology)
-        if self.default_algorithm is not None:
-            from repro.registry import algorithm_names
-
-            if self.default_algorithm not in algorithm_names():
-                raise ConfigError(
-                    f"unknown default_algorithm {self.default_algorithm!r}; "
-                    f"registered algorithms: {algorithm_names()}"
-                )
+            TOPOLOGIES.resolve(self.topology)
 
     # ----------------------------------------------------------------- helpers
     def to_dict(self) -> Dict:

@@ -1,7 +1,6 @@
-"""CPU layer: cores, the VL/SPAMeR ISA extension, and thread programs."""
+"""CPU layer: cores and thread programs."""
 
 from repro.cpu.core import Core
-from repro.cpu.isa import Instruction, Opcode, issue_cost_table
 from repro.cpu.thread import ThreadContext
 
-__all__ = ["Core", "Instruction", "Opcode", "ThreadContext", "issue_cost_table"]
+__all__ = ["Core", "ThreadContext"]

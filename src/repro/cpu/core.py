@@ -2,17 +2,17 @@
 
 The benchmarks pin each thread to a core "to reduce the migration overhead",
 so the core model is deliberately thin: a core runs exactly one thread
-program (a generator), tracks busy/idle accounting, and charges instruction
-issue costs.  Out-of-order micro-architecture is abstracted into the
-transaction-level costs of :class:`~repro.config.SystemConfig` (see
-DESIGN.md, substitution table).
+program (a generator) and tracks busy/idle accounting.  The queue library
+charges the VL/SPAMeR instruction costs (``push_instruction_cost``,
+``fetch_instruction_cost``); out-of-order micro-architecture is abstracted
+into the transaction-level costs of :class:`~repro.config.SystemConfig`
+(see DESIGN.md, substitution table).
 """
 
 from __future__ import annotations
 
 from typing import Generator, Optional, TYPE_CHECKING
 
-from repro.cpu.isa import Instruction, Opcode, issue_cost_table
 from repro.errors import WorkloadError
 from repro.sim.process import Process
 
@@ -28,10 +28,8 @@ class Core:
         self.env = env
         self.core_id = core_id
         self.config = config
-        self._costs = issue_cost_table(config)
         self.thread: Optional[Process] = None
         self.thread_name: Optional[str] = None
-        self.instructions_issued = 0
 
     @property
     def busy(self) -> bool:
@@ -48,12 +46,6 @@ class Core:
         self.thread_name = name
         return self.thread
 
-    def issue(self, instruction: Instruction) -> int:
-        """Charge one instruction's issue cost; returns it as an ``int``
-        for the calling thread to ``yield``."""
-        self.instructions_issued += 1
-        return self._costs[instruction.opcode]
-
     def compute(self, cycles: int) -> int:
         """Model *cycles* of pure computation between queue operations.
 
@@ -62,7 +54,6 @@ class Core:
         """
         if cycles < 0:
             raise WorkloadError(f"negative compute time {cycles}")
-        self.instructions_issued += max(1, cycles)  # ~1 IPC abstraction
         return int(cycles)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

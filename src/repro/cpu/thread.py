@@ -21,7 +21,6 @@ from repro.errors import WorkloadError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cpu.core import Core
-    from repro.sim.rng import RngPool
     from repro.system import System
     from repro.vlink.endpoint import ConsumerEndpoint, ProducerEndpoint
 

@@ -16,7 +16,7 @@ from repro.eval.report import format_pct, format_speedup, format_table
 from repro.eval.runner import Setting, run_workload, standard_settings
 from repro.sim.hooks import EventKind, TraceHook
 from repro.sim.stats import geometric_mean
-from repro.workloads.registry import WORKLOAD_CLASSES, make_workload, workload_names
+from repro.workloads.registry import WORKLOAD_CLASSES, workload_names
 
 
 # --------------------------------------------------------------------- Table 1

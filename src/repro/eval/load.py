@@ -36,7 +36,8 @@ from repro.errors import ConfigError
 from repro.eval.parallel import RunRequest, run_requests
 from repro.eval.report import format_table
 from repro.eval.runner import setting_by_name
-from repro.workloads.arrival import ArrivalSpec, arrival_names
+from repro.registry import ARRIVALS
+from repro.workloads.arrival import ArrivalSpec
 from repro.workloads.registry import make_workload
 
 #: Offered-load points: light, moderate, heavy, past saturation.
@@ -79,7 +80,7 @@ def arrival_spec_for(
     else:
         raise ConfigError(
             f"unknown arrival process {arrival!r} for the load sweep; "
-            f"registered: {arrival_names()}"
+            f"registered: {ARRIVALS.names()}"
         )
     if churn:
         params["churn"] = churn

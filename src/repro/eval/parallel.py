@@ -163,7 +163,8 @@ class RunRequest:
         :func:`_canonical_component`.
 
         The payload is *versioned* (:data:`CACHE_KEY_VERSION`) and
-        *registry-generation-aware*: any runtime (un)registration bumps
+        *registry-generation-aware*: any runtime (un)registration of a
+        device, algorithm, topology or arrival process bumps
         :func:`~repro.registry.registry_generation` and therefore every
         key, because a re-registered name may resolve to different code.
         That is deliberately conservative — a stale generation can only

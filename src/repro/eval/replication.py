@@ -16,9 +16,11 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.config import SystemConfig
 from repro.errors import ConfigError
-from repro.eval.experiments import ComparisonResult, comparison_experiment
+from repro.eval.experiments import ComparisonResult
+from repro.eval.parallel import RunRequest, run_requests
 from repro.eval.runner import Setting, standard_settings
 from repro.sim.stats import geometric_mean
+from repro.workloads.registry import workload_names
 
 #: Student-t critical values (two-sided, 95%) for small sample sizes.
 _T95 = {1: 12.71, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447, 7: 2.365,
@@ -78,49 +80,38 @@ def replicated_comparison(
 ) -> ReplicatedComparison:
     """Run the comparison grid once per seed and aggregate speedups.
 
-    ``jobs`` flattens the whole seed × workload × setting cube into one
-    request list before fanning out, so parallelism is not bounded by the
-    size of a single seed's grid; per-seed grids are reassembled from the
-    submission-order results and match serial runs bit for bit.
+    The whole seed × workload × setting cube is one request list for
+    :func:`~repro.eval.parallel.run_requests` (``jobs`` workers, serial when
+    None), so parallelism is not bounded by the size of a single seed's
+    grid; per-seed grids are reassembled from the submission-order results
+    and match serial runs bit for bit.
     """
     if not seeds:
         raise ConfigError("replication needs at least one seed")
     settings = settings or standard_settings()
     labels = [s.label for s in settings]
 
-    per_seed_speedups: List[Dict[str, Dict[str, float]]] = []
-    if jobs is not None:
-        from repro.eval.parallel import RunRequest, run_requests
-        from repro.workloads.registry import workload_names
-
-        names = workloads or workload_names()
-        cube = [
-            (seed, name, setting)
-            for seed in seeds
-            for name in names
-            for setting in settings
-        ]
-        metrics = run_requests(
-            [
-                RunRequest.from_setting(
-                    name, setting, scale=scale, config=config, seed=seed
-                )
-                for seed, name, setting in cube
-            ],
-            jobs=jobs,
-        )
-        grids: Dict[int, ComparisonResult] = {}
-        for (seed, name, setting), m in zip(cube, metrics):
-            grid = grids.setdefault(seed, ComparisonResult(settings=labels))
-            grid.metrics.setdefault(name, {})[setting.label] = m
-        per_seed_speedups = [grids[seed].speedups() for seed in seeds]
-    else:
-        for seed in seeds:
-            grid = comparison_experiment(
-                workloads=workloads, settings=settings, scale=scale,
-                config=config, seed=seed,
+    names = workloads or workload_names()
+    cube = [
+        (seed, name, setting)
+        for seed in seeds
+        for name in names
+        for setting in settings
+    ]
+    metrics = run_requests(
+        [
+            RunRequest.from_setting(
+                name, setting, scale=scale, config=config, seed=seed
             )
-            per_seed_speedups.append(grid.speedups())
+            for seed, name, setting in cube
+        ],
+        jobs=jobs,
+    )
+    grids: Dict[int, ComparisonResult] = {}
+    for (seed, name, setting), m in zip(cube, metrics):
+        grid = grids.setdefault(seed, ComparisonResult(settings=labels))
+        grid.metrics.setdefault(name, {})[setting.label] = m
+    per_seed_speedups = [grids[seed].speedups() for seed in seeds]
 
     workload_names_ = list(per_seed_speedups[0].keys())
     speedups: Dict[str, Dict[str, ReplicatedStat]] = {}

@@ -5,9 +5,8 @@ A :class:`Setting` names one of the evaluated configurations —
 (Figures 8–10) — or any custom device/algorithm combination (the Figure 11
 parameter sweep builds tuned settings on the fly).  Settings resolve their
 device and algorithm through :mod:`repro.registry`, so any component
-registered with :func:`~repro.registry.register_device` /
-:func:`~repro.registry.register_algorithm` is immediately runnable here,
-in the batch runner and from the CLI.
+registered with ``DEVICES.register`` / ``ALGORITHMS.register`` is
+immediately runnable here, in the batch runner and from the CLI.
 """
 
 from __future__ import annotations
@@ -18,12 +17,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from repro.config import SystemConfig
 from repro.eval.metrics import RunMetrics
 from repro.errors import SimDeadlockError, SimulationError
-from repro.registry import (
-    algorithm_names,
-    device_names,
-    registry_generation,
-    resolve_device,
-)
+from repro.registry import ALGORITHMS, DEVICES, registry_generation
 from repro.spamer.delay import DelayAlgorithm, TunedDelay, TunedParams
 from repro.system import System
 from repro.workloads.base import Workload
@@ -79,13 +73,18 @@ def _settings_index() -> Tuple[List[Setting], Dict[str, Setting]]:
     generation = registry_generation()
     if _settings_cache is not None and _settings_cache[0] == generation:
         return _settings_cache[1], _settings_cache[2]
+    specs = [ALGORITHMS.resolve(name) for name in ALGORITHMS.names()]
+    algorithms = [
+        spec.name
+        for spec in specs
+        if not spec.requires_params and spec.offer_as_setting
+    ]
     settings: List[Setting] = []
-    for device in device_names():
-        spec = resolve_device(device)
-        if not spec.accepts_algorithm:
+    for device in DEVICES.names():
+        if not DEVICES.resolve(device).accepts_algorithm:
             settings.append(Setting(_device_label(device), device))
             continue
-        for algo in algorithm_names(include_parameterized=False):
+        for algo in algorithms:
             settings.append(Setting(f"SPAMeR({algo})", device, algo))
     by_name: Dict[str, Setting] = {}
     for setting in settings:

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 from repro.config import SystemConfig
 from repro.eval.metrics import RunMetrics
 from repro.eval.parallel import RunRequest, run_requests
-from repro.eval.runner import Setting, standard_settings, tuned_setting
+from repro.eval.runner import standard_settings, tuned_setting
 from repro.spamer.delay import TunedParams
 
 #: The paper's chosen parameter set (tuned on FIR, Section 3.5).

@@ -10,13 +10,7 @@ Two layers coexist here:
   :class:`Dram`) used by the software-queue motivation baseline.
 """
 
-from repro.mem.address import (
-    AddressSpace,
-    CONSBUF_WINDOW_BASE,
-    PAGE_BYTES,
-    Segment,
-    SPECBUF_WINDOW_BASE,
-)
+from repro.mem.address import PAGE_BYTES, AddressSpace, Segment
 from repro.mem.bus import CoherenceNetwork, PacketKind
 from repro.mem.cache import CacheLineEntry, MoesiState, SetAssocCache
 from repro.mem.cacheline import ConsumerLine, LineState
@@ -25,7 +19,6 @@ from repro.mem.dram import Dram
 
 __all__ = [
     "AddressSpace",
-    "CONSBUF_WINDOW_BASE",
     "CacheLineEntry",
     "CoherenceNetwork",
     "CoherentMemorySystem",
@@ -35,7 +28,6 @@ __all__ = [
     "MoesiState",
     "PAGE_BYTES",
     "PacketKind",
-    "SPECBUF_WINDOW_BASE",
     "Segment",
     "SetAssocCache",
 ]

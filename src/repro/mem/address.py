@@ -11,9 +11,9 @@ mapped to the routing device itself:
   ``spamer_register`` alias, Section 3.3) registers a speculative push
   target.
 
-:class:`AddressSpace` hands out page-aligned endpoint buffers and exposes
-predicates classifying an address, mirroring how the real system decodes
-device accesses.
+The model routes those stores to the routing device directly, so no
+window addresses are modelled; :class:`AddressSpace` hands out
+page-aligned endpoint buffers.
 """
 
 from __future__ import annotations
@@ -23,11 +23,6 @@ from repro.errors import ConfigError, RegistrationError
 from repro.units import CACHELINE_BYTES
 
 PAGE_BYTES = 4096
-
-#: Fixed device-window bases (arbitrary but stable; high in the PA space).
-CONSBUF_WINDOW_BASE = 0xF000_0000
-SPECBUF_WINDOW_BASE = 0xF100_0000
-DEVICE_WINDOW_BYTES = 0x0010_0000
 
 
 @dataclass(frozen=True)
@@ -81,12 +76,3 @@ class AddressSpace:
             raise RegistrationError("out of simulated DRAM for endpoint buffers")
         self._next_free = base + length
         return Segment(base, length)
-
-    # -- device window decode -------------------------------------------------
-    @staticmethod
-    def is_consbuf_window(addr: int) -> bool:
-        return CONSBUF_WINDOW_BASE <= addr < CONSBUF_WINDOW_BASE + DEVICE_WINDOW_BYTES
-
-    @staticmethod
-    def is_specbuf_window(addr: int) -> bool:
-        return SPECBUF_WINDOW_BASE <= addr < SPECBUF_WINDOW_BASE + DEVICE_WINDOW_BYTES

@@ -26,7 +26,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
-from repro.net.topology import build_topology
+from repro.registry import TOPOLOGIES
 from repro.sim.hooks import BusHook
 from repro.sim.stats import Counter
 
@@ -72,7 +72,9 @@ class CoherenceNetwork:
         self.hooks = hooks
         #: The fabric model (:mod:`repro.net`): ``single-bus`` is one FIFO
         #: server; NoC topologies route hop-by-hop through per-link servers.
-        self.topology = build_topology(config.topology, env, config, hooks=hooks)
+        self.topology = TOPOLOGIES.resolve(config.topology)(
+            env, config, hooks=hooks
+        )
         self.counters = Counter()
         #: Node ids by core id and by SRD shard index: placement is
         #: static, so it is read once here and the packet path indexes a

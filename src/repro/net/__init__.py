@@ -5,33 +5,14 @@ Public surface:
 * :class:`~repro.net.topology.Topology` / :class:`~repro.net.topology.Link`
   — the abstraction: node placement, hop-by-hop routing, per-link
   contention and backpressure accounting.
-* :func:`~repro.net.topology.register_topology` /
-  :func:`~repro.net.topology.build_topology` /
-  :func:`~repro.net.topology.topology_names` — the registry (same idiom
-  as devices/algorithms in :mod:`repro.registry`).
+* :data:`repro.registry.TOPOLOGIES` — the registry every fabric resolves
+  through by name (the same :class:`~repro.registry.Registry` as devices,
+  algorithms and arrival processes).
 * Shipped fabrics: ``single-bus`` (default; bit-identical to the
   pre-topology model), ``mesh`` (XY routing), ``ring`` (shortest arc),
-  ``crossbar`` (per-endpoint ports).
+  ``crossbar`` (per-endpoint ports), ``torus`` (mesh plus wraparound).
 """
 
-from repro.net.topology import (
-    Link,
-    Topology,
-    build_topology,
-    derive_mesh_dims,
-    register_topology,
-    resolve_topology,
-    topology_names,
-    unregister_topology,
-)
+from repro.net.topology import Link, Topology, derive_mesh_dims
 
-__all__ = [
-    "Link",
-    "Topology",
-    "build_topology",
-    "derive_mesh_dims",
-    "register_topology",
-    "resolve_topology",
-    "topology_names",
-    "unregister_topology",
-]
+__all__ = ["Link", "Topology", "derive_mesh_dims"]

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from typing import List, Optional, TYPE_CHECKING
 
-from repro.net.topology import Link, Topology, register_topology
+from repro.net.topology import Link, Topology
+from repro.registry import TOPOLOGIES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import SystemConfig
@@ -23,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Environment
 
 
-@register_topology("crossbar", description="full crossbar, per-endpoint ports")
+@TOPOLOGIES.register("crossbar")
 class CrossbarTopology(Topology):
     """Cores on nodes 0..n-1, SRD shards on nodes n..n+k-1, 2-hop routes."""
 

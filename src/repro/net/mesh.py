@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from typing import List, Optional, TYPE_CHECKING
 
-from repro.net.topology import Link, Topology, derive_mesh_dims, register_topology
+from repro.net.topology import Link, Topology, derive_mesh_dims
+from repro.registry import TOPOLOGIES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import SystemConfig
@@ -25,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Environment
 
 
-@register_topology("mesh", description="2-D mesh, XY dimension-order routing")
+@TOPOLOGIES.register("mesh")
 class MeshTopology(Topology):
     """rows × cols grid of routers, one core per node, XY routing."""
 
@@ -88,8 +89,3 @@ class MeshTopology(Topology):
             links.append(self._link_for[(node, nxt)])
             node, sr = nxt, sr + step
         return links
-
-    def hops(self, src: int, dst: int) -> int:
-        sr, sc = divmod(src, self.cols)
-        dr, dc = divmod(dst, self.cols)
-        return abs(sr - dr) + abs(sc - dc)

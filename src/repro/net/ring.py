@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import List, Optional, TYPE_CHECKING
 
-from repro.net.topology import Link, Topology, register_topology
+from repro.net.topology import Link, Topology
+from repro.registry import TOPOLOGIES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import SystemConfig
@@ -21,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Environment
 
 
-@register_topology("ring", description="bidirectional ring, shortest-arc routing")
+@TOPOLOGIES.register("ring")
 class RingTopology(Topology):
     """n-node cycle; shortest direction, clockwise on ties."""
 
@@ -71,9 +72,3 @@ class RingTopology(Topology):
                 links.append(self._ccw[node])
                 node = (node - 1) % self.n
         return links
-
-    def hops(self, src: int, dst: int) -> int:
-        if src == dst or self.n < 2:
-            return 0
-        forward = (dst - src) % self.n
-        return min(forward, self.n - forward)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, TYPE_CHECKING
 
-from repro.net.topology import Topology, register_topology
+from repro.net.topology import Topology
+from repro.registry import TOPOLOGIES
 from repro.sim.resources import FifoServer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -22,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Environment
 
 
-@register_topology("single-bus", description="shared bus; distance-free (default)")
+@TOPOLOGIES.register("single-bus")
 class SingleBusTopology(Topology):
     """One logical node: every agent hangs off the same shared medium."""
 

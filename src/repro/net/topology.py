@@ -10,12 +10,13 @@ serialization (``bus_occupancy``) on a *contended* per-link server plus
 propagation (``link_latency``) — and reports per-link utilization and
 backpressure.
 
-Topologies are registry-driven like devices and algorithms
-(:mod:`repro.registry`): a new fabric is one decorated class::
+Topologies resolve by name through :data:`repro.registry.TOPOLOGIES`,
+like devices and algorithms: a new fabric is one decorated class::
 
-    from repro.net.topology import Topology, register_topology
+    from repro.net.topology import Topology
+    from repro.registry import TOPOLOGIES
 
-    @register_topology("torus")
+    @TOPOLOGIES.register("torus")
     class TorusTopology(Topology):
         ...
 
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.errors import ConfigError
 from repro.sim.hooks import LinkHook
 from repro.sim.resources import FifoServer
 
@@ -38,28 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import SystemConfig
     from repro.sim.hooks import HookBus
     from repro.sim.kernel import Environment
-
-_BUILTIN_MODULES = (
-    "repro.net.singlebus",
-    "repro.net.mesh",
-    "repro.net.ring",
-    "repro.net.crossbar",
-    "repro.net.torus",
-)
-
-_builtins_loaded = False
-
-
-def _ensure_builtins() -> None:
-    """Import the shipped topologies so their decorators have run."""
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    _builtins_loaded = True
-    import importlib
-
-    for module in _BUILTIN_MODULES:
-        importlib.import_module(module)
 
 
 class Link:
@@ -109,7 +87,7 @@ class Topology:
     the path) and the :class:`~repro.sim.hooks.LinkHook` instrumentation.
     """
 
-    #: Registry name (set by :func:`register_topology`).
+    #: Registry name (set by ``TOPOLOGIES.register``).
     name = "abstract"
 
     def __init__(
@@ -302,55 +280,6 @@ def _next_hop(transit: _Transit) -> None:
         transit.links[hop], transit.kind, transit.src, transit.dst,
         _next_hop, transit,
     )
-
-
-# -------------------------------------------------------------------- registry
-_TOPOLOGIES: Dict[str, type] = {}
-
-
-def register_topology(name: str, *, description: str = ""):
-    """Class decorator: make a topology constructible by *name*."""
-
-    def decorator(cls):
-        if name in _TOPOLOGIES:
-            raise ConfigError(f"topology {name!r} is already registered")
-        cls.name = name
-        cls.description = description or (cls.__doc__ or "").strip().split("\n")[0]
-        _TOPOLOGIES[name] = cls
-        return cls
-
-    return decorator
-
-
-def resolve_topology(name: str) -> type:
-    """Look a topology up by name; unknown names list what is available."""
-    _ensure_builtins()
-    if name not in _TOPOLOGIES:
-        raise ConfigError(
-            f"unknown topology {name!r}; registered topologies: {topology_names()}"
-        )
-    return _TOPOLOGIES[name]
-
-
-def topology_names() -> List[str]:
-    """Registered topology names, sorted."""
-    _ensure_builtins()
-    return sorted(_TOPOLOGIES)
-
-
-def unregister_topology(name: str) -> None:
-    """Remove a registration (test isolation helper)."""
-    _TOPOLOGIES.pop(name, None)
-
-
-def build_topology(
-    name: str,
-    env: "Environment",
-    config: "SystemConfig",
-    hooks: Optional["HookBus"] = None,
-) -> Topology:
-    """Instantiate the named topology for one system."""
-    return resolve_topology(name)(env, config, hooks=hooks)
 
 
 def derive_mesh_dims(num_cores: int) -> Tuple[int, int]:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from typing import List, Optional, TYPE_CHECKING
 
-from repro.net.topology import Link, Topology, derive_mesh_dims, register_topology
+from repro.net.topology import Link, Topology, derive_mesh_dims
+from repro.registry import TOPOLOGIES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import SystemConfig
@@ -25,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Environment
 
 
-@register_topology("torus", description="2-D torus, shortest-way XY routing")
+@TOPOLOGIES.register("torus")
 class TorusTopology(Topology):
     """rows × cols grid with wraparound rows/columns, one core per node."""
 
@@ -112,14 +113,3 @@ class TorusTopology(Topology):
             links.append(self._link_for[(sr * self.cols + sc, nr * self.cols + sc)])
             sr = nr
         return links
-
-    def _ring_distance(self, a: int, b: int, size: int) -> int:
-        delta = abs(a - b)
-        return min(delta, size - delta)
-
-    def hops(self, src: int, dst: int) -> int:
-        sr, sc = divmod(src, self.cols)
-        dr, dc = divmod(dst, self.cols)
-        return self._ring_distance(sr, dr, self.rows) + self._ring_distance(
-            sc, dc, self.cols
-        )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 
 class WindowedHistogram:

@@ -1,14 +1,25 @@
-"""Component registry: name → routing device / delay algorithm.
+"""Component registry: one name → component map per kind.
 
-Every layer that used to keep its own name→constructor map — ``System``,
-:mod:`repro.eval.runner`, :mod:`repro.eval.batch`, the CLI — resolves
-through this one registry instead, so a new backend plugs in with a single
-decorated class and **zero core edits**::
+Every component the evaluation picks by name resolves through one
+:class:`Registry` instance per kind:
 
-    from repro.registry import register_device
+* :data:`DEVICES` — routing devices (``vl``, ``spamer``); entries are
+  :class:`DeviceSpec`;
+* :data:`ALGORITHMS` — delay algorithms (``0delay``, ``adapt``, ``tuned``,
+  …); entries are :class:`AlgorithmSpec`;
+* :data:`TOPOLOGIES` — interconnect fabrics (``single-bus``, ``mesh``, …);
+  entries are the :class:`~repro.net.topology.Topology` subclasses;
+* :data:`ARRIVALS` — arrival processes (``closed``, ``poisson``, …);
+  entries are the :class:`~repro.workloads.arrival.ArrivalProcess`
+  subclasses.
+
+A new backend plugs in with a single decorated class and **zero core
+edits**::
+
+    from repro.registry import DEVICES
     from repro.vlink.vlrd import VirtualLinkRoutingDevice
 
-    @register_device("ideal", description="zero-latency mapping pipeline")
+    @DEVICES.register("ideal")
     class IdealRoutingDevice(VirtualLinkRoutingDevice):
         kind = "IDEAL"
         def _stage_latency(self) -> int:
@@ -17,39 +28,34 @@ decorated class and **zero core edits**::
     System(device="ideal")                  # just works
     python -m repro run FIR --setting ...   # CLI picks it up too
 
-Algorithms register the same way via :func:`register_algorithm`; the
-shipped devices (``vl``, ``spamer``) and algorithms (``0delay``, ``adapt``,
-``tuned``, …) self-register on import, pulled in lazily by
-:func:`_ensure_builtins` so importing this module stays cheap and cycle
-free.
+Each registry imports its shipped modules on first lookup, so importing
+this module stays cheap and cycle free.  Every (un)registration of any
+kind bumps one generation counter (:func:`registry_generation`); derived
+caches and :meth:`~repro.eval.parallel.RunRequest.cache_key` key on it,
+because a re-registered name may resolve to different code.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 
-_BUILTIN_MODULES = (
-    "repro.vlink.vlrd",
-    "repro.spamer.srd",
-    "repro.spamer.delay",
-    "repro.spamer.learned",
-    "repro.spamer.multipush",
-)
-
-_builtins_loaded = False
-
-#: Monotonic registration-change counter.  Bumped by every (un)registration
-#: of a device or algorithm; derived caches (e.g. the runner's settings
-#: list) key on it to invalidate exactly when the registry changes.
+#: Registration-change counter over every kind.
 _generation = 0
+_REGISTRIES: List["Registry"] = []
 
 
 def registry_generation() -> int:
-    """The current registration-change counter (cache-invalidation key)."""
-    _ensure_builtins()
+    """The registration-change counter (cache-invalidation key).
+
+    Every kind's shipped components are loaded first, so the value does not
+    depend on which lookups happened to run before.
+    """
+    for registry in _REGISTRIES:
+        registry._load()
     return _generation
 
 
@@ -58,19 +64,75 @@ def _bump_generation() -> None:
     _generation += 1
 
 
-def _ensure_builtins() -> None:
-    """Import the shipped components so their decorators have run."""
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    _builtins_loaded = True
-    import importlib
+class Registry:
+    """Name → component for one kind of component.
 
-    for module in _BUILTIN_MODULES:
-        importlib.import_module(module)
+    ``entry(name, cls, **fields)`` builds what :meth:`resolve` returns for a
+    registered class; by default that is the class itself.
+    """
+
+    def __init__(
+        self,
+        kind: str,
+        modules: Tuple[str, ...],
+        entry: Callable[..., Any] = lambda name, factory: factory,
+    ) -> None:
+        self.kind = kind
+        self._modules = modules
+        self._entry = entry
+        self._entries: Dict[str, Any] = {}
+        self._loaded = False
+        _REGISTRIES.append(self)
+
+    def register(self, name: str, **fields) -> Callable:
+        """Class decorator: make the class resolvable by *name*.
+
+        The class's ``name`` attribute is set to *name*; *fields* are the
+        kind's registration options (see :class:`DeviceSpec`,
+        :class:`AlgorithmSpec`).
+        """
+
+        def decorator(cls):
+            if cls.__module__ not in self._modules:
+                self._load()  # a duplicate of a shipped name is caught here
+            if name in self._entries:
+                raise ConfigError(f"{self.kind} {name!r} is already registered")
+            self._entries[name] = self._entry(name, cls, **fields)
+            cls.name = name
+            _bump_generation()
+            return cls
+
+        return decorator
+
+    def resolve(self, name: str) -> Any:
+        """The entry registered as *name*; unknown names list the others."""
+        self._load()
+        entry = self._entries.get(name)
+        if entry is None:
+            raise ConfigError(
+                f"unknown {self.kind} {name!r}; registered: {self.names()}"
+            )
+        return entry
+
+    def names(self) -> List[str]:
+        """Registered names, sorted."""
+        self._load()
+        return sorted(self._entries)
+
+    def unregister(self, name: str) -> None:
+        """Remove a registration (test isolation helper)."""
+        if self._entries.pop(name, None) is not None:
+            _bump_generation()
+
+    def _load(self) -> None:
+        """Import the shipped components so their decorators have run."""
+        if self._loaded:
+            return
+        self._loaded = True
+        for module in self._modules:
+            importlib.import_module(module)
 
 
-# ------------------------------------------------------------------- devices
 @dataclass(frozen=True)
 class DeviceSpec:
     """How to construct one registered routing-device flavor."""
@@ -84,7 +146,6 @@ class DeviceSpec:
     default_algorithm: Optional[str] = None
     #: Device takes a ``security=`` policy keyword (Section 3.6 controls).
     accepts_security: bool = False
-    description: str = ""
 
     def build(
         self,
@@ -114,66 +175,6 @@ class DeviceSpec:
         return self.factory(env, config, network, hooks=hooks)
 
 
-_DEVICES: Dict[str, DeviceSpec] = {}
-
-
-def register_device(
-    name: str,
-    *,
-    accepts_algorithm: bool = False,
-    default_algorithm: Optional[str] = None,
-    accepts_security: bool = False,
-    description: str = "",
-) -> Callable:
-    """Class decorator: make a routing device constructible by *name*.
-
-    The decorated class must accept ``(env, config, network, hooks=)`` —
-    plus a positional ``algorithm`` after the network when registered with
-    ``accepts_algorithm=True``, and a ``security=`` keyword with
-    ``accepts_security=True``.
-    """
-
-    def decorator(cls):
-        if name in _DEVICES:
-            raise ConfigError(f"device {name!r} is already registered")
-        _DEVICES[name] = DeviceSpec(
-            name=name,
-            factory=cls,
-            accepts_algorithm=accepts_algorithm,
-            default_algorithm=default_algorithm,
-            accepts_security=accepts_security,
-            description=description or (cls.__doc__ or "").strip().split("\n")[0],
-        )
-        cls.registry_name = name
-        _bump_generation()
-        return cls
-
-    return decorator
-
-
-def resolve_device(name: str) -> DeviceSpec:
-    """Look a device up by name; unknown names list what is available."""
-    _ensure_builtins()
-    if name not in _DEVICES:
-        raise ConfigError(
-            f"unknown device {name!r}; registered devices: {device_names()}"
-        )
-    return _DEVICES[name]
-
-
-def device_names() -> List[str]:
-    """Registered device names, sorted."""
-    _ensure_builtins()
-    return sorted(_DEVICES)
-
-
-def unregister_device(name: str) -> None:
-    """Remove a registration (test isolation helper)."""
-    if _DEVICES.pop(name, None) is not None:
-        _bump_generation()
-
-
-# ---------------------------------------------------------------- algorithms
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """How to construct one registered delay-prediction algorithm."""
@@ -184,70 +185,37 @@ class AlgorithmSpec:
     #: cannot be offered as a zero-configuration CLI/batch setting.
     requires_params: bool = False
     #: Offer this algorithm in the zero-configuration setting lists.  Off
-    #: for ablation controls like ``never`` that only make sense embedded
-    #: in a purpose-built experiment (a speculating device that never
-    #: pushes deadlocks fetch-skipping consumers on real workloads).
+    #: for ablation controls that only make sense embedded in a
+    #: purpose-built experiment.
     offer_as_setting: bool = True
-    description: str = ""
 
 
-_ALGORITHMS: Dict[str, AlgorithmSpec] = {}
-
-
-def register_algorithm(
-    name: str,
-    *,
-    requires_params: bool = False,
-    offer_as_setting: bool = True,
-    description: str = "",
-) -> Callable:
-    """Class/factory decorator: make a delay algorithm buildable by *name*."""
-
-    def decorator(factory):
-        if name in _ALGORITHMS:
-            raise ConfigError(f"algorithm {name!r} is already registered")
-        _ALGORITHMS[name] = AlgorithmSpec(
-            name=name,
-            factory=factory,
-            requires_params=requires_params,
-            offer_as_setting=offer_as_setting,
-            description=description
-            or (factory.__doc__ or "").strip().split("\n")[0],
-        )
-        _bump_generation()
-        return factory
-
-    return decorator
-
-
-def resolve_algorithm(name: str, **kwargs):
-    """Instantiate a delay algorithm by name (kwargs go to its constructor)."""
-    _ensure_builtins()
-    if name not in _ALGORITHMS:
-        raise ConfigError(
-            f"unknown delay algorithm {name!r}; registered algorithms: "
-            f"{algorithm_names()}"
-        )
-    return _ALGORITHMS[name].factory(**kwargs)
-
-
-def algorithm_names(include_parameterized: bool = True) -> List[str]:
-    """Registered algorithm names, sorted.
-
-    ``include_parameterized=False`` drops algorithms that cannot be built
-    without arguments and ablation-only controls registered with
-    ``offer_as_setting=False`` (the CLI/batch setting lists use this).
-    """
-    _ensure_builtins()
-    return sorted(
-        name
-        for name, spec in _ALGORITHMS.items()
-        if include_parameterized
-        or (not spec.requires_params and spec.offer_as_setting)
-    )
-
-
-def unregister_algorithm(name: str) -> None:
-    """Remove a registration (test isolation helper)."""
-    if _ALGORITHMS.pop(name, None) is not None:
-        _bump_generation()
+#: Routing devices; a device class takes ``(env, config, network, hooks=)``
+#: — plus a positional algorithm after the network when registered with
+#: ``accepts_algorithm=True``, and ``security=`` with ``accepts_security=True``.
+DEVICES = Registry(
+    "device", ("repro.vlink.vlrd", "repro.spamer.srd"), DeviceSpec
+)
+#: Delay-prediction algorithms; ``resolve(name).factory(**kwargs)`` builds one.
+ALGORITHMS = Registry(
+    "delay algorithm",
+    (
+        "repro.spamer.delay",
+        "repro.spamer.learned",
+        "repro.spamer.multipush",
+    ),
+    AlgorithmSpec,
+)
+#: Interconnect fabrics; a topology class takes ``(env, config, hooks=)``.
+TOPOLOGIES = Registry(
+    "topology",
+    (
+        "repro.net.singlebus",
+        "repro.net.mesh",
+        "repro.net.ring",
+        "repro.net.crossbar",
+        "repro.net.torus",
+    ),
+)
+#: Open-system arrival processes; the class takes its parameters as keywords.
+ARRIVALS = Registry("arrival process", ("repro.workloads.arrival",))

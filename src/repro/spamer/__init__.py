@@ -15,7 +15,6 @@ from repro.spamer.delay import (
     TunedDelay,
     TunedParams,
     ZeroDelay,
-    algorithm_by_name,
 )
 from repro.spamer.learned import HistoryDelay, PerceptronDelay
 from repro.spamer.security import SecurityPolicy
@@ -37,5 +36,4 @@ __all__ = [
     "TunedDelay",
     "TunedParams",
     "ZeroDelay",
-    "algorithm_by_name",
 ]

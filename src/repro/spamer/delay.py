@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigError
-from repro.registry import register_algorithm
+from repro.registry import ALGORITHMS
 from repro.sim.rng import bithash
 from repro.spamer.specbuf import SpecEntry
 
@@ -41,6 +41,7 @@ MAX_DELAY = 1 << 15
 class DelayAlgorithm:
     """Interface: decide the send tick and learn from push responses."""
 
+    #: Registry name (set by ``ALGORITHMS.register``).
     name = "abstract"
 
     def send_tick(self, entry: SpecEntry, now: int) -> Optional[int]:
@@ -55,11 +56,9 @@ class DelayAlgorithm:
         return f"<{type(self).__name__}>"
 
 
-@register_algorithm("0delay")
+@ALGORITHMS.register("0delay")
 class ZeroDelay(DelayAlgorithm):
     """Push immediately whenever producer data is available (Section 3.5)."""
-
-    name = "0delay"
 
     def send_tick(self, entry: SpecEntry, now: int) -> Optional[int]:
         return now
@@ -71,11 +70,9 @@ class ZeroDelay(DelayAlgorithm):
             entry.last = now
 
 
-@register_algorithm("adapt")
+@ALGORITHMS.register("adapt")
 class AdaptiveDelay(DelayAlgorithm):
     """Halve the delay on success, double it on failure (Section 3.5)."""
-
-    name = "adapt"
 
     def __init__(self, initial_delay: int = 64, max_delay: int = MAX_DELAY) -> None:
         if initial_delay < 0 or max_delay < 1:
@@ -124,11 +121,9 @@ class TunedParams:
         )
 
 
-@register_algorithm("tuned")
+@ALGORITHMS.register("tuned")
 class TunedDelay(DelayAlgorithm):
     """The paper's tuned delay prediction (Listing 1)."""
-
-    name = "tuned"
 
     def __init__(self, params: TunedParams = TunedParams(), max_delay: int = MAX_DELAY) -> None:
         self.params = params
@@ -181,11 +176,9 @@ class TunedDelay(DelayAlgorithm):
         entry.failed = not hit
 
 
-@register_algorithm("fixed", requires_params=True)
+@ALGORITHMS.register("fixed", requires_params=True)
 class FixedDelay(DelayAlgorithm):
     """Ablation control: always wait a constant number of cycles."""
-
-    name = "fixed"
 
     def __init__(self, delay: int) -> None:
         if delay < 0:
@@ -202,7 +195,7 @@ class FixedDelay(DelayAlgorithm):
             entry.last = now
 
 
-@register_algorithm("never")
+@ALGORITHMS.register("never")
 class NeverPush(DelayAlgorithm):
     """Ablation control: speculation disabled (degenerates to VL behaviour
     for endpoints that still issue requests).
@@ -214,22 +207,9 @@ class NeverPush(DelayAlgorithm):
     the diagnostic that makes the ablation safe to offer as a setting.
     """
 
-    name = "never"
-
     def send_tick(self, entry: SpecEntry, now: int) -> Optional[int]:
         return None
 
     def on_response(self, entry: SpecEntry, hit: bool, now: int) -> None:  # pragma: no cover
         raise AssertionError("NeverPush cannot receive responses")
 
-
-def algorithm_by_name(name: str, **kwargs) -> DelayAlgorithm:
-    """Factory used by the evaluation harness and the examples.
-
-    A thin shim over :func:`repro.registry.resolve_algorithm` — the single
-    name→constructor map every layer shares.  Unknown names raise
-    :class:`~repro.errors.ConfigError` listing the registered algorithms.
-    """
-    from repro.registry import resolve_algorithm
-
-    return resolve_algorithm(name, **kwargs)

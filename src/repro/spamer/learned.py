@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigError
-from repro.registry import register_algorithm
+from repro.registry import ALGORITHMS
 from repro.spamer.delay import DelayAlgorithm, MAX_DELAY
 from repro.spamer.specbuf import SpecEntry
 
@@ -40,7 +40,7 @@ class _HistoryState:
     consecutive_failures: int = 0
 
 
-@register_algorithm("history")
+@ALGORITHMS.register("history")
 class HistoryDelay(DelayAlgorithm):
     """History-based prediction: EWMA of success intervals minus a margin.
 
@@ -49,8 +49,6 @@ class HistoryDelay(DelayAlgorithm):
     only trained on successes, so failure noise cannot corrupt the
     interval estimate — the weakness of the adaptive algorithm).
     """
-
-    name = "history"
 
     def __init__(
         self,
@@ -114,7 +112,7 @@ class _PerceptronState:
     consecutive_failures: int = 0
 
 
-@register_algorithm("perceptron")
+@ALGORITHMS.register("perceptron")
 class PerceptronDelay(DelayAlgorithm):
     """Perceptron-style prediction: gate aggressive pushes with a linear
     model over recent-behaviour features.
@@ -127,8 +125,6 @@ class PerceptronDelay(DelayAlgorithm):
     outcome (aggressive push missed, or conservative wait that would have
     hit immediately anyway) the weights move toward the correct decision.
     """
-
-    name = "perceptron"
 
     def __init__(
         self,

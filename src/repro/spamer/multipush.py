@@ -40,7 +40,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.mem.bus import PacketKind
-from repro.registry import register_algorithm
+from repro.registry import ALGORITHMS
 from repro.sim.hooks import HookBus, SpecBufHook, SpecDecisionHook
 from repro.sim.transaction import TxnState
 from repro.spamer.delay import DelayAlgorithm, TunedDelay
@@ -57,10 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vlink.vlrd import VirtualLinkRoutingDevice
 
 
-@register_algorithm(
-    "multipush",
-    description="confidence-gated burst push over a tuned inner algorithm",
-)
+@ALGORITHMS.register("multipush")
 class MultiPushDelay(DelayAlgorithm):
     """A delay algorithm carrier that turns on burst speculation.
 
@@ -69,8 +66,6 @@ class MultiPushDelay(DelayAlgorithm):
     config when not None.  The SPAMeR device recognizes this type and
     plugs a :class:`MultiPushSpeculation` stage into its pipeline.
     """
-
-    name = "multipush"
 
     def __init__(
         self,

@@ -23,7 +23,7 @@ from typing import Optional, TYPE_CHECKING
 
 from repro.config import SystemConfig
 from repro.mem.bus import CoherenceNetwork
-from repro.registry import register_device
+from repro.registry import DEVICES
 from repro.sim.hooks import HookBus
 from repro.spamer.delay import DelayAlgorithm
 from repro.spamer.policy import SpecBufSpeculation
@@ -34,15 +34,13 @@ from repro.vlink.vlrd import VirtualLinkRoutingDevice
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Environment
-    from repro.vlink.endpoint import ConsumerEndpoint
 
 
-@register_device(
+@DEVICES.register(
     "spamer",
     accepts_algorithm=True,
     default_algorithm="tuned",
     accepts_security=True,
-    description="SPAMeR device (specBuf + delay-predicted speculative pushes)",
 )
 class SpamerRoutingDevice(VirtualLinkRoutingDevice):
     """VLRD extended with specBuf, linkTabSpec and the speculative push path."""

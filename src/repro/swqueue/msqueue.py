@@ -17,7 +17,7 @@ executes the real algorithm, not an abstraction of it.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.errors import ConfigError
 from repro.mem.coherence import CoherentMemorySystem

@@ -36,14 +36,14 @@ from repro.cpu.core import Core
 from repro.cpu.thread import ThreadContext
 from repro.mem.address import AddressSpace
 from repro.mem.bus import CoherenceNetwork
-from repro.registry import resolve_device
+from repro.registry import ALGORITHMS, DEVICES
 from repro.sim.hooks import HookBus
 from repro.sim.kernel import Environment
 from repro.sim.process import Process
 from repro.sim.request import RequestLog
 from repro.sim.rng import RngPool
 from repro.sim.transaction import TransactionLog
-from repro.spamer.delay import DelayAlgorithm, algorithm_by_name
+from repro.spamer.delay import DelayAlgorithm
 from repro.spamer.security import SecurityPolicy
 from repro.vlink.library import QueueLibrary
 from repro.vlink.vlrd import VirtualLinkRoutingDevice
@@ -58,7 +58,7 @@ class System:
     def __init__(
         self,
         config: Optional[SystemConfig] = None,
-        device: Optional[str] = None,
+        device: str = "vl",
         algorithm: Union[str, DelayAlgorithm, None] = None,
         seed: int = 0xC0FFEE,
         security: Optional[SecurityPolicy] = None,
@@ -80,12 +80,11 @@ class System:
         self.network = CoherenceNetwork(self.env, self.config, hooks=self.hooks)
         self.addr_space = AddressSpace(self.config.dram_bytes)
 
-        device = device if device is not None else self.config.default_device
-        spec = resolve_device(device)
+        spec = DEVICES.resolve(device)
         if spec.accepts_algorithm and algorithm is None:
-            algorithm = self.config.default_algorithm or spec.default_algorithm
+            algorithm = spec.default_algorithm
         if isinstance(algorithm, str):
-            algorithm = algorithm_by_name(algorithm)
+            algorithm = ALGORITHMS.resolve(algorithm).factory()
         self.devices: List[VirtualLinkRoutingDevice] = [
             spec.build(
                 self.env,

@@ -13,8 +13,8 @@ import guard so the simulator itself never depends on it.  The fuzz tests
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.errors import WorkloadError
 from repro.verify.oracle import CanonicalStream, FunctionalQueueModel, StreamRecorder

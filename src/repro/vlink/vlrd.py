@@ -23,17 +23,17 @@ plugs in its specBuf policy), instrumentation attaches through the
 :class:`~repro.sim.hooks.HookBus`, and each packet of an observed run
 carries a :class:`~repro.sim.transaction.TransactionRecord` stamped at
 every lifecycle transition.  New device flavors register with
-:func:`repro.registry.register_device` and need no edits to the core.
+``repro.registry.DEVICES`` and need no edits to the core.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional, TYPE_CHECKING
+from typing import Generator, Optional, TYPE_CHECKING
 
 from repro.config import SystemConfig
 from repro.mem.bus import CoherenceNetwork, PacketKind
 from repro.mem.cacheline import ConsumerLine
-from repro.registry import register_device
+from repro.registry import DEVICES
 from repro.sim.hooks import EventKind, HookBus, TraceHook
 from repro.sim.resources import Resource
 from repro.sim.stats import Counter
@@ -69,7 +69,7 @@ class _Stash:
         self.hit = False
 
 
-@register_device("vl", description="Virtual-Link baseline (on-demand only)")
+@DEVICES.register("vl")
 class VirtualLinkRoutingDevice:
     """Baseline on-demand routing device."""
 

@@ -10,9 +10,9 @@ measurable (docs/MODEL.md, "Open-system traffic").
 
 Design constraints, mirroring the rest of the substrate:
 
-* **Registry-driven** like devices (:mod:`repro.registry`) and topologies
-  (:mod:`repro.net.topology`): a new process is one decorated class, and
-  :func:`make_arrival` builds it by name from the CLI or a batch spec.
+* **Registry-driven** like devices and topologies: a new process is one
+  class decorated with ``ARRIVALS.register`` (:mod:`repro.registry`), and
+  :class:`ArrivalSpec` builds it by name from the CLI or a batch spec.
 * **Deterministic** — every draw comes from a named
   :class:`~repro.sim.rng.RngPool` stream keyed by the *session* name, so
   the same master seed produces byte-identical schedules in any worker
@@ -34,9 +34,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, TYPE_CHECKING
+from typing import List, Tuple, TYPE_CHECKING
 
 from repro.errors import ConfigError, WorkloadError
+from repro.registry import ARRIVALS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -47,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ArrivalProcess(ABC):
     """When a session's requests arrive, as absolute simulation ticks."""
 
-    #: Registry name (set by :func:`register_arrival`).
+    #: Registry name (set by ``ARRIVALS.register``).
     name = "abstract"
     #: True only for :class:`ClosedBatch`: all requests at t=0, no RNG.
     is_closed = False
@@ -106,43 +107,6 @@ class ArrivalProcess(ABC):
         return ""
 
 
-# -------------------------------------------------------------------- registry
-_ARRIVALS: Dict[str, type] = {}
-
-
-def register_arrival(name: str, *, description: str = ""):
-    """Class decorator: make an arrival process constructible by *name*."""
-
-    def decorator(cls):
-        if name in _ARRIVALS:
-            raise ConfigError(f"arrival process {name!r} is already registered")
-        cls.name = name
-        cls.description = description or (cls.__doc__ or "").strip().split("\n")[0]
-        _ARRIVALS[name] = cls
-        return cls
-
-    return decorator
-
-
-def arrival_names() -> List[str]:
-    """Registered arrival-process names, sorted."""
-    return sorted(_ARRIVALS)
-
-
-def make_arrival(name: str, **params) -> ArrivalProcess:
-    """Instantiate an arrival process by registry name."""
-    if name not in _ARRIVALS:
-        raise ConfigError(
-            f"unknown arrival process {name!r}; registered: {arrival_names()}"
-        )
-    return _ARRIVALS[name](**params)
-
-
-def unregister_arrival(name: str) -> None:
-    """Remove a registration (test isolation helper)."""
-    _ARRIVALS.pop(name, None)
-
-
 @dataclass(frozen=True)
 class ArrivalSpec:
     """A picklable arrival process, by registry name plus parameters.
@@ -161,11 +125,11 @@ class ArrivalSpec:
         return cls(name, tuple(sorted(params.items())))
 
     def build(self) -> ArrivalProcess:
-        return make_arrival(self.name, **dict(self.params))
+        return ARRIVALS.resolve(self.name)(**dict(self.params))
 
 
 # ------------------------------------------------------------------- processes
-@register_arrival("closed", description="closed batch: everything at t=0")
+@ARRIVALS.register("closed")
 class ClosedBatch(ArrivalProcess):
     """The historical model: every request available at t=0.
 
@@ -192,7 +156,7 @@ class ClosedBatch(ArrivalProcess):
 CLOSED_BATCH = ClosedBatch()
 
 
-@register_arrival("poisson", description="memoryless arrivals at a fixed rate")
+@ARRIVALS.register("poisson")
 class Poisson(ArrivalProcess):
     """Exponential interarrivals at ``rate`` requests per cycle.
 
@@ -216,7 +180,7 @@ class Poisson(ArrivalProcess):
         return f"rate={self.rate:g}"
 
 
-@register_arrival("bursty", description="two-state MMPP: bursts and lulls")
+@ARRIVALS.register("bursty")
 class Bursty(ArrivalProcess):
     """A two-state Markov-modulated Poisson process.
 
@@ -261,7 +225,7 @@ class Bursty(ArrivalProcess):
         return f"rate={self.rate:g},boost={self.boost:g},switch={self.switch:g}"
 
 
-@register_arrival("ramp", description="diurnal ramp: rate climbs over the run")
+@ARRIVALS.register("ramp")
 class DiurnalRamp(ArrivalProcess):
     """A non-stationary source whose rate ramps from ``rate_lo`` to
     ``rate_hi`` over ``period`` cycles, then holds.

@@ -11,6 +11,7 @@ import pickle
 import pytest
 
 from repro.errors import ConfigError, WorkloadError
+from repro.registry import ARRIVALS
 from repro.sim.rng import RngPool
 from repro.workloads.arrival import (
     CLOSED_BATCH,
@@ -20,50 +21,47 @@ from repro.workloads.arrival import (
     ClosedBatch,
     DiurnalRamp,
     Poisson,
-    arrival_names,
-    make_arrival,
-    register_arrival,
     resolve_arrival,
-    unregister_arrival,
 )
 
 
 # ----------------------------------------------------------------- registry
 def test_builtin_arrivals_registered():
-    assert arrival_names() == ["bursty", "closed", "poisson", "ramp"]
+    assert ARRIVALS.names() == ["bursty", "closed", "poisson", "ramp"]
 
 
 def test_make_arrival_by_name_with_params():
-    proc = make_arrival("poisson", rate=0.01)
+    proc = ARRIVALS.resolve("poisson")(rate=0.01)
     assert isinstance(proc, Poisson)
     assert proc.rate == 0.01
 
 
 def test_make_unknown_arrival_lists_available():
     with pytest.raises(ConfigError, match="poisson"):
-        make_arrival("pareto")
+        ARRIVALS.resolve("pareto")
 
 
 def test_register_and_unregister_custom_arrival():
-    @register_arrival("test-fixed", description="one request per 10 cycles")
+    @ARRIVALS.register("test-fixed")
     class Fixed(ArrivalProcess):
         def interarrivals(self, rng, count):
             return [10] * count
 
     try:
-        proc = make_arrival("test-fixed")
+        proc = ArrivalSpec.make("test-fixed").build()
+        assert isinstance(proc, Fixed)
         assert proc.name == "test-fixed"
-        assert Fixed.description == "one request per 10 cycles"
+        assert proc.label() == "test-fixed()"
         assert proc.plan(RngPool(1), "s", 3) == [10, 20, 30]
     finally:
-        unregister_arrival("test-fixed")
+        ARRIVALS.unregister("test-fixed")
     with pytest.raises(ConfigError):
-        make_arrival("test-fixed")
+        ARRIVALS.resolve("test-fixed")
 
 
 def test_duplicate_registration_rejected():
     with pytest.raises(ConfigError, match="already registered"):
-        register_arrival("poisson")(type("Dup", (ArrivalProcess,), {}))
+        ARRIVALS.register("poisson")(type("Dup", (ArrivalProcess,), {}))
 
 
 # ------------------------------------------------------------- closed batch

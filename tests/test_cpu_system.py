@@ -4,27 +4,11 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.cpu.core import Core
-from repro.cpu.isa import Instruction, Opcode, issue_cost_table
 from repro.errors import ConfigError, SimulationError, WorkloadError
 from repro.system import System
 
 
-# ----------------------------------------------------------------------- ISA
-def test_issue_cost_pairs_add_up():
-    cfg = SystemConfig()
-    costs = issue_cost_table(cfg)
-    assert costs[Opcode.VL_SELECT] + costs[Opcode.VL_PUSH] == cfg.push_instruction_cost
-    assert costs[Opcode.VL_SELECT] + costs[Opcode.VL_FETCH] == cfg.fetch_instruction_cost
-    assert costs[Opcode.LOAD] == cfg.l1d.hit_latency
-
-
-def test_core_issue_charges_cost(env):
-    cfg = SystemConfig()
-    core = Core(env, 0, cfg)
-    assert core.issue(Instruction(Opcode.VL_PUSH)) == issue_cost_table(cfg)[Opcode.VL_PUSH]
-    assert core.instructions_issued == 1
-
-
+# ---------------------------------------------------------------------- Core
 def test_core_compute_rejects_negative(env):
     core = Core(env, 0, SystemConfig())
     with pytest.raises(WorkloadError):

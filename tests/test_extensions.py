@@ -8,7 +8,8 @@ from repro.errors import ConfigError
 from repro.eval.autotune import SEARCH_SPACE, autotune
 from repro.eval.runner import Setting, run_workload, standard_settings
 from repro.mem.address import Segment
-from repro.spamer.delay import TunedParams, algorithm_by_name
+from repro.registry import ALGORITHMS
+from repro.spamer.delay import TunedParams
 from repro.spamer.learned import HistoryDelay, PerceptronDelay
 from repro.spamer.specbuf import SpecEntry
 from repro.system import System
@@ -98,15 +99,15 @@ def test_perceptron_validation():
 
 @pytest.mark.parametrize("name", ["history", "perceptron"])
 def test_learned_algorithms_run_end_to_end(name):
-    setting = Setting(f"SPAMeR({name})", "spamer", lambda: algorithm_by_name(name))
+    setting = Setting(f"SPAMeR({name})", "spamer", name)
     m = run_workload("incast", setting, scale=SCALE, limit=100_000_000)
     assert m.messages_delivered == m.messages_produced > 0
     assert m.spec_pushes > 0
 
 
 def test_factory_knows_learned_algorithms():
-    assert isinstance(algorithm_by_name("history"), HistoryDelay)
-    assert isinstance(algorithm_by_name("perceptron"), PerceptronDelay)
+    assert isinstance(ALGORITHMS.resolve("history").factory(), HistoryDelay)
+    assert isinstance(ALGORITHMS.resolve("perceptron").factory(), PerceptronDelay)
 
 
 # ---------------------------------------------------------------- multi-router

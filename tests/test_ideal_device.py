@@ -1,7 +1,7 @@
 """Acceptance tests for the registry architecture.
 
 1. A third routing-device flavor is added *in this file alone* — one
-   ``@register_device`` class, zero edits to ``system.py``, ``runner.py``
+   ``@DEVICES.register`` class, zero edits to ``system.py``, ``runner.py``
    or ``cli.py`` — and is immediately buildable, runnable and visible to
    the CLI.
 2. The refactor is bit-identical: ``SPAMeR(tuned)`` metrics for a pinned
@@ -13,7 +13,7 @@ import dataclasses
 import pytest
 
 from repro import System
-from repro.registry import device_names, register_device, unregister_device
+from repro.registry import DEVICES
 from repro.vlink.vlrd import VirtualLinkRoutingDevice
 
 
@@ -21,7 +21,7 @@ from repro.vlink.vlrd import VirtualLinkRoutingDevice
 def ideal_device():
     """Register a zero-latency device for the duration of one test."""
 
-    @register_device("ideal", description="zero-latency mapping pipeline")
+    @DEVICES.register("ideal")
     class IdealRoutingDevice(VirtualLinkRoutingDevice):
         kind = "IDEAL"
 
@@ -31,7 +31,7 @@ def ideal_device():
     try:
         yield IdealRoutingDevice
     finally:
-        unregister_device("ideal")
+        DEVICES.unregister("ideal")
 
 
 def _run_ping_pong(system, messages=16):
@@ -55,10 +55,10 @@ def _run_ping_pong(system, messages=16):
 
 
 def test_third_device_builds_with_no_core_edits(ideal_device):
-    assert "ideal" in device_names()
+    assert "ideal" in DEVICES.names()
     system = System(device="ideal")
     assert isinstance(system.device, ideal_device)
-    assert system.device.registry_name == "ideal"
+    assert system.device.name == "ideal"
     assert not system.supports_speculation
 
 

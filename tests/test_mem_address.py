@@ -1,15 +1,9 @@
-"""Unit tests for the address-space layout and device windows."""
+"""Unit tests for the address-space layout."""
 
 import pytest
 
 from repro.errors import ConfigError, RegistrationError
-from repro.mem.address import (
-    AddressSpace,
-    CONSBUF_WINDOW_BASE,
-    PAGE_BYTES,
-    Segment,
-    SPECBUF_WINDOW_BASE,
-)
+from repro.mem.address import PAGE_BYTES, AddressSpace, Segment
 from repro.units import CACHELINE_BYTES, MiB
 
 
@@ -56,14 +50,6 @@ def test_page_zero_never_allocated():
 def test_allocation_rejects_zero_lines():
     with pytest.raises(RegistrationError):
         AddressSpace(MiB(1)).alloc_endpoint_buffer(0)
-
-
-def test_device_window_classification():
-    assert AddressSpace.is_consbuf_window(CONSBUF_WINDOW_BASE)
-    assert AddressSpace.is_specbuf_window(SPECBUF_WINDOW_BASE)
-    assert not AddressSpace.is_consbuf_window(SPECBUF_WINDOW_BASE)
-    assert not AddressSpace.is_specbuf_window(0x1000)
-
 
 
 def test_too_small_dram_rejected():

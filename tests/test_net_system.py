@@ -136,7 +136,7 @@ def test_zero_occupancy_single_channel_stays_legal():
 
 
 def test_unknown_topology_rejected_with_available_list():
-    with pytest.raises(ConfigError, match="registered topologies"):
+    with pytest.raises(ConfigError, match=r"registered: \[.*'single-bus'"):
         SystemConfig(topology="hypercube")
 
 

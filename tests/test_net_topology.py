@@ -4,15 +4,8 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.errors import ConfigError
-from repro.net.topology import (
-    Topology,
-    build_topology,
-    derive_mesh_dims,
-    register_topology,
-    resolve_topology,
-    topology_names,
-    unregister_topology,
-)
+from repro.net.topology import Topology, derive_mesh_dims
+from repro.registry import TOPOLOGIES
 from repro.sim.hooks import HookBus, LinkHook
 
 
@@ -28,16 +21,16 @@ def cfg(**overrides):
 
 # ----------------------------------------------------------------- registry
 def test_builtin_topologies_registered():
-    assert topology_names() == ["crossbar", "mesh", "ring", "single-bus", "torus"]
+    assert TOPOLOGIES.names() == ["crossbar", "mesh", "ring", "single-bus", "torus"]
 
 
 def test_resolve_unknown_topology_lists_available():
     with pytest.raises(ConfigError, match="single-bus"):
-        resolve_topology("hypercube")
+        TOPOLOGIES.resolve("hypercube")
 
 
 def test_register_and_unregister_custom_topology(env):
-    @register_topology("test-line", description="degenerate test fabric")
+    @TOPOLOGIES.register("test-line")
     class LineTopology(Topology):
         @property
         def num_nodes(self):
@@ -53,20 +46,19 @@ def test_register_and_unregister_custom_topology(env):
             return []
 
     try:
-        assert resolve_topology("test-line") is LineTopology
-        built = build_topology("test-line", env, cfg())
+        assert TOPOLOGIES.resolve("test-line") is LineTopology
+        built = TOPOLOGIES.resolve("test-line")(env, cfg())
         assert isinstance(built, LineTopology)
         assert built.name == "test-line"
-        assert LineTopology.description == "degenerate test fabric"
     finally:
-        unregister_topology("test-line")
+        TOPOLOGIES.unregister("test-line")
     with pytest.raises(ConfigError):
-        resolve_topology("test-line")
+        TOPOLOGIES.resolve("test-line")
 
 
 def test_duplicate_registration_rejected():
     with pytest.raises(ConfigError, match="already registered"):
-        register_topology("mesh")(type("Dup", (Topology,), {}))
+        TOPOLOGIES.register("mesh")(type("Dup", (Topology,), {}))
 
 
 # ---------------------------------------------------------------- geometry
@@ -81,7 +73,7 @@ def test_derive_mesh_dims_most_square():
 
 # ---------------------------------------------------------------- mesh/XY
 def test_mesh_xy_routing_goes_x_then_y(env):
-    mesh = build_topology("mesh", env, cfg(num_cores=16))  # 4x4
+    mesh = TOPOLOGIES.resolve("mesh")(env, cfg(num_cores=16))  # 4x4
     # node 0 (0,0) -> node 10 (2,2): two east hops then two south hops.
     names = [link.name for link in mesh.route(0, 10)]
     assert names == ["mesh.e[0,0]", "mesh.e[0,1]", "mesh.s[0,2]", "mesh.s[1,2]"]
@@ -92,30 +84,30 @@ def test_mesh_xy_routing_goes_x_then_y(env):
 
 
 def test_mesh_same_node_route_is_empty(env):
-    mesh = build_topology("mesh", env, cfg(num_cores=16))
+    mesh = TOPOLOGIES.resolve("mesh")(env, cfg(num_cores=16))
     assert mesh.route(5, 5) == ()
     assert mesh.hops(5, 5) == 0
 
 
 def test_mesh_srd_placement_interior_and_spread(env):
-    mesh = build_topology("mesh", env, cfg(num_cores=16))  # 1 shard
+    mesh = TOPOLOGIES.resolve("mesh")(env, cfg(num_cores=16))  # 1 shard
     assert mesh.srd_node(0) == 8  # mid-scan node, not a corner
-    sharded = build_topology("mesh", env, cfg(num_cores=16, num_srds=4))
+    sharded = TOPOLOGIES.resolve("mesh")(env, cfg(num_cores=16, num_srds=4))
     nodes = [sharded.srd_node(i) for i in range(4)]
     assert nodes == sorted(set(nodes))  # distinct, monotone
     assert all(0 <= node < 16 for node in nodes)
 
 
 def test_mesh_respects_explicit_dims(env):
-    mesh = build_topology("mesh", env, cfg(num_cores=8, mesh_dims=(2, 4),
-                                           topology="mesh"))
+    config = cfg(num_cores=8, mesh_dims=(2, 4), topology="mesh")
+    mesh = TOPOLOGIES.resolve("mesh")(env, config)
     assert (mesh.rows, mesh.cols) == (2, 4)
     assert mesh.num_nodes == 8
 
 
 def test_mesh_transit_latency_per_hop(env):
     config = cfg(num_cores=16)
-    mesh = build_topology("mesh", env, config)
+    mesh = TOPOLOGIES.resolve("mesh")(env, config)
     done = []
     # 1 hop: occupancy (3) + link latency (12).
     mesh.transit_then("stash", 0, 1, lambda _: done.append(env.now), None)
@@ -131,7 +123,7 @@ def test_mesh_transit_latency_per_hop(env):
 
 
 def test_mesh_multi_hop_is_store_and_forward(env):
-    mesh = build_topology("mesh", env, cfg(num_cores=16))
+    mesh = TOPOLOGIES.resolve("mesh")(env, cfg(num_cores=16))
     done = []
     start = env.now
     mesh.transit_then("stash", 0, 3, lambda _: done.append(env.now), None)
@@ -142,7 +134,7 @@ def test_mesh_multi_hop_is_store_and_forward(env):
 
 # ------------------------------------------------------------- contention
 def test_link_contention_accumulates_wait_cycles(env):
-    mesh = build_topology("mesh", env, cfg(num_cores=16))
+    mesh = TOPOLOGIES.resolve("mesh")(env, cfg(num_cores=16))
     done = []
     for _ in range(3):
         mesh.transit_then("stash", 0, 1, lambda _: done.append(env.now), None)
@@ -158,7 +150,7 @@ def test_link_contention_accumulates_wait_cycles(env):
 
 
 def test_disjoint_mesh_paths_do_not_contend(env):
-    mesh = build_topology("mesh", env, cfg(num_cores=16))
+    mesh = TOPOLOGIES.resolve("mesh")(env, cfg(num_cores=16))
     done = []
     mesh.transit_then("stash", 0, 1, lambda _: done.append(("a", env.now)), None)
     mesh.transit_then("stash", 4, 5, lambda _: done.append(("b", env.now)), None)
@@ -168,7 +160,7 @@ def test_disjoint_mesh_paths_do_not_contend(env):
 
 
 def test_link_report_and_utilization(env):
-    mesh = build_topology("mesh", env, cfg(num_cores=16))
+    mesh = TOPOLOGIES.resolve("mesh")(env, cfg(num_cores=16))
     mesh.transit_then("stash", 0, 1, _ignore, None)
     env.run()
     report = mesh.link_report(elapsed=100)
@@ -190,7 +182,7 @@ def test_link_report_and_utilization(env):
 
 # ------------------------------------------------------------------- ring
 def test_ring_takes_shorter_arc_clockwise_on_ties(env):
-    ring = build_topology("ring", env, cfg(num_cores=8))
+    ring = TOPOLOGIES.resolve("ring")(env, cfg(num_cores=8))
     assert [l.name for l in ring.route(0, 2)] == ["ring.cw[0]", "ring.cw[1]"]
     assert [l.name for l in ring.route(0, 6)] == ["ring.ccw[0]", "ring.ccw[7]"]
     # Exact tie (distance 4 both ways) goes clockwise.
@@ -201,13 +193,13 @@ def test_ring_takes_shorter_arc_clockwise_on_ties(env):
 
 
 def test_ring_srd_placement(env):
-    ring = build_topology("ring", env, cfg(num_cores=8, num_srds=2))
+    ring = TOPOLOGIES.resolve("ring")(env, cfg(num_cores=8, num_srds=2))
     assert [ring.srd_node(i) for i in range(2)] == [0, 4]
 
 
 # --------------------------------------------------------------- crossbar
 def test_crossbar_two_hop_routes_and_endpoint_contention(env):
-    xbar = build_topology("crossbar", env, cfg(num_cores=4))
+    xbar = TOPOLOGIES.resolve("crossbar")(env, cfg(num_cores=4))
     assert xbar.num_nodes == 5  # 4 cores + 1 SRD
     assert xbar.srd_node(0) == 4
     names = [l.name for l in xbar.route(0, xbar.srd_node(0))]
@@ -223,9 +215,47 @@ def test_crossbar_two_hop_routes_and_endpoint_contention(env):
     assert egress.wait_cycles == 3
 
 
+def _ring_distance(a, b, size):
+    return min(abs(a - b), size - abs(a - b))
+
+
+def _grid_distance(topo, src, dst, wrap):
+    (sr, sc), (dr, dc) = divmod(src, topo.cols), divmod(dst, topo.cols)
+    if wrap:
+        return _ring_distance(sr, dr, topo.rows) + _ring_distance(sc, dc, topo.cols)
+    return abs(sr - dr) + abs(sc - dc)
+
+
+_CLOSED_FORM_HOPS = {
+    "mesh": lambda topo, s, d: _grid_distance(topo, s, d, wrap=False),
+    "torus": lambda topo, s, d: _grid_distance(topo, s, d, wrap=True),
+    "ring": lambda topo, s, d: _ring_distance(s, d, topo.n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORM_HOPS))
+def test_hops_equal_closed_form_distance_on_every_pair(name):
+    """``Topology.hops`` is the routed path length; on every node pair at
+    1-64 cores it equals the fabric's analytic distance (Manhattan on the
+    mesh, shortest way round each ring on the torus and the ring)."""
+    from repro.sim.kernel import Environment
+
+    distance = _CLOSED_FORM_HOPS[name]
+    for cores in range(1, 65):
+        topo = TOPOLOGIES.resolve(name)(
+            Environment(), cfg(num_cores=cores, topology=name)
+        )
+        nodes = range(topo.num_nodes)
+        mismatches = [
+            (s, d) for s in nodes for d in nodes
+            if topo.hops(s, d) != distance(topo, s, d)
+        ]
+        assert mismatches == [], (cores, mismatches[:5])
+
+
 # ------------------------------------------------------------- single-bus
 def test_single_bus_matches_historical_arithmetic(env):
-    bus = build_topology("single-bus", env, cfg())
+    bus = TOPOLOGIES.resolve("single-bus")(env, cfg())
     done = []
     for _ in range(3):
         bus.transit_then("stash", 0, 5, lambda _: done.append(env.now), None)
@@ -245,7 +275,7 @@ def test_link_hook_published_per_traversal(env):
     hooks = HookBus()
     seen = []
     hooks.subscribe(LinkHook, seen.append)
-    mesh = build_topology("mesh", env, cfg(num_cores=16), hooks=hooks)
+    mesh = TOPOLOGIES.resolve("mesh")(env, cfg(num_cores=16), hooks=hooks)
     mesh.transit_then("stash", 0, 2, _ignore, None)
     env.run()
     assert [e.link for e in seen] == ["mesh.e[0,0]", "mesh.e[0,1]"]
@@ -254,7 +284,7 @@ def test_link_hook_published_per_traversal(env):
 
 def test_no_link_hooks_without_subscribers(env):
     hooks = HookBus()
-    mesh = build_topology("mesh", env, cfg(num_cores=16), hooks=hooks)
+    mesh = TOPOLOGIES.resolve("mesh")(env, cfg(num_cores=16), hooks=hooks)
     mesh.transit_then("stash", 0, 1, _ignore, None)
     env.run()  # wanted gate: publish never constructs events
     assert hooks.errors == []
@@ -264,7 +294,7 @@ def test_single_bus_never_publishes_link_hooks(env):
     hooks = HookBus()
     seen = []
     hooks.subscribe(LinkHook, seen.append)
-    bus = build_topology("single-bus", env, cfg(), hooks=hooks)
+    bus = TOPOLOGIES.resolve("single-bus")(env, cfg(), hooks=hooks)
     bus.transit_then("stash", 0, 1, _ignore, None)
     env.run()
     assert seen == []

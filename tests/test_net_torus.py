@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.eval.runner import run_workload, setting_by_name
-from repro.net.topology import build_topology, topology_names
+from repro.registry import TOPOLOGIES
 
 
 def cfg(**overrides):
@@ -15,12 +15,12 @@ def cfg(**overrides):
 
 
 def torus(env, **overrides):
-    return build_topology("torus", env, cfg(**overrides))
+    return TOPOLOGIES.resolve("torus")(env, cfg(**overrides))
 
 
 # ----------------------------------------------------------------- registry
 def test_torus_registered():
-    assert "torus" in topology_names()
+    assert "torus" in TOPOLOGIES.names()
 
 
 # ----------------------------------------------------------------- geometry
@@ -59,9 +59,8 @@ def test_two_wide_dimension_gets_no_wrap_links(env):
 
 
 def test_mesh_dims_accepted_for_torus(env):
-    topo = build_topology(
-        "torus", env, SystemConfig(topology="torus", num_cores=8,
-                                   mesh_dims=(2, 4)))
+    config = SystemConfig(topology="torus", num_cores=8, mesh_dims=(2, 4))
+    topo = TOPOLOGIES.resolve("torus")(env, config)
     assert (topo.rows, topo.cols) == (2, 4)
     # only the 4-wide dimension is wrapped
     names = [l.name for l in topo.links()]
@@ -74,8 +73,9 @@ def test_wraparound_halves_corner_to_corner_distance(env):
     from repro.sim.kernel import Environment
 
     topo = torus(env)
-    mesh = build_topology("mesh", Environment(),
-                          cfg(num_cores=16).with_overrides(topology="mesh"))
+    mesh = TOPOLOGIES.resolve("mesh")(
+        Environment(), cfg(num_cores=16).with_overrides(topology="mesh")
+    )
     # (0,0) -> (3,3): mesh walks 3+3 hops, the torus wraps 1+1... times 1
     # ring step each way => 2 hops total.
     assert mesh.hops(0, 15) == 6
@@ -111,8 +111,9 @@ def test_srd_placement_matches_mesh(env):
     from repro.sim.kernel import Environment
 
     topo = torus(env)
-    mesh = build_topology("mesh", Environment(),
-                          cfg(num_cores=16).with_overrides(topology="mesh"))
+    mesh = TOPOLOGIES.resolve("mesh")(
+        Environment(), cfg(num_cores=16).with_overrides(topology="mesh")
+    )
     srds = topo.config.num_srds
     for i in range(srds):
         assert topo.srd_node(i) == mesh.srd_node(i)
@@ -138,8 +139,9 @@ def test_torus_shrinks_mean_and_worst_case_distance(env):
     from repro.sim.kernel import Environment
 
     topo = torus(env)
-    mesh = build_topology("mesh", Environment(),
-                          cfg(num_cores=16).with_overrides(topology="mesh"))
+    mesh = TOPOLOGIES.resolve("mesh")(
+        Environment(), cfg(num_cores=16).with_overrides(topology="mesh")
+    )
     pairs = [(s, d) for s in range(16) for d in range(16)]
     assert all(topo.hops(s, d) <= mesh.hops(s, d) for s, d in pairs)
     assert max(topo.hops(s, d) for s, d in pairs) == 4  # diameter, mesh: 6

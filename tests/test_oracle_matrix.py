@@ -58,9 +58,9 @@ def test_all_devices_agree_on_semantics(workload, scale):
 
 def test_matrix_covers_every_registered_device():
     devices = {s.device for s in matrix_settings()}
-    from repro.registry import device_names
+    from repro.registry import DEVICES
 
-    assert devices == set(device_names())
+    assert devices == set(DEVICES.names())
     assert any("multipush:k4" in s.label for s in matrix_settings())
 
 

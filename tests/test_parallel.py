@@ -203,19 +203,19 @@ def test_cli_batch_and_run_accept_jobs(tmp_path, capsys):
 # ------------------------------------------------- runner satellite fixes
 def test_available_setting_names_cache_invalidates_on_registration():
     from repro.eval.runner import available_setting_names
-    from repro.registry import register_device, unregister_device
+    from repro.registry import DEVICES
     from repro.vlink.vlrd import VirtualLinkRoutingDevice
 
     before = available_setting_names()
     assert available_setting_names() == before  # cached path, same answer
     assert "cached-dev" not in before
 
-    @register_device("cached-dev", description="cache invalidation probe")
+    @DEVICES.register("cached-dev")
     class CachedDevice(VirtualLinkRoutingDevice):
         kind = "CACHED"
 
     try:
         assert "cached-dev" in available_setting_names()
     finally:
-        unregister_device("cached-dev")
+        DEVICES.unregister("cached-dev")
     assert "cached-dev" not in available_setting_names()

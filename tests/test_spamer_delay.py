@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.mem.address import Segment
+from repro.registry import ALGORITHMS
 from repro.spamer.delay import (
     AdaptiveDelay,
     FixedDelay,
@@ -13,7 +14,6 @@ from repro.spamer.delay import (
     TunedDelay,
     TunedParams,
     ZeroDelay,
-    algorithm_by_name,
 )
 from repro.spamer.specbuf import SpecEntry
 from repro.vlink.endpoint import ConsumerEndpoint
@@ -219,10 +219,13 @@ def test_never_push(entry):
 
 
 def test_algorithm_factory():
-    assert isinstance(algorithm_by_name("0delay"), ZeroDelay)
-    assert isinstance(algorithm_by_name("adapt"), AdaptiveDelay)
-    assert isinstance(algorithm_by_name("tuned"), TunedDelay)
-    assert isinstance(algorithm_by_name("fixed", delay=10), FixedDelay)
-    assert isinstance(algorithm_by_name("never"), NeverPush)
+    def build(name, **kwargs):
+        return ALGORITHMS.resolve(name).factory(**kwargs)
+
+    assert isinstance(build("0delay"), ZeroDelay)
+    assert isinstance(build("adapt"), AdaptiveDelay)
+    assert isinstance(build("tuned"), TunedDelay)
+    assert isinstance(build("fixed", delay=10), FixedDelay)
+    assert isinstance(build("never"), NeverPush)
     with pytest.raises(ConfigError):
-        algorithm_by_name("nonsense")
+        build("nonsense")

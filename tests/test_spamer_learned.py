@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.mem.address import Segment
-from repro.spamer.delay import algorithm_by_name
+from repro.registry import ALGORITHMS
 from repro.spamer.learned import HistoryDelay, PerceptronDelay
 from repro.spamer.specbuf import SpecEntry
 from repro.vlink.endpoint import ConsumerEndpoint
@@ -162,5 +162,5 @@ def test_perceptron_hit_updates_interval_estimate(entry):
 
 
 def test_learned_algorithms_are_registered():
-    assert isinstance(algorithm_by_name("history"), HistoryDelay)
-    assert isinstance(algorithm_by_name("perceptron"), PerceptronDelay)
+    assert isinstance(ALGORITHMS.resolve("history").factory(), HistoryDelay)
+    assert isinstance(ALGORITHMS.resolve("perceptron").factory(), PerceptronDelay)
