@@ -43,7 +43,7 @@ def run_pipeline(setting) -> int:
             if in_flight >= WINDOW:
                 yield from ctx.pop(credit_cons)
                 in_flight -= 1
-            yield from ctx.compute_jittered(PARSE, 0.1)
+            yield ctx.jittered(PARSE, 0.1)
             yield from ctx.push(parse_prod, ("pkt", i))
             in_flight += 1
         while in_flight:
@@ -56,7 +56,7 @@ def run_pipeline(setting) -> int:
                 msg = yield from ctx.pop_until(classify_cons[idx], classify_work.all_done)
                 if msg is None:
                     return
-                yield from ctx.compute_jittered(CLASSIFY, 0.1)
+                yield ctx.jittered(CLASSIFY, 0.1)
                 classify_work.mark_done()
                 yield from ctx.push(classify_prod[idx], msg.payload)
 
@@ -65,7 +65,7 @@ def run_pipeline(setting) -> int:
     def meter(ctx):
         for _ in range(PACKETS):
             msg = yield from ctx.pop(meter_cons)
-            yield from ctx.compute_jittered(METER, 0.1)
+            yield ctx.jittered(METER, 0.1)
             yield from ctx.push(meter_prod, msg.payload)
 
     def transmit(ctx):

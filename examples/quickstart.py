@@ -25,14 +25,14 @@ def build_and_run(device: str, algorithm=None) -> System:
     def producer(ctx):
         for i in range(MESSAGES):
             yield from ctx.push(producer_ep, i)
-            yield from ctx.compute(PRODUCER_WORK)
+            yield ctx.compute(PRODUCER_WORK)
 
     def consumer(ctx):
         total = 0
         for _ in range(MESSAGES):
             msg = yield from ctx.pop(consumer_ep)
             total += msg.payload
-            yield from ctx.compute(CONSUMER_WORK)
+            yield ctx.compute(CONSUMER_WORK)
         assert total == MESSAGES * (MESSAGES - 1) // 2
 
     system.spawn(0, producer, "producer")

@@ -50,17 +50,17 @@ def main() -> None:
         for i in range(n):
             yield from ctx.push(prod_fast, ("public", i))
             yield from ctx.push(prod_secret, ("secret", i))
-            yield from ctx.compute(150)
+            yield ctx.compute(150)
 
     def fast_consumer(ctx):
         for _ in range(n):
             yield from ctx.pop(cons_fast)
-            yield from ctx.compute(180)
+            yield ctx.compute(180)
 
     def secret_consumer(ctx):
         for _ in range(n):
             yield from ctx.pop(cons_secret)
-            yield from ctx.compute(180)
+            yield ctx.compute(180)
 
     system.spawn(0, producer, "producer")
     system.spawn(1, fast_consumer, "public-consumer")

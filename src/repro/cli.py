@@ -35,6 +35,7 @@ from repro.eval.runner import (
     run_workload,
     setting_by_name,
 )
+from repro.registry import ARRIVALS
 from repro.workloads.registry import workload_names
 
 
@@ -544,9 +545,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="an open-capable workload: ping-pong, incast, "
                         "pipeline, firewall, FIR (default: incast)")
     p.add_argument("--arrival", default="poisson",
-                   choices=["poisson", "bursty", "ramp"],
-                   help="arrival process driving the sessions "
-                        "(default: poisson)")
+                   choices=[name for name in ARRIVALS.names()
+                            if not ARRIVALS.resolve(name).is_closed],
+                   help="registered open arrival process driving the "
+                        "sessions (default: poisson)")
     p.add_argument("--topology", default="single-bus", metavar="LIST",
                    help="comma-separated topologies: single-bus, mesh, "
                         "torus, ring, crossbar (default: single-bus)")

@@ -7,10 +7,13 @@ objects, which keeps benchmark code looking like the paper's pseudo-code::
     def consumer(ctx):
         for _ in range(n_messages):
             msg = yield from ctx.pop(endpoint)
-            yield from ctx.compute(work_cycles)
+            yield ctx.jittered(work_cycles, 0.1)
 
-The context also gives each thread a private jittered RNG stream so compute
-times vary realistically but reproducibly.
+A compute step is a plain int the program yields (a process sleep):
+``yield ctx.compute(n)`` burns exactly *n* cycles, ``yield
+ctx.jittered(base, fraction)`` burns ``base ± fraction`` cycles drawn from
+the thread's private RNG stream, so compute times vary realistically but
+reproducibly.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ class ThreadContext:
         self.core = core
         self.name = name
         self.env = system.env
+        self._rng = system.rng
         self._jitter_stream = f"compute:{name}"
 
     # -- queue operations -----------------------------------------------------
@@ -64,14 +68,14 @@ class ThreadContext:
         return self.system.library.pop_until(consumer, stop_check)
 
     # -- computation ------------------------------------------------------------
-    def compute(self, cycles: int) -> Generator:
-        """Burn *cycles* of work on this thread's core."""
-        yield self.core.compute(cycles)
+    def compute(self, cycles: int) -> int:
+        """*cycles* of work on this thread's core: ``yield ctx.compute(n)``."""
+        return self.core.compute(cycles)
 
-    def compute_jittered(self, base: int, fraction: float = 0.1) -> Generator:
-        """Burn ``base ± fraction`` cycles, drawn from this thread's stream."""
-        cycles = self.system.rng.jitter(self._jitter_stream, base, fraction)
-        yield self.core.compute(cycles)
+    def jittered(self, base: int, fraction: float) -> int:
+        """``base ± fraction`` cycles of work, drawn from this thread's
+        stream: ``yield ctx.jittered(base, fraction)``."""
+        return self._rng.jitter(self._jitter_stream, base, fraction)
 
     @property
     def now(self) -> int:

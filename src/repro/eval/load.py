@@ -63,25 +63,11 @@ def arrival_spec_for(
 ) -> ArrivalSpec:
     """A picklable spec for *arrival* running at mean *rate* req/cycle.
 
-    Rate-parameterized processes take the rate directly; the diurnal ramp
-    is anchored so its mean sits near *rate* (half to double).
+    The registered class maps the rate onto its own parameters
+    (:meth:`~repro.workloads.arrival.ArrivalProcess.params_for_rate`); the
+    closed batch refuses, having no rate to sweep.
     """
-    params: Dict[str, float] = {}
-    if arrival in ("poisson", "bursty"):
-        params["rate"] = rate
-    elif arrival == "ramp":
-        params["rate_lo"] = rate * 0.5
-        params["rate_hi"] = rate * 2.0
-    elif arrival == "closed":
-        raise ConfigError(
-            "the load sweep needs an open arrival process; 'closed' has no "
-            "rate to sweep"
-        )
-    else:
-        raise ConfigError(
-            f"unknown arrival process {arrival!r} for the load sweep; "
-            f"registered: {ARRIVALS.names()}"
-        )
+    params = ARRIVALS.resolve(arrival).params_for_rate(rate)
     if churn:
         params["churn"] = churn
     return ArrivalSpec.make(arrival, **params)

@@ -73,11 +73,10 @@ def _settings_index() -> Tuple[List[Setting], Dict[str, Setting]]:
     generation = registry_generation()
     if _settings_cache is not None and _settings_cache[0] == generation:
         return _settings_cache[1], _settings_cache[2]
-    specs = [ALGORITHMS.resolve(name) for name in ALGORITHMS.names()]
     algorithms = [
-        spec.name
-        for spec in specs
-        if not spec.requires_params and spec.offer_as_setting
+        name
+        for name in ALGORITHMS.names()
+        if not ALGORITHMS.resolve(name).requires_params
     ]
     settings: List[Setting] = []
     for device in DEVICES.names():

@@ -184,10 +184,6 @@ class AlgorithmSpec:
     #: Needs constructor arguments (e.g. ``fixed`` needs its delay), so it
     #: cannot be offered as a zero-configuration CLI/batch setting.
     requires_params: bool = False
-    #: Offer this algorithm in the zero-configuration setting lists.  Off
-    #: for ablation controls that only make sense embedded in a
-    #: purpose-built experiment.
-    offer_as_setting: bool = True
 
 
 #: Routing devices; a device class takes ``(env, config, network, hooks=)``

@@ -29,10 +29,10 @@ nothing — golden metrics and traces stay byte-identical.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, List, NamedTuple, Optional, TYPE_CHECKING
+from typing import Dict, List, NamedTuple, Optional
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.hooks import HookBus
+from repro.sim.hooks import HookBus, RequestHook
+from repro.sim.stats import RunningStats
 
 
 class ReqState(Enum):
@@ -43,6 +43,13 @@ class ReqState(Enum):
     FIRST_POP = "first-pop"
     COMPLETED = "completed"
 
+
+#: The states as module globals: the stamp sites read these instead of
+#: paying an ``Enum`` class-attribute lookup per stamp.
+ARRIVED = ReqState.ARRIVED
+ADMITTED = ReqState.ADMITTED
+FIRST_POP = ReqState.FIRST_POP
+COMPLETED = ReqState.COMPLETED
 
 #: Legal lifecycle edges.  FIRST_POP may be skipped for requests whose
 #: first consumption *is* their completion (single-hop workloads stamp
@@ -63,6 +70,10 @@ class ReqStamp(NamedTuple):
     tick: int
 
 
+#: Builds a :class:`ReqStamp` without the NamedTuple ``__new__`` frame.
+_new_stamp = tuple.__new__
+
+
 class RequestRecord:
     """The queryable journey of one open-system request."""
 
@@ -75,12 +86,6 @@ class RequestRecord:
         #: Per-session request sequence number.
         self.seq = seq
         self.stamps: List[ReqStamp] = []
-
-    # ------------------------------------------------------------------ record
-    def stamp(self, state: ReqState, tick: int) -> ReqStamp:
-        entry = ReqStamp(state, int(tick))
-        self.stamps.append(entry)
-        return entry
 
     # ------------------------------------------------------------------- query
     @property
@@ -158,13 +163,11 @@ class RequestLog:
     __slots__ = ("hooks", "active", "_records", "_next_id", "sojourn_stats",
                  "completed")
 
-    def __init__(self, hooks: Optional["HookBus"] = None) -> None:
+    def __init__(self, hooks: Optional[HookBus] = None) -> None:
         self.hooks = hooks
         self.active = False
         self._records: List[RequestRecord] = []
         self._next_id = 0
-        from repro.sim.stats import RunningStats
-
         #: Per-request sojourn samples (completion − arrival), the
         #: reservoir behind the p50/p99/p999 load-sweep report.
         self.sojourn_stats = RunningStats(keep_samples=True)
@@ -186,51 +189,66 @@ class RequestLog:
         """
         record = RequestRecord(self._next_id, session, seq)
         self._next_id += 1
-        record.stamp(ReqState.ARRIVED, arrival_tick)
-        record.stamp(ReqState.ADMITTED, admission_tick)
+        record.stamps += (
+            _new_stamp(ReqStamp, (ARRIVED, arrival_tick)),
+            _new_stamp(ReqStamp, (ADMITTED, admission_tick)),
+        )
         self._records.append(record)
-        self._publish(record, ReqState.ARRIVED, arrival_tick)
-        self._publish(record, ReqState.ADMITTED, admission_tick)
+        hooks = self.hooks
+        if hooks is not None and RequestHook in hooks.wanted:
+            self._publish(record, ARRIVED, arrival_tick)
+            self._publish(record, ADMITTED, admission_tick)
         return record
 
     def touch(self, record: RequestRecord, tick: int) -> None:
-        """Stamp FIRST_POP once (later calls for the same record no-op)."""
-        if record.first_pop is not None or record.completed:
+        """Stamp FIRST_POP once (later calls for the same record no-op).
+
+        A record from :meth:`open` holds ARRIVED and ADMITTED, so only a
+        record with exactly those two stamps has not been popped yet.
+        """
+        stamps = record.stamps
+        if len(stamps) != 2:
             return
-        record.stamp(ReqState.FIRST_POP, tick)
-        self._publish(record, ReqState.FIRST_POP, tick)
+        stamps.append(_new_stamp(ReqStamp, (FIRST_POP, tick)))
+        hooks = self.hooks
+        if hooks is not None and RequestHook in hooks.wanted:
+            self._publish(record, FIRST_POP, tick)
 
     def complete(self, record: RequestRecord, tick: int) -> None:
         """Stamp COMPLETED and fold the sojourn into the reservoir."""
-        if record.completed:
+        stamps = record.stamps
+        last = stamps[-1][0]
+        if last is COMPLETED:
             return
-        if record.first_pop is None:
-            # Single-hop flows: first consumption is the completion.
-            record.stamp(ReqState.FIRST_POP, tick)
-            self._publish(record, ReqState.FIRST_POP, tick)
-        record.stamp(ReqState.COMPLETED, tick)
-        self.completed += 1
-        sojourn = record.sojourn
-        if sojourn is not None:
-            self.sojourn_stats.add(sojourn)
-        self._publish(record, ReqState.COMPLETED, tick)
-
-    def _publish(self, record: RequestRecord, state: ReqState, tick: int) -> None:
         hooks = self.hooks
-        if hooks is None:
-            return
-        from repro.sim.hooks import RequestHook
+        wanted = hooks is not None and RequestHook in hooks.wanted
+        if last is ADMITTED:
+            # Single-hop flows: first consumption is the completion.
+            stamps.append(_new_stamp(ReqStamp, (FIRST_POP, tick)))
+            if wanted:
+                self._publish(record, FIRST_POP, tick)
+        stamps.append(_new_stamp(ReqStamp, (COMPLETED, tick)))
+        self.completed += 1
+        sojourn = tick - stamps[0][1]
+        self.sojourn_stats.add(sojourn)
+        if wanted:
+            self._publish(record, COMPLETED, tick, sojourn)
 
-        if RequestHook not in hooks.wanted:
-            return
-        hooks.publish(
+    def _publish(
+        self,
+        record: RequestRecord,
+        state: ReqState,
+        tick: int,
+        sojourn: Optional[int] = None,
+    ) -> None:
+        self.hooks.publish(
             RequestHook(
                 tick=tick,
                 rid=record.rid,
                 session=record.session,
                 seq=record.seq,
                 state=state.value,
-                sojourn=record.sojourn if state is ReqState.COMPLETED else None,
+                sojourn=sojourn,
             )
         )
 

@@ -11,19 +11,25 @@ Streams are spawned by name using SeedSequence-style key hashing.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from typing import Callable, Dict
 
 import numpy as np
+
+#: 2**-53: scales a 53-bit integer onto ``[0, 1)`` exactly as numpy's
+#: ``next_double`` does.
+_UNIT = 1.0 / 9007199254740992.0
 
 
 class RngPool:
     """A pool of named, independent ``numpy.random.Generator`` streams."""
 
-    __slots__ = ("master_seed", "_streams")
+    __slots__ = ("master_seed", "_streams", "_raw")
 
     def __init__(self, master_seed: int = 0xC0FFEE) -> None:
         self.master_seed = int(master_seed)
         self._streams: Dict[str, np.random.Generator] = {}
+        #: Per-stream ``bit_generator.random_raw``: one 64-bit draw.
+        self._raw: Dict[str, Callable[[], int]] = {}
 
     def _derive_seed(self, name: str) -> int:
         digest = hashlib.sha256(f"{self.master_seed}:{name}".encode()).digest()
@@ -39,15 +45,20 @@ class RngPool:
         """Draw ``base`` perturbed by up to ±``fraction`` uniformly.
 
         Used for compute-time jitter in workloads; returns at least 1 cycle.
+        The draw is ``Generator.uniform(lo, hi)`` computed from one raw
+        64-bit word (``lo + (hi - lo) * next_double``, numpy's own formula),
+        bit for bit the same value at a fraction of the call cost.
         """
         if fraction < 0:
             raise ValueError(f"negative jitter fraction {fraction}")
         if fraction == 0:
             return max(1, int(base))
-        rng = self.stream(name)
+        raw = self._raw.get(name)
+        if raw is None:
+            raw = self._raw[name] = self.stream(name).bit_generator.random_raw
         lo = base * (1.0 - fraction)
         hi = base * (1.0 + fraction)
-        return max(1, int(round(rng.uniform(lo, hi))))
+        return max(1, int(round(lo + (hi - lo) * ((raw() >> 11) * _UNIT))))
 
 
 def bithash(value: int, tsc: int, bits: int = 2) -> int:

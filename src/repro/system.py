@@ -15,12 +15,12 @@ the main entry point of the public API::
     def producer(ctx):
         for i in range(100):
             yield from ctx.push(prod, i)
-            yield from ctx.compute(200)
+            yield ctx.compute(200)
 
     def consumer(ctx):
         for _ in range(100):
             msg = yield from ctx.pop(cons)
-            yield from ctx.compute(150)
+            yield ctx.compute(150)
 
     sys_.spawn(0, producer, "producer")
     sys_.spawn(1, consumer, "consumer")

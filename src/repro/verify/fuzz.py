@@ -135,7 +135,7 @@ class FuzzWorkload(Workload):
                         self.note_produced(key)
                         yield from ctx.push(producer, key)
                         if spec.producer_compute:
-                            yield from ctx.compute(spec.producer_compute)
+                            yield ctx.compute(spec.producer_compute)
 
                 system.spawn(core, producer_thread,
                              f"fuzz-p{link_idx}.{p}")
@@ -149,7 +149,7 @@ class FuzzWorkload(Workload):
                         msg = yield from ctx.pop(consumer)
                         self.note_consumed(msg.payload)
                         if spec.consumer_compute:
-                            yield from ctx.compute(spec.consumer_compute)
+                            yield ctx.compute(spec.consumer_compute)
 
                 system.spawn(core, consumer_thread, f"fuzz-c{link_idx}.0")
             else:
@@ -170,7 +170,7 @@ class FuzzWorkload(Workload):
                             self.note_consumed(msg.payload)
                             counter.mark_done()
                             if spec.consumer_compute:
-                                yield from ctx.compute(spec.consumer_compute)
+                                yield ctx.compute(spec.consumer_compute)
 
                     system.spawn(core, worker, f"fuzz-c{link_idx}.{c}")
 

@@ -34,14 +34,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Tuple, TYPE_CHECKING
+from typing import Dict, List, Tuple, TYPE_CHECKING
+
+import numpy as np
 
 from repro.errors import ConfigError, WorkloadError
 from repro.registry import ARRIVALS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
-
     from repro.sim.rng import RngPool
 
 
@@ -99,6 +99,12 @@ class ArrivalProcess(ABC):
         """Gaps (cycles) between consecutive requests; first gap is the
         session's join offset, letting sessions start mid-run."""
 
+    @classmethod
+    def params_for_rate(cls, rate: float) -> Dict[str, float]:
+        """Constructor parameters that run this process at a mean of
+        *rate* requests per cycle (the load sweep's knob)."""
+        return {"rate": rate}
+
     def label(self) -> str:
         churn = f",churn={self.churn:g}" if self.churn else ""
         return f"{self.name}({self._param_label()}{churn})"
@@ -148,6 +154,13 @@ class ClosedBatch(ArrivalProcess):
             raise WorkloadError(f"session {session!r} needs >= 1 requests")
         return [0] * count
 
+    @classmethod
+    def params_for_rate(cls, rate: float) -> Dict[str, float]:
+        raise ConfigError(
+            f"the load sweep needs an open arrival process; {cls.name!r} has "
+            "no rate to sweep"
+        )
+
     def interarrivals(self, rng, count: int) -> List[int]:
         return [0] * count
 
@@ -174,7 +187,8 @@ class Poisson(ArrivalProcess):
 
     def interarrivals(self, rng, count: int) -> List[int]:
         gaps = rng.exponential(1.0 / self.rate, size=count)
-        return [max(1, int(round(g))) for g in gaps]
+        # rint rounds half to even, as round() does.
+        return np.maximum(np.rint(gaps), 1).astype(np.int64).tolist()
 
     def _param_label(self) -> str:
         return f"rate={self.rate:g}"
@@ -256,6 +270,11 @@ class DiurnalRamp(ArrivalProcess):
         self.rate_lo = float(rate_lo)
         self.rate_hi = float(rate_hi)
         self.period = int(period)
+
+    @classmethod
+    def params_for_rate(cls, rate: float) -> Dict[str, float]:
+        """Anchored so the mean sits near *rate*: half to double."""
+        return {"rate_lo": rate * 0.5, "rate_hi": rate * 2.0}
 
     def rate_at(self, tick: int) -> float:
         """Instantaneous rate: linear ramp, clamped past the period."""

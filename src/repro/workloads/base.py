@@ -53,8 +53,8 @@ class WorkCounter:
     fixed counts; instead they loop ``pop_until(all_work_done)`` against
     this counter — the standard shared-counter termination idiom of
     task-parallel runtimes.  (The counter itself would live in one coherent
-    cacheline; its increment cost is charged by the caller via
-    ``ctx.compute``.)
+    cacheline; its increment cost is charged by the caller with
+    ``yield ctx.compute(n)``.)
 
     ``label`` names the queue/stage the counter guards so an overrun
     diagnostic points at the offender instead of just printing numbers.

@@ -86,9 +86,9 @@ class Fir(Workload):
                 # Payload: (trace key, sequence, sample window, partial sum).
                 yield from ctx.push(prods[0], (key, n, tuple(window), 0.0))
                 if (n + 1) % self.BURST == 0:
-                    yield from ctx.compute_jittered(self.INTER_BURST_GAP, 0.05)
+                    yield ctx.jittered(self.INTER_BURST_GAP, 0.05)
                 else:
-                    yield from ctx.compute_jittered(self.INTRA_BURST_GAP, 0.05)
+                    yield ctx.jittered(self.INTRA_BURST_GAP, 0.05)
 
             yield from self.drive(ctx, "fir-source", plan, feed)
 
@@ -103,7 +103,7 @@ class Fir(Workload):
                     key, n, window, partial = msg.payload
                     self.note_consumed(key)
                     self.request_first_pop(key, ctx.now)
-                    yield from ctx.compute_jittered(self.MAC_COMPUTE, 0.05)
+                    yield ctx.jittered(self.MAC_COMPUTE, 0.05)
                     partial = partial + coeff * window[stage - 1]
                     if prod is not None:
                         new_key = (f"s{stage}", n)

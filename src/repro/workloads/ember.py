@@ -71,7 +71,7 @@ class PingPong(Workload):
                 msg = yield from ctx.pop(cons_a)
                 self.note_consumed(msg.payload)
                 self.request_complete(key, ctx.now)
-                yield from ctx.compute_jittered(self.COMPUTE, 0.05)
+                yield ctx.jittered(self.COMPUTE, 0.05)
 
             yield from self.drive(ctx, "pingpong-a", plan, round_trip)
 
@@ -80,7 +80,7 @@ class PingPong(Workload):
                 msg = yield from ctx.pop(cons_b)
                 self.note_consumed(msg.payload)
                 self.request_first_pop(msg.payload, ctx.now)
-                yield from ctx.compute_jittered(self.COMPUTE, 0.05)
+                yield ctx.jittered(self.COMPUTE, 0.05)
                 key = ("ba", i)
                 self.note_produced(key)
                 yield from ctx.push(prod_b, key)
@@ -150,7 +150,7 @@ class Halo(Workload):
                     # Mild per-iteration imbalance: within the tuned
                     # algorithm's interval-variation tolerance (its tau
                     # parameter absorbs jitter up to ~96 cycles, §3.5).
-                    yield from ctx.compute_jittered(self.INTERIOR_COMPUTE, 0.08)
+                    yield ctx.jittered(self.INTERIOR_COMPUTE, 0.08)
                     # Exchange the strip part by part: send one line to
                     # every neighbor, then receive one from each.  Sending
                     # the whole strip before receiving would demand more
@@ -163,7 +163,7 @@ class Halo(Workload):
                         for cons in my_conss:
                             msg = yield from ctx.pop(cons)
                             self.note_consumed(msg.payload)
-                    yield from ctx.compute_jittered(self.BOUNDARY_COMPUTE, 0.05)
+                    yield ctx.jittered(self.BOUNDARY_COMPUTE, 0.05)
 
             return thread
 
@@ -228,7 +228,7 @@ class Sweep(Workload):
                 for src in ins:
                     msg = yield from ctx.pop(conss[(src, (r, c))])
                     self.note_consumed(msg.payload)
-                yield from ctx.compute_jittered(self.CELL_COMPUTE, 0.05)
+                yield ctx.jittered(self.CELL_COMPUTE, 0.05)
                 for dst in outs:
                     key = (tag, (r, c), dst, rnd)
                     self.note_produced(key)
@@ -294,7 +294,7 @@ class Incast(Workload):
                     self.note_produced(key)
                     self.track_request(key, record)
                     yield from ctx.push(prod, key)
-                    yield from ctx.compute_jittered(self.PRODUCE_COMPUTE, 0.1)
+                    yield ctx.jittered(self.PRODUCE_COMPUTE, 0.1)
 
                 yield from self.drive(ctx, session, plans[session], send)
 
@@ -305,7 +305,7 @@ class Incast(Workload):
                 msg = yield from ctx.pop(cons)
                 self.note_consumed(msg.payload)
                 self.request_complete(msg.payload, ctx.now)
-                yield from ctx.compute_jittered(self.AGGREGATE_COMPUTE, 0.05)
+                yield ctx.jittered(self.AGGREGATE_COMPUTE, 0.05)
 
         system.spawn(0, master, "incast-master")
         for pid in range(self.PRODUCERS):

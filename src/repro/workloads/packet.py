@@ -87,7 +87,7 @@ class Pipeline(Workload):
                     credit = yield from ctx.pop(credit_cons)
                     self.note_consumed(credit.payload)
                     in_flight -= 1
-                yield from ctx.compute_jittered(self.GEN_COMPUTE, 0.1)
+                yield ctx.jittered(self.GEN_COMPUTE, 0.1)
                 key = ("pkt", i)
                 self.note_produced(key)
                 self.track_request(key, record)
@@ -108,7 +108,7 @@ class Pipeline(Workload):
                         return
                     self.note_consumed(msg.payload)
                     self.request_first_pop(msg.payload, ctx.now)
-                    yield from ctx.compute_jittered(self.STAGE_COMPUTE, 0.1)
+                    yield ctx.jittered(self.STAGE_COMPUTE, 0.1)
                     counter.mark_done()
                     key = (stage_tag,) + msg.payload
                     self.note_produced(key)
@@ -123,7 +123,7 @@ class Pipeline(Workload):
                 # Payload is ("b", "a", "pkt", i); the tracked request key
                 # is the generator's original ("pkt", i) suffix.
                 self.request_complete(msg.payload[2:], ctx.now)
-                yield from ctx.compute_jittered(self.SINK_COMPUTE, 0.1)
+                yield ctx.jittered(self.SINK_COMPUTE, 0.1)
                 key = ("credit", msg.payload)
                 self.note_produced(key)
                 yield from ctx.push(credit_prod, key)
@@ -194,7 +194,7 @@ class Firewall(Workload):
                     credit = yield from ctx.pop(credit_cons)
                     self.note_consumed(credit.payload)
                     in_flight -= 1
-                yield from ctx.compute_jittered(self.SOURCE_COMPUTE, 0.1)
+                yield ctx.jittered(self.SOURCE_COMPUTE, 0.1)
                 key = ("pkt", i)
                 self.note_produced(key)
                 self.track_request(key, record)
@@ -214,7 +214,7 @@ class Firewall(Workload):
                     msg = yield from ctx.pop(cons)
                     self.note_consumed(msg.payload)
                     self.request_first_pop(msg.payload, ctx.now)
-                    yield from ctx.compute_jittered(self.FILTER_COMPUTE, 0.1)
+                    yield ctx.jittered(self.FILTER_COMPUTE, 0.1)
                     key = (tag,) + msg.payload
                     self.note_produced(key)
                     yield from ctx.push(prod, key)
@@ -228,7 +228,7 @@ class Firewall(Workload):
                 # Payload is ("fa"|"fb", "pkt", i); the tracked request
                 # key is the source's original ("pkt", i) suffix.
                 self.request_complete(msg.payload[1:], ctx.now)
-                yield from ctx.compute_jittered(self.SINK_COMPUTE, 0.1)
+                yield ctx.jittered(self.SINK_COMPUTE, 0.1)
                 key = ("credit", msg.payload)
                 self.note_produced(key)
                 yield from ctx.push(credit_prod, key)

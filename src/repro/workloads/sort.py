@@ -109,7 +109,7 @@ class Bitonic(Workload):
         def master(ctx):
             reaped = 0
             for i in range(blocks):
-                yield from ctx.compute_jittered(self.PREPARE_COMPUTE, 0.1)
+                yield ctx.jittered(self.PREPARE_COMPUTE, 0.1)
                 block = tuple(int(v) for v in rng.integers(0, 10_000, self.BLOCK_SIZE))
                 key = ("blk", i)
                 self.note_produced(key)
@@ -133,7 +133,7 @@ class Bitonic(Workload):
                         return
                     key, i, block = msg.payload
                     self.note_consumed(key)
-                    yield from ctx.compute_jittered(sort_cost, 0.05)
+                    yield ctx.jittered(sort_cost, 0.05)
                     result = tuple(bitonic_sort(block))
                     scatter_work.mark_done()
                     out_key = ("sorted", i)
@@ -151,7 +151,7 @@ class Bitonic(Workload):
         out_key, i, result = msg.payload
         self.note_consumed(out_key)
         self.sorted_blocks[i] = result
-        yield from ctx.compute_jittered(self.MERGE_COMPUTE, 0.1)
+        yield ctx.jittered(self.MERGE_COMPUTE, 0.1)
 
     def validate(self) -> None:
         super().validate()

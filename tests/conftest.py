@@ -45,13 +45,13 @@ def build_pingpong(system: System, rounds: int = 50, compute: int = 100):
     def producer(ctx):
         for i in range(rounds):
             yield from ctx.push(prod, i)
-            yield from ctx.compute(compute)
+            yield ctx.compute(compute)
 
     def consumer(ctx):
         for _ in range(rounds):
             msg = yield from ctx.pop(cons)
             received.append(msg.payload)
-            yield from ctx.compute(compute)
+            yield ctx.compute(compute)
 
     system.spawn(0, producer, "producer")
     system.spawn(1, consumer, "consumer")

@@ -103,6 +103,25 @@ def test_poisson_plan_is_nondecreasing_absolute_ticks():
     assert plan[0] >= 1  # the first gap is the session's join offset
 
 
+def test_poisson_gaps_round_half_to_even_like_round():
+    import numpy as np
+
+    draws = np.array([0.2, 0.5, 1.5, 2.5, 3.49, 7.5, 1e6 + 0.5, 4.500001])
+
+    class FixedDraws:
+        def exponential(self, scale, size):
+            return draws[:size]
+
+    gaps = Poisson(rate=0.01).interarrivals(FixedDraws(), len(draws))
+    assert gaps == [max(1, int(round(g))) for g in draws]
+    assert gaps == [1, 1, 2, 2, 3, 8, 1000000, 5]
+    assert all(type(g) is int for g in gaps)
+    stream = RngPool(11).stream("arrival:s")
+    mirror = RngPool(11).stream("arrival:s")
+    gaps = Poisson(rate=0.003).interarrivals(stream, 5000)
+    assert gaps == [max(1, int(round(g))) for g in mirror.exponential(1 / 0.003, 5000)]
+
+
 def test_poisson_rejects_nonpositive_rate():
     with pytest.raises(ConfigError):
         Poisson(rate=0.0)

@@ -58,7 +58,7 @@ def test_spamer_default_algorithm_is_tuned():
 
 def test_spawn_pins_one_thread_per_core(vl_system):
     def prog(ctx):
-        yield ctx.core.compute(10)
+        yield ctx.compute(10)
 
     vl_system.spawn(0, prog, "t0")
     with pytest.raises(WorkloadError):
@@ -70,7 +70,7 @@ def test_run_to_completion_joins_all_threads(vl_system):
 
     def prog(delay):
         def thread(ctx):
-            yield from ctx.compute(delay)
+            yield ctx.compute(delay)
             done.append(delay)
         return thread
 

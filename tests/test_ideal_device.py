@@ -42,12 +42,12 @@ def _run_ping_pong(system, messages=16):
     def producer(ctx):
         for i in range(messages):
             yield from ctx.push(prod, i)
-            yield from ctx.compute(50)
+            yield ctx.compute(50)
 
     def consumer(ctx):
         for _ in range(messages):
             yield from ctx.pop(cons)
-            yield from ctx.compute(30)
+            yield ctx.compute(30)
 
     system.spawn(0, producer, "producer")
     system.spawn(1, consumer, "consumer")

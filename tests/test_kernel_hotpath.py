@@ -229,7 +229,7 @@ def test_stalled_pop_resumes_once_and_polls_every_quantum(monkeypatch):
     stall = []
 
     def producer(ctx):
-        yield from ctx.compute(5_000)
+        yield ctx.compute(5_000)
         yield from ctx.push(prod, "late")
 
     def consumer(ctx):

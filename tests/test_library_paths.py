@@ -112,7 +112,7 @@ def test_spin_then_yield_coarsens_detection():
         done = []
 
         def producer(ctx):
-            yield from ctx.compute(2_000)  # force a long consumer wait
+            yield ctx.compute(2_000)  # force a long consumer wait
             yield from ctx.push(prod, "late")
 
         def consumer(ctx):
@@ -167,12 +167,12 @@ def test_trace_vacate_attributed_to_next_transaction():
     def producer(ctx):
         for i in range(2):
             yield from ctx.push(prod, i)
-            yield from ctx.compute(500)
+            yield ctx.compute(500)
 
     def consumer(ctx):
         for _ in range(2):
             yield from ctx.pop(cons)
-            yield from ctx.compute(100)
+            yield ctx.compute(100)
 
     system.spawn(0, producer, "p")
     system.spawn(1, consumer, "c")
@@ -200,14 +200,14 @@ def test_consumer_thread_multiplexes_queues():
         for i in range(10):
             yield from ctx.push(pa, ("a", i))
             yield from ctx.push(pb, ("b", i))
-            yield from ctx.compute(300)
+            yield ctx.compute(300)
 
     def consumer(ctx):
         for _ in range(10):
             msg_a = yield from ctx.pop(ca)
             msg_b = yield from ctx.pop(cb)
             got.append((msg_a.payload, msg_b.payload))
-            yield from ctx.compute(150)
+            yield ctx.compute(150)
 
     system.spawn(0, producer, "p")
     system.spawn(1, consumer, "c")

@@ -49,6 +49,27 @@ def test_arrival_spec_for_rejects_closed_and_unknown():
         arrival_spec_for("pareto", 0.004)
 
 
+def test_a_registered_arrival_process_can_be_load_swept():
+    from repro.registry import ARRIVALS
+    from repro.workloads.arrival import Poisson
+
+    @ARRIVALS.register("test-paced")
+    class Paced(Poisson):
+        @classmethod
+        def params_for_rate(cls, rate):
+            return {"rate": rate * 2.0}
+
+    try:
+        spec = arrival_spec_for("test-paced", 0.004, churn=0.25)
+        assert dict(spec.params) == {"rate": 0.008, "churn": 0.25}
+        result = load_experiment(rhos=(0.5,), jobs=1, **{
+            **TINY, "arrival": "test-paced"})
+        assert result.arrival == "test-paced"
+        assert len(result.rows) == 1 and result.rows[0]["requests"] > 0
+    finally:
+        ARRIVALS.unregister("test-paced")
+
+
 # -------------------------------------------------------------- experiment
 def test_tiny_sweep_covers_four_load_points():
     result = load_experiment(rhos=DEFAULT_RHOS, jobs=1, **TINY)
@@ -118,3 +139,14 @@ def test_cli_load_writes_json_report(tmp_path, capsys):
     doc = json.loads(out_file.read_text())
     assert doc["rows"] and doc["calibration"]
     assert "wrote JSON report" in capsys.readouterr().out
+
+
+def test_cli_load_offers_the_open_registered_arrivals(capsys):
+    from repro.registry import ARRIVALS
+
+    with pytest.raises(SystemExit):
+        main(["load", "--arrival", "closed"])
+    err = capsys.readouterr().err
+    for name in ARRIVALS.names():
+        if name != "closed":
+            assert repr(name) in err

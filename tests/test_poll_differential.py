@@ -201,7 +201,7 @@ def test_refetch_backoff_to_the_cap_matches_reference_loop(monkeypatch):
         got = []
 
         def producer(ctx):
-            yield from ctx.compute(300_000)
+            yield ctx.compute(300_000)
             yield from ctx.push(prod, "late")
 
         def consumer(ctx):
@@ -236,9 +236,9 @@ def test_stale_scan_retarget_matches_reference_loop(monkeypatch):
             cons.lines[index].try_fill(message, transaction_id=0)
 
         def filler(ctx):
-            yield from ctx.compute(300)
+            yield ctx.compute(300)
             park(ctx, 2, "late")
-            yield from ctx.compute(2_000)
+            yield ctx.compute(2_000)
             park(ctx, 1, "next")
 
         def consumer(ctx):

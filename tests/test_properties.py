@@ -51,7 +51,7 @@ def run_mn_queue(
         def producer(ctx):
             for i in range(per_producer):
                 yield from ctx.push(prods[pid], (pid, i))
-                yield from ctx.compute(prod_compute)
+                yield ctx.compute(prod_compute)
 
         return producer
 
@@ -65,7 +65,7 @@ def run_mn_queue(
                     return
                 state["consumed"] += 1
                 received.append(msg.payload)
-                yield from ctx.compute(cons_compute)
+                yield ctx.compute(cons_compute)
 
         return consumer
 

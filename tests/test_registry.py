@@ -48,7 +48,7 @@ def test_device_spec_round_trip():
 
 def test_algorithm_resolve_round_trip():
     spec = ALGORITHMS.resolve("tuned")
-    assert not spec.requires_params and spec.offer_as_setting
+    assert not spec.requires_params
     algo = spec.factory()
     assert isinstance(algo, TunedDelay)
     assert isinstance(algo, DelayAlgorithm)

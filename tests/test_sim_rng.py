@@ -75,3 +75,95 @@ def test_bithash_is_deterministic():
 def test_bithash_varies_with_tsc():
     values = {bithash(1 << 12, t) for t in range(64)}
     assert len(values) > 1  # the obfuscation actually varies
+
+
+# ------------------------------------------------------------ jitter exactness
+def _uniform_jitter(rng, base, fraction):
+    """The reference draw: ``Generator.uniform`` with the jitter rounding."""
+    lo = base * (1.0 - fraction)
+    hi = base * (1.0 + fraction)
+    return max(1, int(round(rng.uniform(lo, hi))))
+
+
+@pytest.fixture(scope="module")
+def workload_jitter_calls():
+    """Every ``(seed, stream, base, fraction) -> cycles`` draw the Table-2
+    workloads make, in call order, recorded on one small run each."""
+    from repro.eval.runner import run_workload, setting_by_name
+    from repro.workloads.registry import workload_names
+
+    calls = []
+    original = RngPool.jitter
+
+    def recording(pool, name, base, fraction):
+        value = original(pool, name, base, fraction)
+        calls.append((pool.master_seed, name, base, fraction, value))
+        return value
+
+    RngPool.jitter = recording
+    try:
+        for name in workload_names():
+            run_workload(name, setting_by_name("vl"), scale=0.02)
+    finally:
+        RngPool.jitter = original
+    return calls
+
+
+def test_jitter_equals_uniform_on_every_workload_draw(workload_jitter_calls):
+    calls = workload_jitter_calls
+    pairs = {(base, fraction) for _, _, base, fraction, _ in calls}
+    # the 19 compute-step sites of the workloads draw 17 distinct ranges
+    assert len(pairs) == 17
+    pools = {}
+    for seed, name, base, fraction, value in calls:
+        pool = pools.setdefault(seed, RngPool(seed))
+        assert value == _uniform_jitter(pool.stream(name), base, fraction)
+
+
+def test_jitter_equals_uniform_on_the_workload_ranges(workload_jitter_calls):
+    pairs = sorted({(b, f) for _, _, b, f, _ in workload_jitter_calls})
+    # past 2**52 a draw's last bit survives the rounding
+    pairs += [(1, 0.9), (7, 0.5), (2**20, 0.25), (2**52, 0.5)]
+    for index, (base, fraction) in enumerate(pairs):
+        pool, reference = RngPool(index), RngPool(index)
+        stream = reference.stream("compute:t")
+        for _ in range(500):
+            assert pool.jitter("compute:t", base, fraction) == _uniform_jitter(
+                stream, base, fraction
+            )
+
+
+def test_jitter_shares_the_stream_state_with_the_generator():
+    # A raw draw advances the same bit generator a Generator draw does, so
+    # interleaving the two keeps one sequence.
+    pool, reference = RngPool(3), RngPool(3)
+    stream, mirror = pool.stream("s"), reference.stream("s")
+    for _ in range(100):
+        assert pool.jitter("s", 500, 0.1) == _uniform_jitter(mirror, 500, 0.1)
+        assert stream.integers(0, 10**9) == mirror.integers(0, 10**9)
+
+
+def test_jitter_zero_and_negative_fraction_draw_nothing():
+    pool = RngPool(5)
+    assert pool.jitter("s", 500, 0.0) == 500
+    assert pool.jitter("s", 0, 0.0) == 1
+    with pytest.raises(ValueError):
+        pool.jitter("s", 500, -0.05)
+    # neither call consumed a draw from the stream
+    assert pool.jitter("s", 500, 0.1) == _uniform_jitter(
+        RngPool(5).stream("s"), 500, 0.1
+    )
+
+
+def test_compute_steps_are_plain_ints():
+    from repro.cpu.thread import ThreadContext
+    from repro.system import System
+
+    assert not hasattr(ThreadContext, "compute_jittered")
+    system = System()
+    ctx = ThreadContext(system, system.cores[0], "t")
+    assert ctx.compute(25) == 25
+    step = ctx.jittered(400, 0.1)
+    assert type(step) is int
+    reference = RngPool(system.rng.master_seed).stream("compute:t")
+    assert step == _uniform_jitter(reference, 400, 0.1)

@@ -90,7 +90,7 @@ def test_push_blocks_on_prodbuf_backpressure():
             yield from ctx.push(prod, i)
 
     def consumer(ctx):
-        yield from ctx.compute(50_000)  # long stall: device must backpressure
+        yield ctx.compute(50_000)  # long stall: device must backpressure
         for _ in range(20):
             msg = yield from ctx.pop(cons)
             received.append(msg.payload)

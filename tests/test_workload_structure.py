@@ -95,7 +95,7 @@ def test_pipeline_credit_window_bounds_inflight():
         while any(t.is_alive for t in system.threads[:-1]):
             occupancy = sum(d.entries_in_use for d in system.devices)
             max_seen[0] = max(max_seen[0], occupancy)
-            yield from ctx.compute(200)
+            yield ctx.compute(200)
 
     system.spawn(system.config.num_cores - 1, monitor, "monitor")
     system.run_to_completion(limit=200_000_000)
