@@ -32,9 +32,10 @@ from typing import Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.config import SystemConfig
 from repro.errors import ProtocolError
-from repro.mem.bus import CoherenceNetwork, PacketKind
 from repro.mem.cache import MoesiState, SetAssocCache
 from repro.mem.dram import Dram
+from repro.net.topology import PacketKind, Topology
+from repro.registry import TOPOLOGIES
 from repro.sim.process import PARK, Process
 from repro.sim.stats import Counter
 
@@ -49,11 +50,11 @@ class CoherentMemorySystem:
         self,
         env: "Environment",
         config: SystemConfig,
-        network: Optional[CoherenceNetwork] = None,
+        network: Optional[Topology] = None,
     ) -> None:
         self.env = env
         self.config = config
-        self.network = network or CoherenceNetwork(env, config)
+        self.network = network or TOPOLOGIES.resolve(config.topology)(env, config)
         self.l1 = [
             SetAssocCache(config.l1d, name=f"L1D{i}") for i in range(config.num_cores)
         ]

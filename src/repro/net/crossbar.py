@@ -13,35 +13,26 @@ in the scaling study.
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import List
 
-from repro.net.topology import Link, Topology
+from repro.net.topology import Topology
 from repro.registry import TOPOLOGIES
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.config import SystemConfig
-    from repro.sim.hooks import HookBus
-    from repro.sim.kernel import Environment
+from repro.sim.resources import FifoServer
 
 
 @TOPOLOGIES.register("crossbar")
 class CrossbarTopology(Topology):
     """Cores on nodes 0..n-1, SRD shards on nodes n..n+k-1, 2-hop routes."""
 
-    def __init__(
-        self,
-        env: "Environment",
-        config: "SystemConfig",
-        hooks: Optional["HookBus"] = None,
-    ) -> None:
-        super().__init__(env, config, hooks=hooks)
+    def _build(self) -> None:
+        config = self.config
         self._num_cores = config.num_cores
         self._num_srds = config.num_srds
         total = self._num_cores + self._num_srds
-        self._ingress: List[Link] = [
+        self._ingress: List[FifoServer] = [
             self._add_link(f"xbar.in[{self._node_label(i)}]") for i in range(total)
         ]
-        self._egress: List[Link] = [
+        self._egress: List[FifoServer] = [
             self._add_link(f"xbar.out[{self._node_label(i)}]") for i in range(total)
         ]
 
@@ -62,7 +53,7 @@ class CrossbarTopology(Topology):
         return self._num_cores + srd_index
 
     # ----------------------------------------------------------------- routing
-    def _compute_route(self, src: int, dst: int) -> List[Link]:
+    def _compute_route(self, src: int, dst: int) -> List[FifoServer]:
         if src == dst:
             return []
         return [self._ingress[src], self._egress[dst]]

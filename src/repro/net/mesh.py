@@ -15,28 +15,19 @@ most-square factorization of the core count (16 → 4×4, 32 → 4×8,
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import List
 
-from repro.net.topology import Link, Topology, derive_mesh_dims
+from repro.net.topology import Topology, derive_mesh_dims
 from repro.registry import TOPOLOGIES
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.config import SystemConfig
-    from repro.sim.hooks import HookBus
-    from repro.sim.kernel import Environment
+from repro.sim.resources import FifoServer
 
 
 @TOPOLOGIES.register("mesh")
 class MeshTopology(Topology):
     """rows × cols grid of routers, one core per node, XY routing."""
 
-    def __init__(
-        self,
-        env: "Environment",
-        config: "SystemConfig",
-        hooks: Optional["HookBus"] = None,
-    ) -> None:
-        super().__init__(env, config, hooks=hooks)
+    def _build(self) -> None:
+        config = self.config
         self.rows, self.cols = config.mesh_dims or derive_mesh_dims(config.num_cores)
         # Directed links keyed (src_node, dst_node), created in row-major
         # scan order so links() enumeration is deterministic.
@@ -71,10 +62,10 @@ class MeshTopology(Topology):
         return ((2 * srd_index + 1) * self.num_nodes) // (2 * srds)
 
     # ----------------------------------------------------------------- routing
-    def _compute_route(self, src: int, dst: int) -> List[Link]:
+    def _compute_route(self, src: int, dst: int) -> List[FifoServer]:
         sr, sc = divmod(src, self.cols)
         dr, dc = divmod(dst, self.cols)
-        links: List[Link] = []
+        links: List[FifoServer] = []
         node = src
         # X first: walk the row to the destination column...
         while sc != dc:

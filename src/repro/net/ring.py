@@ -11,31 +11,21 @@ SRD shards sit at evenly-spaced nodes.
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import List
 
-from repro.net.topology import Link, Topology
+from repro.net.topology import Topology
 from repro.registry import TOPOLOGIES
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.config import SystemConfig
-    from repro.sim.hooks import HookBus
-    from repro.sim.kernel import Environment
+from repro.sim.resources import FifoServer
 
 
 @TOPOLOGIES.register("ring")
 class RingTopology(Topology):
     """n-node cycle; shortest direction, clockwise on ties."""
 
-    def __init__(
-        self,
-        env: "Environment",
-        config: "SystemConfig",
-        hooks: Optional["HookBus"] = None,
-    ) -> None:
-        super().__init__(env, config, hooks=hooks)
-        self.n = config.num_cores
-        self._cw: List[Link] = []
-        self._ccw: List[Link] = []
+    def _build(self) -> None:
+        self.n = self.config.num_cores
+        self._cw: List[FifoServer] = []
+        self._ccw: List[FifoServer] = []
         if self.n > 1:
             for i in range(self.n):
                 self._cw.append(self._add_link(f"ring.cw[{i}]"))
@@ -55,12 +45,12 @@ class RingTopology(Topology):
         return (srd_index * self.n) // srds
 
     # ----------------------------------------------------------------- routing
-    def _compute_route(self, src: int, dst: int) -> List[Link]:
+    def _compute_route(self, src: int, dst: int) -> List[FifoServer]:
         if src == dst or self.n < 2:
             return []
         forward = (dst - src) % self.n
         backward = (src - dst) % self.n
-        links: List[Link] = []
+        links: List[FifoServer] = []
         if forward <= backward:  # ties go clockwise
             node = src
             for _ in range(forward):

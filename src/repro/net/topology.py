@@ -1,13 +1,16 @@
-"""Interconnect topology abstraction: placement, routing, per-link contention.
+"""The coherence network: placement, routing, contention, packet accounting.
 
-The paper evaluates SPAMeR on 16 cores sharing one hierarchical coherence
-network, which :mod:`repro.mem.bus` collapses into a FIFO server.  That
-model has no notion of *distance*: a stash to the adjacent tile and a stash
-across the die cost the same.  This module opens that axis.  A
-:class:`Topology` places cores and routing devices (SRDs) on nodes, routes
-each packet hop-by-hop through directed :class:`Link` s — every hop pays
-serialization (``bus_occupancy``) on a *contended* per-link server plus
-propagation (``link_latency``) — and reports per-link utilization and
+Both Virtual-Link and SPAMeR reuse the existing hierarchical coherence
+network rather than a dedicated queue network (Section 2), so every queue
+packet — consumer *request* (vl_fetch), producer *data* (vl_push) and
+routing-device *stash* — competes for the same interconnect.  A
+:class:`Topology` *is* that network: ``System.network`` is the registered
+fabric itself.  It places cores and routing devices (SRDs) on nodes,
+counts the packets it accepts per :class:`PacketKind`, and routes each one
+hop-by-hop through directed links.  A link is a
+:class:`~repro.sim.resources.FifoServer`: every hop pays serialization
+(``bus_occupancy``) on the contended server plus propagation
+(``link_latency``), and the fabric reports per-link utilization and
 backpressure.
 
 Topologies resolve by name through :data:`repro.registry.TOPOLOGIES`,
@@ -22,69 +25,55 @@ like devices and algorithms: a new fabric is one decorated class::
 
     SystemConfig(topology="torus")          # just works
 
-``single-bus`` (:mod:`repro.net.singlebus`) reproduces the historical
-bus arithmetic exactly and stays the default, so every golden metric and
-trace fixture is bit-identical to the pre-topology model.
+``single-bus`` (:mod:`repro.net.singlebus`) is one FIFO server for the
+whole machine and stays the default; its utilization is exactly the
+metric the paper reports in Figure 10b.
+
+A transit allocates no event.  The caller passes a continuation — a
+bound method and its one argument — and the network queues it with
+``Environment.call_later`` for the delivery cycle.
 """
 
 from __future__ import annotations
 
+from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.sim.hooks import LinkHook
+from repro.sim.hooks import BusHook, HookBus, LinkHook
 from repro.sim.resources import FifoServer
+from repro.sim.stats import Counter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import SystemConfig
-    from repro.sim.hooks import HookBus
     from repro.sim.kernel import Environment
 
 
-class Link:
-    """One directed interconnect link: a contended server plus a wire.
+class PacketKind(Enum):
+    """Packet classes that occupy the coherence network."""
 
-    A packet *traverses* the link by serializing onto it (the shared
-    :class:`~repro.sim.resources.FifoServer`, ``bus_occupancy`` cycles per
-    packet, back-to-back packets queue) and then propagating for
-    ``latency`` cycles (:meth:`Topology._enter`).  ``wait_cycles``
-    accumulates the backpressure a traversal experienced before its
-    serialization could start — the per-link congestion signal the
-    scaling study reports.
-    """
-
-    __slots__ = ("env", "name", "server", "latency", "wait_cycles")
-
-    def __init__(
-        self, env: "Environment", name: str, occupancy: int, latency: int
-    ) -> None:
-        self.env = env
-        self.name = name
-        self.server = FifoServer(env, occupancy, name=name)
-        self.latency = int(latency)
-        self.wait_cycles = 0
-
-    @property
-    def busy_cycles(self) -> int:
-        return self.server.busy_cycles
-
-    @property
-    def packets(self) -> int:
-        return self.server.packets_served
-
-    def utilization(self, elapsed: Optional[int] = None) -> float:
-        return self.server.utilization(elapsed)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Link {self.name} busy={self.busy_cycles} wait={self.wait_cycles}>"
+    REQUEST = "request"       # consumer vl_fetch  (core -> routing device)
+    PUSH_DATA = "push_data"   # producer vl_push   (core -> routing device)
+    STASH = "stash"           # data delivery      (routing device -> core)
+    COHERENCE = "coherence"   # MOESI snoop/data traffic (software baseline)
 
 
 class Topology:
-    """Base class: node placement, hop-by-hop routing, link accounting.
+    """Base class: node placement, hop-by-hop routing, packet accounting.
 
-    Subclasses define the node set and the route; the base class owns the
-    store-and-forward traversal (each hop's serialization is reserved only
-    when the packet *arrives* at that hop, so contention composes along
-    the path) and the :class:`~repro.sim.hooks.LinkHook` instrumentation.
+    Subclasses lay out the nodes and links (:meth:`_build`) and define the
+    route; the base class owns the store-and-forward traversal (each hop's
+    serialization is reserved only when the packet *arrives* at that hop,
+    so contention composes along the path), the per-kind packet counters
+    and the :class:`~repro.sim.hooks.BusHook` /
+    :class:`~repro.sim.hooks.LinkHook` instrumentation.
+
+    ``transit_then(kind, fn, arg, src, dst)`` calls ``fn(arg)`` once the
+    packet has been delivered at node *dst*; a process parks
+    (:data:`~repro.sim.process.PARK`) with ``Process._resume`` as the
+    continuation.  Hit/miss *response signals* (``response_then``) ride
+    the dedicated response channel and are modelled as pure latency (no
+    occupancy), matching the paper's utilization metric, which counts
+    request/data packets only.
     """
 
     #: Registry name (set by ``TOPOLOGIES.register``).
@@ -94,22 +83,42 @@ class Topology:
         self,
         env: "Environment",
         config: "SystemConfig",
-        hooks: Optional["HookBus"] = None,
+        hooks: Optional[HookBus] = None,
     ) -> None:
         self.env = env
         self.config = config
-        self.hooks = hooks
-        self._links: List[Link] = []
-        self._route_cache: Dict[Tuple[int, int], Tuple[Link, ...]] = {}
+        #: Instrumentation bus; a publish happens only while somebody
+        #: subscribed to its event type (``X in hooks.wanted``).
+        self.hooks = hooks if hooks is not None else HookBus()
+        #: Accepted packets per kind, plus ``total_packets`` and
+        #: ``responses``.
+        self.counters = Counter()
+        self._links: List[FifoServer] = []
+        self._route_cache: Dict[Tuple[int, int], Tuple[FifoServer, ...]] = {}
         #: Link traversals so far.  Every link serializes a packet for
         #: ``bus_occupancy`` cycles, so this one count gives the fabric's
         #: busy time without a walk over the links.
         self.packets_served = 0
+        self._build()
+        #: Node ids by core id and by SRD shard index: placement is
+        #: static, so it is read once here and the packet path indexes a
+        #: tuple instead of calling :meth:`core_node`/:meth:`srd_node`.
+        self.core_nodes = tuple(
+            self.core_node(core) for core in range(config.num_cores)
+        )
+        self.srd_nodes = tuple(
+            self.srd_node(index) for index in range(config.num_srds)
+        )
 
     # -------------------------------------------------------------- link setup
-    def _add_link(self, name: str) -> Link:
-        link = Link(
-            self.env, name, self.config.bus_occupancy, self.config.link_latency
+    def _build(self) -> None:
+        """Lay out the fabric's geometry and links (called once by
+        ``__init__``, before node placement is read)."""
+
+    def _add_link(self, name: str) -> FifoServer:
+        link = FifoServer(
+            self.env, self.config.bus_occupancy, name=name,
+            latency=self.config.link_latency,
         )
         self._links.append(link)
         return link
@@ -128,7 +137,7 @@ class Topology:
         raise NotImplementedError
 
     # ----------------------------------------------------------------- routing
-    def route(self, src: int, dst: int) -> Sequence[Link]:
+    def route(self, src: int, dst: int) -> Sequence[FifoServer]:
         """The directed links a packet crosses from *src* to *dst*.
 
         Routes are static (deterministic oblivious routing), so they are
@@ -141,7 +150,7 @@ class Topology:
             self._route_cache[key] = cached
         return cached
 
-    def _compute_route(self, src: int, dst: int) -> Sequence[Link]:
+    def _compute_route(self, src: int, dst: int) -> Sequence[FifoServer]:
         raise NotImplementedError
 
     def hops(self, src: int, dst: int) -> int:
@@ -154,9 +163,15 @@ class Topology:
 
     # ------------------------------------------------------------------ transit
     def transit_then(
-        self, kind: str, src: int, dst: int, fn: Callable[[Any], None], arg: Any
+        self,
+        kind: PacketKind,
+        fn: Callable[[Any], None],
+        arg: Any,
+        src: int = 0,
+        dst: int = 0,
     ) -> None:
-        """Move one packet from *src* to *dst*; ``fn(arg)`` runs at delivery.
+        """Send one packet from node *src* to node *dst*; ``fn(arg)`` runs
+        at delivery.
 
         Store-and-forward: the packet serializes onto link *i+1* only once
         it has fully arrived over link *i*, so a congested middle hop
@@ -166,20 +181,33 @@ class Topology:
         the last hop, so it runs behind the work already due in that
         cycle (``tests/test_transit_differential.py`` pins this order).
         """
+        key = kind._value_
+        counts = self.counters.counts
+        counts[key] += 1
+        counts["total_packets"] += 1
         links = self.route(src, dst)
         if not links:
             # Same-node delivery: no fabric crossed, but the line still
             # serializes through the local port.
             self.env.call_later(self.config.bus_occupancy, fn, arg)
         elif len(links) == 1:
-            self._enter(links[0], kind, src, dst, fn, arg)
+            self._enter(links[0], key, src, dst, fn, arg)
         else:
-            transit = _Transit(self, links, kind, src, dst, fn, arg)
-            self._enter(links[0], kind, src, dst, _next_hop, transit)
+            transit = _Transit(self, links, key, src, dst, fn, arg)
+            self._enter(links[0], key, src, dst, _next_hop, transit)
+        if BusHook in self.hooks.wanted:
+            self._publish_bus(key)
+
+    def _publish_bus(self, key: str) -> None:
+        """Publish the :class:`~repro.sim.hooks.BusHook` of one accepted
+        packet (callers test ``BusHook in hooks.wanted`` first)."""
+        self.hooks.publish(
+            BusHook(tick=self.env._now, kind=key, busy_cycles=self.busy_cycles)
+        )
 
     def _enter(
         self,
-        link: Link,
+        link: FifoServer,
         kind: str,
         src: int,
         dst: int,
@@ -187,14 +215,13 @@ class Topology:
         arg: Any,
     ) -> None:
         """Serialize one packet onto *link*; ``fn(arg)`` runs at its far end."""
-        server = link.server
-        wait = server._free_at - self.env._now
+        wait = link._free_at - self.env._now
         if wait > 0:
             link.wait_cycles += wait
-        server.serve_then(link.latency, fn, arg)
+        link.serve_then(fn, arg)
         self.packets_served += 1
         hooks = self.hooks
-        if hooks is not None and LinkHook in hooks.wanted:
+        if LinkHook in hooks.wanted:
             hooks.publish(
                 LinkHook(
                     tick=self.env._now,
@@ -207,10 +234,22 @@ class Topology:
                 )
             )
 
+    def response_then(
+        self, src: int, dst: int, fn: Callable[[Any], None], arg: Any
+    ) -> None:
+        """Send a hit/miss response signal (latency only, no occupancy);
+        ``fn(arg)`` runs when it arrives."""
+        self.counters.counts["responses"] += 1
+        self.env.call_later(self.response_latency(src, dst), fn, arg)
+
     # ------------------------------------------------------------------ metrics
-    def links(self) -> List[Link]:
+    def links(self) -> List[FifoServer]:
         """Every directed link, in construction order (deterministic)."""
         return list(self._links)
+
+    @property
+    def total_packets(self) -> int:
+        return self.counters.get("total_packets")
 
     @property
     def busy_cycles(self) -> int:
@@ -222,11 +261,12 @@ class Topology:
         return sum(link.wait_cycles for link in self._links)
 
     def utilization(self, elapsed: int = 0) -> float:
-        """Mean busy fraction across all links over *elapsed* cycles."""
+        """Mean busy fraction across the links (the bus, on ``single-bus``)
+        over *elapsed* cycles (default window: current sim time)."""
         window = elapsed or self.env._now
-        if window <= 0 or not self._links:
+        if window <= 0:
             return 0.0
-        return min(1.0, self.busy_cycles / (window * len(self._links)))
+        return min(1.0, self.busy_cycles / (window * max(1, len(self._links))))
 
     def link_report(self, elapsed: int = 0) -> List[Dict]:
         """Per-link utilization/backpressure rows, construction order."""
@@ -234,7 +274,7 @@ class Topology:
         return [
             {
                 "link": link.name,
-                "packets": link.packets,
+                "packets": link.packets_served,
                 "busy_cycles": link.busy_cycles,
                 "wait_cycles": link.wait_cycles,
                 "utilization": link.utilization(window) if window > 0 else 0.0,
@@ -251,7 +291,7 @@ class _Transit:
     def __init__(
         self,
         topology: Topology,
-        links: Sequence[Link],
+        links: Sequence[FifoServer],
         kind: str,
         src: int,
         dst: int,

@@ -15,28 +15,19 @@ existing neighbor link, and on a 1-wide dimension it would be a self-loop.
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import List
 
-from repro.net.topology import Link, Topology, derive_mesh_dims
+from repro.net.topology import Topology, derive_mesh_dims
 from repro.registry import TOPOLOGIES
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.config import SystemConfig
-    from repro.sim.hooks import HookBus
-    from repro.sim.kernel import Environment
+from repro.sim.resources import FifoServer
 
 
 @TOPOLOGIES.register("torus")
 class TorusTopology(Topology):
     """rows × cols grid with wraparound rows/columns, one core per node."""
 
-    def __init__(
-        self,
-        env: "Environment",
-        config: "SystemConfig",
-        hooks: Optional["HookBus"] = None,
-    ) -> None:
-        super().__init__(env, config, hooks=hooks)
+    def _build(self) -> None:
+        config = self.config
         self.rows, self.cols = config.mesh_dims or derive_mesh_dims(config.num_cores)
         # Directed links keyed (src_node, dst_node), created in row-major
         # scan order so links() enumeration is deterministic.
@@ -95,10 +86,10 @@ class TorusTopology(Topology):
         backward = (pos - target) % size
         return 1 if forward <= backward else -1
 
-    def _compute_route(self, src: int, dst: int) -> List[Link]:
+    def _compute_route(self, src: int, dst: int) -> List[FifoServer]:
         sr, sc = divmod(src, self.cols)
         dr, dc = divmod(dst, self.cols)
-        links: List[Link] = []
+        links: List[FifoServer] = []
         # X first: walk the row ring the shorter way to the destination
         # column...
         while sc != dc:

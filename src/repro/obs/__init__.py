@@ -9,8 +9,8 @@ hot paths nothing (the publishers' ``hooks.wanted`` guards stay False).
 Entry points:
 
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges, windowed
-  histograms, sim-time timers; :data:`~repro.obs.metrics.NULL_METRICS`
-  no-op stub when disabled.
+  histograms; :data:`~repro.obs.metrics.NULL_METRICS` no-op stub when
+  disabled.
 * :class:`~repro.obs.collector.MetricsCollector` — folds every bus event
   into a registry (metric catalogue in docs/OBSERVABILITY.md).
 * :class:`~repro.obs.perfetto.PerfettoTraceSink` /
@@ -30,7 +30,6 @@ from repro.obs.metrics import (
     NULL_METRICS,
     MetricsRegistry,
     NullMetricsRegistry,
-    SimTimer,
     WindowedHistogram,
 )
 from repro.obs.perfetto import JsonlTraceSink, PerfettoTraceSink
@@ -45,7 +44,6 @@ __all__ = [
     "ObsRequest",
     "ObsResult",
     "PerfettoTraceSink",
-    "SimTimer",
     "SpeculationAccuracy",
     "WindowedHistogram",
     "accuracy_from_metrics",

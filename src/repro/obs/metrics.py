@@ -1,4 +1,4 @@
-"""The process-wide metrics registry: counters, gauges, histograms, timers.
+"""The process-wide metrics registry: counters, gauges, histograms.
 
 Every instrument lives in one :class:`MetricsRegistry` keyed by a dotted
 metric name (``bus.packets.stash``, ``txn.stage.pushed->mapped``, …; the
@@ -10,7 +10,7 @@ bit-identical and the perf-smoke wall time within the <3% overhead gate.
 
 Design constraints (shared with :mod:`repro.sim.hooks`):
 
-* **Sim-time only** — timers and windowed histograms are stamped with
+* **Sim-time only** — windowed histograms are stamped with
   simulation ticks, never wall-clock, so every exported document is
   byte-stable across ``--jobs`` and across machines.
 * **No timing impact** — recording schedules no simulation events and draws
@@ -114,39 +114,8 @@ class WindowedHistogram:
         return {b * self.bucket_width: n for b, n in sorted(self._buckets.items())}
 
 
-class SimTimer:
-    """Accumulates open/close intervals measured in simulation ticks."""
-
-    __slots__ = ("_started", "count", "total", "max")
-
-    def __init__(self) -> None:
-        self._started: Optional[int] = None
-        self.count = 0
-        self.total = 0
-        self.max = 0
-
-    def start(self, now: int) -> None:
-        self._started = int(now)
-
-    def stop(self, now: int) -> int:
-        """Close the open interval; returns its length in ticks."""
-        if self._started is None:
-            raise ValueError("SimTimer.stop() without a matching start()")
-        elapsed = int(now) - self._started
-        self._started = None
-        self.count += 1
-        self.total += elapsed
-        if elapsed > self.max:
-            self.max = elapsed
-        return elapsed
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-
 class MetricsRegistry:
-    """One namespace of counters, gauges, windowed histograms and timers.
+    """One namespace of counters, gauges and windowed histograms.
 
     The registry is plain bookkeeping: incrementing a counter allocates at
     most one dict slot, and export walks sorted keys so two identical runs
@@ -162,7 +131,6 @@ class MetricsRegistry:
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, WindowedHistogram] = {}
-        self._timers: Dict[str, SimTimer] = {}
         self._bucket_width = histogram_bucket_width
         self._window = histogram_window
 
@@ -176,11 +144,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------ gauges
     def gauge_set(self, name: str, value: float) -> None:
         self._gauges[name] = value
-
-    def gauge_max(self, name: str, value: float) -> None:
-        """Keep the high-water mark of *name*."""
-        if value > self._gauges.get(name, float("-inf")):
-            self._gauges[name] = value
 
     def gauge(self, name: str) -> float:
         return self._gauges.get(name, 0.0)
@@ -200,14 +163,6 @@ class MetricsRegistry:
     def observe(self, name: str, value: int) -> None:
         self.histogram(name).observe(value)
 
-    # ------------------------------------------------------------------ timers
-    def timer(self, name: str) -> SimTimer:
-        timer = self._timers.get(name)
-        if timer is None:
-            timer = SimTimer()
-            self._timers[name] = timer
-        return timer
-
     # ------------------------------------------------------------------ export
     def histogram_names(self) -> List[str]:
         return sorted(self._histograms)
@@ -225,20 +180,10 @@ class MetricsRegistry:
                 "p99": hist.percentile(99),
                 "buckets": {str(k): v for k, v in hist.buckets().items()},
             }
-        timers = {
-            name: {
-                "count": t.count,
-                "total": t.total,
-                "max": t.max,
-                "mean": round(t.mean, 6),
-            }
-            for name, t in sorted(self._timers.items())
-        }
         return {
             "counters": dict(sorted(self._counters.items())),
             "gauges": dict(sorted(self._gauges.items())),
             "histograms": histograms,
-            "timers": timers,
         }
 
     def to_json(self, indent: Optional[int] = None) -> str:
@@ -262,9 +207,6 @@ class NullMetricsRegistry(MetricsRegistry):
         pass
 
     def gauge_set(self, name: str, value: float) -> None:
-        pass
-
-    def gauge_max(self, name: str, value: float) -> None:
         pass
 
     def observe(self, name: str, value: int) -> None:

@@ -294,10 +294,6 @@ class HookBus:
                 self.errors.append((sub, exc))
 
     # ---------------------------------------------------------------- queries
-    @property
-    def subscriber_count(self) -> int:
-        return sum(len(subs) for subs in self._subs.values())
-
     def __bool__(self) -> bool:
         return bool(self._subs)
 

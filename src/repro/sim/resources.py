@@ -1,9 +1,10 @@
 """Shared-resource primitives built on the event kernel.
 
-* :class:`FifoServer` — a single server that items occupy for a service time.
-  The model uses it for the coherence-network bus (:mod:`repro.net.singlebus`)
-  and each NoC link (:mod:`repro.net.topology`).  It tracks busy cycles for
-  utilization metrics and hands each completion to a continuation.
+* :class:`FifoServer` — a single server that items occupy for a service time
+  and then leave after a propagation latency.  The model uses one for the
+  coherence-network bus (:mod:`repro.net.singlebus`) and one per NoC link
+  (:mod:`repro.net.topology`).  It tracks busy cycles for utilization
+  metrics and hands each completion to a continuation.
 * :class:`Resource` — counted semaphore with FIFO waiters.  The prodBuf
   admission of :mod:`repro.vlink.vlrd` uses one per tier: a shared pool and
   a per-SQI reserve.  It allocates no event: a waiter parks and the
@@ -82,30 +83,41 @@ class Resource:
 
 
 class FifoServer:
-    """A single FIFO server with a fixed per-item service time.
+    """A single FIFO server: fixed service time, then fixed latency.
 
-    Models the shared coherence-network bus: each packet occupies the server
-    for ``service_time`` cycles (its *occupancy*); total busy cycles divided
-    by elapsed time is the bus utilization reported in Figure 10b.  The
-    service time is fixed, so busy cycles are ``packets_served`` times it.
+    Each packet occupies the server for ``service_time`` cycles (its
+    serialization; back-to-back packets queue) and then propagates for
+    ``latency`` cycles before its continuation runs.  The coherence
+    network is built from these (:mod:`repro.net`): the single bus is one
+    server, a NoC route a tuple of them, one per directed link.  Busy
+    cycles over elapsed time is the utilization reported in Figure 10b;
+    the service time is fixed, so busy cycles are ``packets_served``
+    times it.  ``wait_cycles`` is the backpressure the network recorded
+    at this link (NoC links only: the bus folds queueing into busy time).
     """
 
-    __slots__ = ("env", "name", "service_time", "_free_at", "packets_served")
+    __slots__ = (
+        "env", "name", "service_time", "latency", "_free_at",
+        "packets_served", "wait_cycles",
+    )
 
-    def __init__(self, env: "Environment", service_time: int, name: str = "bus") -> None:
+    def __init__(
+        self, env: "Environment", service_time: int, name: str = "bus",
+        latency: int = 0,
+    ) -> None:
         if service_time < 0:
             raise SimulationError(f"{name}: negative service time {service_time}")
         self.env = env
         self.name = name
         self.service_time = int(service_time)
+        self.latency = int(latency)
         self._free_at: int = env.now
         self.packets_served: int = 0
+        self.wait_cycles: int = 0
 
-    def serve_then(
-        self, extra_delay: int, fn: Callable[[Any], None], arg: Any
-    ) -> None:
-        """Enqueue one packet; ``fn(arg)`` runs when service (plus
-        *extra_delay*, e.g. wire propagation after serialization) completes.
+    def serve_then(self, fn: Callable[[Any], None], arg: Any) -> None:
+        """Enqueue one packet; ``fn(arg)`` runs when its service and then
+        its propagation ``latency`` complete.
 
         No event is allocated: the completion is one
         :meth:`~repro.sim.kernel.Environment.call_later` entry, whose
@@ -117,7 +129,7 @@ class FifoServer:
         finish = (free_at if free_at > now else now) + self.service_time
         self._free_at = finish
         self.packets_served += 1
-        env.call_later(finish - now + extra_delay, fn, arg)
+        env.call_later(finish - now + self.latency, fn, arg)
 
     @property
     def busy_cycles(self) -> int:

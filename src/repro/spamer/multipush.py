@@ -23,7 +23,7 @@ Burst protocol:
 * A follower **miss** while it is not yet the oldest claim means the burst
   overshot the consumer: that claim and every younger claim roll back.
   Landed lines are invalidated by a rollback packet charged real traversal
-  cycles on the network (:class:`~repro.mem.bus.PacketKind.COHERENCE`),
+  cycles on the network (:class:`~repro.net.topology.PacketKind.COHERENCE`),
   the cancelled messages collect in a *pen*, and once the last doomed
   response and invalidation resolve the pen re-enters the front of the
   SQI's buffering queue in arrival order (FIFO preserved).
@@ -39,7 +39,7 @@ import weakref
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.mem.bus import PacketKind
+from repro.net.topology import PacketKind
 from repro.registry import ALGORITHMS
 from repro.sim.hooks import HookBus, SpecBufHook, SpecDecisionHook
 from repro.sim.transaction import TxnState

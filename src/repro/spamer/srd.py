@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Optional, TYPE_CHECKING
 
 from repro.config import SystemConfig
-from repro.mem.bus import CoherenceNetwork
+from repro.net.topology import Topology
 from repro.registry import DEVICES
 from repro.sim.hooks import HookBus
 from repro.spamer.delay import DelayAlgorithm
@@ -52,7 +52,7 @@ class SpamerRoutingDevice(VirtualLinkRoutingDevice):
         self,
         env: "Environment",
         config: SystemConfig,
-        network: CoherenceNetwork,
+        network: Topology,
         algorithm: DelayAlgorithm,
         security: Optional[SecurityPolicy] = None,
         hooks: Optional[HookBus] = None,

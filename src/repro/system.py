@@ -35,8 +35,8 @@ from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.cpu.core import Core
 from repro.cpu.thread import ThreadContext
 from repro.mem.address import AddressSpace
-from repro.mem.bus import CoherenceNetwork
-from repro.registry import ALGORITHMS, DEVICES
+from repro.net.topology import Topology
+from repro.registry import ALGORITHMS, DEVICES, TOPOLOGIES
 from repro.sim.hooks import HookBus
 from repro.sim.kernel import Environment
 from repro.sim.process import Process
@@ -77,7 +77,10 @@ class System:
         #: open-capable workload plans sessions under an open arrival
         #: process; closed-batch runs never touch it).
         self.requests = RequestLog(hooks=self.hooks)
-        self.network = CoherenceNetwork(self.env, self.config, hooks=self.hooks)
+        #: The coherence network: the registered fabric itself.
+        self.network: Topology = TOPOLOGIES.resolve(self.config.topology)(
+            self.env, self.config, hooks=self.hooks
+        )
         self.addr_space = AddressSpace(self.config.dram_bytes)
 
         spec = DEVICES.resolve(device)

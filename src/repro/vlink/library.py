@@ -29,8 +29,8 @@ from __future__ import annotations
 from typing import Any, Generator, Optional, TYPE_CHECKING
 
 from repro.errors import RegistrationError, WorkloadError
-from repro.mem.bus import PacketKind
 from repro.mem.cacheline import LineState
+from repro.net.topology import PacketKind
 from repro.sim.hooks import DeliveryHook, EventKind, PushHook, TraceHook
 from repro.sim.process import PARK, Process
 from repro.sim.transaction import TxnState

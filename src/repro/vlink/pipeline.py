@@ -144,8 +144,8 @@ class MappingPipeline:
         stats: "Counter",
         speculation: SpeculationPolicy,
         dispatch: Callable[[ProdEntry, ConsumerLine, bool], None],
+        stage_latency: int,
         hooks: Optional[HookBus] = None,
-        stage_latency: Optional[int] = None,
     ) -> None:
         self.env = env
         self.config = config
@@ -155,9 +155,7 @@ class MappingPipeline:
         #: Stage-3 exit: the owning device's stash-send path.
         self._dispatch = dispatch
         self.hooks = hooks if hooks is not None else HookBus()
-        self.stage_latency = (
-            config.srd_pipeline_latency if stage_latency is None else stage_latency
-        )
+        self.stage_latency = stage_latency
         self._consbuf_occupancy = 0
 
     # ------------------------------------------------------------------ helpers

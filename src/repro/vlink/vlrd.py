@@ -31,8 +31,8 @@ from __future__ import annotations
 from typing import Generator, Optional, TYPE_CHECKING
 
 from repro.config import SystemConfig
-from repro.mem.bus import CoherenceNetwork, PacketKind
 from repro.mem.cacheline import ConsumerLine
+from repro.net.topology import PacketKind, Topology
 from repro.registry import DEVICES
 from repro.sim.hooks import EventKind, HookBus, TraceHook
 from repro.sim.resources import Resource
@@ -85,7 +85,7 @@ class VirtualLinkRoutingDevice:
         self,
         env: "Environment",
         config: SystemConfig,
-        network: CoherenceNetwork,
+        network: Topology,
         hooks: Optional[HookBus] = None,
     ) -> None:
         self.env = env

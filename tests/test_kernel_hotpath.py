@@ -166,7 +166,7 @@ def _is_timeout_call(node) -> bool:
 def test_network_transit_allocates_no_timeout():
     """A packet crosses the network as ``call_later`` entries handed to a
     continuation (docs/PERFORMANCE.md §5): no ``.timeout(``/``Timeout(``
-    call in ``repro.net``, ``mem/bus.py`` or ``FifoServer``, and no
+    call in ``repro.net`` or ``FifoServer``, and no
     ``.subscribe(`` chained on a ``transit_then``/``response_then``."""
     resources = ast.parse((_SRC / "sim" / "resources.py").read_text())
     scopes = [
@@ -175,7 +175,7 @@ def test_network_transit_allocates_no_timeout():
             if isinstance(node, ast.ClassDef) and node.name == "FifoServer"
         )),
     ]
-    for path in sorted((_SRC / "net").rglob("*.py")) + [_SRC / "mem" / "bus.py"]:
+    for path in sorted((_SRC / "net").rglob("*.py")):
         scopes.append((str(path.relative_to(_SRC)), ast.parse(path.read_text())))
     timeouts = [
         f"{label}:{node.lineno}"

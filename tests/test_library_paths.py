@@ -4,7 +4,6 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.eval.experiments import reconstruct_transactions
-from repro.mem.bus import PacketKind
 from repro.mem.cacheline import LineState
 from repro.sim.hooks import TraceHook
 from repro.system import System
@@ -78,7 +77,7 @@ def test_refetch_backoff_limits_request_packets():
     system.spawn(1, consumer, "c")
     system.run_to_completion(limit=1_000_000)
     # 60k cycles of stall: backoff 128,256,...,32768 -> <= ~10 requests.
-    assert system.network.packets(PacketKind.REQUEST) <= 10
+    assert system.network.counters.get("request") <= 10
 
 
 def test_stop_check_error_is_raised_inside_the_popping_thread():

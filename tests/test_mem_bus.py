@@ -1,9 +1,10 @@
-"""Unit tests for the coherence-network model."""
+"""Unit tests for the coherence network on its default single-bus fabric."""
 
 import pytest
 
 from repro.config import SystemConfig
-from repro.mem.bus import CoherenceNetwork, PacketKind
+from repro.net import PacketKind
+from repro.registry import TOPOLOGIES
 from tests.conftest import noop
 
 
@@ -14,7 +15,7 @@ def _ignore(_arg):
 @pytest.fixture
 def network(env):
     cfg = SystemConfig(bus_latency=36, bus_occupancy=3)
-    return CoherenceNetwork(env, cfg)
+    return TOPOLOGIES.resolve("single-bus")(env, cfg)
 
 
 def test_single_packet_latency(env, network):
@@ -37,8 +38,8 @@ def test_packet_counters(env, network):
     network.transit_then(PacketKind.PUSH_DATA, _ignore, None)
     network.transit_then(PacketKind.PUSH_DATA, _ignore, None)
     env.run()
-    assert network.packets(PacketKind.REQUEST) == 1
-    assert network.packets(PacketKind.PUSH_DATA) == 2
+    assert network.counters.get("request") == 1
+    assert network.counters.get("push_data") == 2
     assert network.total_packets == 3
 
 

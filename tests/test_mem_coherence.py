@@ -195,11 +195,11 @@ def test_invariant_rejects_multiple_owners(env, mem):
 def test_coherence_over_mesh_network(env):
     # The NoC path: coherence requests travel core -> hub (SRD shard 0's
     # node) and c2c transfers pay core-to-core distance.
-    from repro.mem.bus import CoherenceNetwork
+    from repro.registry import TOPOLOGIES
 
     config = SystemConfig(num_cores=16, topology="mesh")
     net = CoherentMemorySystem(env, config,
-                               network=CoherenceNetwork(env, config))
+                               network=TOPOLOGIES.resolve("mesh")(env, config))
     run_op(env, net.store(0, 0x7000, 9))
     far = run_op(env, net.load(15, 0x7000))  # c2c across the die
     assert far == 9

@@ -29,7 +29,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.errors import DeviceError, SimulationError
 from repro.eval.runner import multipush_setting
-from repro.mem.bus import PacketKind
+from repro.net import PacketKind
 from repro.spamer.multipush import MultiPushSpeculation
 from repro.verify.fuzz import LinkSpec, ProgramSpec, run_fuzz_case
 

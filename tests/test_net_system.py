@@ -94,22 +94,23 @@ def test_bus_hook_payload_reads_no_link_counter(monkeypatch):
     subscriber, the run reads no link's busy counter, and each payload
     is still the busy time summed over the links."""
     from repro.eval.scaling import scaling_config
-    from repro.net.topology import Link
     from repro.sim.hooks import BusHook
+    from repro.sim.resources import FifoServer
 
     reads = []
-    busy = Link.busy_cycles.fget
+    busy = FifoServer.busy_cycles.fget
     monkeypatch.setattr(
-        Link, "busy_cycles", property(lambda link: reads.append(link) or busy(link))
+        FifoServer, "busy_cycles",
+        property(lambda link: reads.append(link) or busy(link)),
     )
     seen = []
 
     def attach(system):
         def on_bus(event):
             count = len(reads)
-            servers = [link.server for link in system.network.links()]
+            links = system.network.links()
             seen.append(
-                (event.busy_cycles, sum(s.busy_cycles for s in servers), count)
+                (event.busy_cycles, sum(busy(l) for l in links), count)
             )
 
         system.hooks.subscribe(BusHook, on_bus)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.errors import ConfigError
-from repro.net.topology import Topology, derive_mesh_dims
+from repro.net.topology import PacketKind, Topology, derive_mesh_dims
 from repro.registry import TOPOLOGIES
 from repro.sim.hooks import HookBus, LinkHook
 
@@ -110,12 +110,16 @@ def test_mesh_transit_latency_per_hop(env):
     mesh = TOPOLOGIES.resolve("mesh")(env, config)
     done = []
     # 1 hop: occupancy (3) + link latency (12).
-    mesh.transit_then("stash", 0, 1, lambda _: done.append(env.now), None)
+    mesh.transit_then(
+        PacketKind.STASH, lambda _: done.append(env.now), None, src=0, dst=1
+    )
     env.run()
     assert done == [15]
     # Same-node: local port serialization only.
     done.clear()
-    mesh.transit_then("stash", 3, 3, lambda _: done.append(env.now), None)
+    mesh.transit_then(
+        PacketKind.STASH, lambda _: done.append(env.now), None, src=3, dst=3
+    )
     env.run()
     assert done == [env.now]  # fired exactly at completion
     assert mesh.response_latency(0, 2) == 2 * config.link_latency
@@ -126,7 +130,9 @@ def test_mesh_multi_hop_is_store_and_forward(env):
     mesh = TOPOLOGIES.resolve("mesh")(env, cfg(num_cores=16))
     done = []
     start = env.now
-    mesh.transit_then("stash", 0, 3, lambda _: done.append(env.now), None)
+    mesh.transit_then(
+        PacketKind.STASH, lambda _: done.append(env.now), None, src=0, dst=3
+    )
     env.run()
     # 3 hops, each paying serialization then propagation, sequentially.
     assert done == [start + 3 * (3 + 12)]
@@ -137,12 +143,14 @@ def test_link_contention_accumulates_wait_cycles(env):
     mesh = TOPOLOGIES.resolve("mesh")(env, cfg(num_cores=16))
     done = []
     for _ in range(3):
-        mesh.transit_then("stash", 0, 1, lambda _: done.append(env.now), None)
+        mesh.transit_then(
+            PacketKind.STASH, lambda _: done.append(env.now), None, src=0, dst=1
+        )
     env.run()
     # Serialization spacing on the shared east link: 3 cycles apart.
     assert done == [15, 18, 21]
     link = next(l for l in mesh.links() if l.name == "mesh.e[0,0]")
-    assert link.packets == 3
+    assert link.packets_served == 3
     assert link.busy_cycles == 9
     # Second packet queued 3 cycles, third 6.
     assert link.wait_cycles == 9
@@ -152,8 +160,12 @@ def test_link_contention_accumulates_wait_cycles(env):
 def test_disjoint_mesh_paths_do_not_contend(env):
     mesh = TOPOLOGIES.resolve("mesh")(env, cfg(num_cores=16))
     done = []
-    mesh.transit_then("stash", 0, 1, lambda _: done.append(("a", env.now)), None)
-    mesh.transit_then("stash", 4, 5, lambda _: done.append(("b", env.now)), None)
+    mesh.transit_then(
+        PacketKind.STASH, lambda _: done.append(("a", env.now)), None, src=0, dst=1
+    )
+    mesh.transit_then(
+        PacketKind.STASH, lambda _: done.append(("b", env.now)), None, src=4, dst=5
+    )
     env.run()
     assert done == [("a", 15), ("b", 15)]
     assert mesh.wait_cycles == 0
@@ -161,7 +173,7 @@ def test_disjoint_mesh_paths_do_not_contend(env):
 
 def test_link_report_and_utilization(env):
     mesh = TOPOLOGIES.resolve("mesh")(env, cfg(num_cores=16))
-    mesh.transit_then("stash", 0, 1, _ignore, None)
+    mesh.transit_then(PacketKind.STASH, _ignore, None, src=0, dst=1)
     env.run()
     report = mesh.link_report(elapsed=100)
     used = [row for row in report if row["packets"]]
@@ -207,8 +219,12 @@ def test_crossbar_two_hop_routes_and_endpoint_contention(env):
     done = []
     # Two packets from different sources to the same destination: no
     # ingress contention, but they serialize on the shared egress link.
-    xbar.transit_then("push-data", 0, 4, lambda _: done.append(env.now), None)
-    xbar.transit_then("push-data", 1, 4, lambda _: done.append(env.now), None)
+    xbar.transit_then(
+        PacketKind.PUSH_DATA, lambda _: done.append(env.now), None, src=0, dst=4
+    )
+    xbar.transit_then(
+        PacketKind.PUSH_DATA, lambda _: done.append(env.now), None, src=1, dst=4
+    )
     env.run()
     assert done == [30, 33]  # 2 hops x (3+12); second waits 3 at egress
     egress = next(l for l in xbar.links() if l.name == "xbar.out[srd0]")
@@ -258,13 +274,14 @@ def test_single_bus_matches_historical_arithmetic(env):
     bus = TOPOLOGIES.resolve("single-bus")(env, cfg())
     done = []
     for _ in range(3):
-        bus.transit_then("stash", 0, 5, lambda _: done.append(env.now), None)
+        bus.transit_then(
+            PacketKind.STASH, lambda _: done.append(env.now), None, src=0, dst=5
+        )
     env.run()
     # occupancy(3) + latency(36), 3-cycle serialization spacing — the
-    # exact pre-topology CoherenceNetwork numbers (tests/test_mem_bus.py).
+    # numbers of tests/test_mem_bus.py.
     assert done == [39, 42, 45]
     assert bus.response_latency(0, 15) == 36  # distance-free
-    assert bus.hops(0, 15) == 1
     assert bus.links() == []  # no per-link reporting on the bus model
     assert bus.wait_cycles == 0
     assert bus.busy_cycles == 9
@@ -276,7 +293,7 @@ def test_link_hook_published_per_traversal(env):
     seen = []
     hooks.subscribe(LinkHook, seen.append)
     mesh = TOPOLOGIES.resolve("mesh")(env, cfg(num_cores=16), hooks=hooks)
-    mesh.transit_then("stash", 0, 2, _ignore, None)
+    mesh.transit_then(PacketKind.STASH, _ignore, None, src=0, dst=2)
     env.run()
     assert [e.link for e in seen] == ["mesh.e[0,0]", "mesh.e[0,1]"]
     assert all(e.kind == "stash" and (e.src, e.dst) == (0, 2) for e in seen)
@@ -285,7 +302,7 @@ def test_link_hook_published_per_traversal(env):
 def test_no_link_hooks_without_subscribers(env):
     hooks = HookBus()
     mesh = TOPOLOGIES.resolve("mesh")(env, cfg(num_cores=16), hooks=hooks)
-    mesh.transit_then("stash", 0, 1, _ignore, None)
+    mesh.transit_then(PacketKind.STASH, _ignore, None, src=0, dst=1)
     env.run()  # wanted gate: publish never constructs events
     assert hooks.errors == []
 
@@ -295,6 +312,67 @@ def test_single_bus_never_publishes_link_hooks(env):
     seen = []
     hooks.subscribe(LinkHook, seen.append)
     bus = TOPOLOGIES.resolve("single-bus")(env, cfg(), hooks=hooks)
-    bus.transit_then("stash", 0, 1, _ignore, None)
+    bus.transit_then(PacketKind.STASH, _ignore, None, src=0, dst=1)
     env.run()
     assert seen == []
+
+
+# -------------------------------------------------------------- structure
+@pytest.mark.parametrize("name", TOPOLOGIES.names())
+def test_system_network_is_the_registered_fabric(name):
+    """``System.network`` is the registered Topology itself, with no
+    wrapper between the packet path and the fabric."""
+    from repro.system import System
+
+    system = System(config=cfg(topology=name))
+    assert isinstance(system.network, TOPOLOGIES.resolve(name))
+    assert system.network.hooks is system.hooks
+
+
+def test_mem_exports_no_network_object():
+    """The network lives in ``repro.net`` only."""
+    import importlib.util
+
+    import repro.mem
+
+    network_names = [
+        n for n in dir(repro.mem) if n.endswith("Network") or n == "PacketKind"
+    ]
+    assert network_names == []
+    assert importlib.util.find_spec("repro.mem.bus") is None
+
+
+def _frames_to_call_later(network, src, dst):
+    """The Python frames ``network.transit_then`` enters, in call order,
+    up to and including the ``call_later`` that queues the packet."""
+    import sys
+
+    names = []
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        network.transit_then(PacketKind.STASH, _ignore, None, src=src, dst=dst)
+    finally:
+        sys.setprofile(None)
+    return names[: names.index("call_later") + 1]
+
+
+def test_transit_reaches_the_queue_in_few_frames():
+    """A single-bus packet reaches ``call_later`` through ``transit_then``
+    and the bus server's ``serve_then``; a multi-hop mesh packet adds only
+    its route lookup, its transit record and the first hop's entry."""
+    from repro.system import System
+
+    bus = System(config=cfg()).network
+    frames = _frames_to_call_later(bus, 0, 0)
+    assert frames == ["transit_then", "serve_then", "call_later"]
+
+    mesh = System(config=cfg(topology="mesh")).network
+    assert mesh.hops(0, 10) == 4  # also memoizes the route
+    frames = _frames_to_call_later(mesh, 0, 10)
+    assert frames[0] == "transit_then" and frames[-1] == "call_later"
+    assert len(frames) <= 6, frames

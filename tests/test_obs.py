@@ -17,7 +17,6 @@ from repro.obs.metrics import (
     NULL_METRICS,
     MetricsRegistry,
     NullMetricsRegistry,
-    SimTimer,
     WindowedHistogram,
 )
 from repro.obs.perfetto import (
@@ -87,23 +86,6 @@ def test_histogram_negative_values_clamp_to_bucket_zero():
     assert hist.total == -5  # lifetime sum keeps the true value
 
 
-# ------------------------------------------------------------------ SimTimer
-def test_sim_timer_accumulates_intervals():
-    t = SimTimer()
-    t.start(100)
-    assert t.stop(150) == 50
-    t.start(200)
-    t.stop(300)
-    assert (t.count, t.total, t.max) == (2, 150, 100)
-    assert t.mean == pytest.approx(75.0)
-
-
-def test_sim_timer_stop_without_start_raises():
-    with pytest.raises(ValueError):
-        SimTimer().stop(10)
-    assert SimTimer().mean == 0.0
-
-
 # ------------------------------------------------------------ MetricsRegistry
 def test_registry_counters_and_gauges():
     reg = MetricsRegistry()
@@ -111,9 +93,7 @@ def test_registry_counters_and_gauges():
     reg.inc("a", 4)
     assert reg.counter("a") == 5 and reg.counter("missing") == 0
     reg.gauge_set("g", 1.5)
-    reg.gauge_max("hw", 3.0)
-    reg.gauge_max("hw", 2.0)  # lower value never lowers the high-water mark
-    assert reg.gauge("g") == 1.5 and reg.gauge("hw") == 3.0
+    assert reg.gauge("g") == 1.5
     assert reg.gauge("missing") == 0.0
 
 
@@ -123,10 +103,6 @@ def test_registry_histograms_and_timers():
     reg.observe("lat", 20)
     assert reg.histogram("lat").count == 2
     assert reg.histogram_names() == ["lat"]
-    timer = reg.timer("t")
-    timer.start(0)
-    timer.stop(7)
-    assert reg.timer("t") is timer  # memoized per name
 
 
 def test_registry_export_is_deterministic():
@@ -136,18 +112,14 @@ def test_registry_export_is_deterministic():
         reg.inc("a")
         reg.gauge_set("g", 2.0)
         reg.observe("h", 33)
-        t = reg.timer("t")
-        t.start(0)
-        t.stop(5)
         return reg
 
     a, b = build(), build()
     assert a.to_json() == b.to_json()
     doc = a.as_dict()
-    assert set(doc) == {"counters", "gauges", "histograms", "timers"}
+    assert set(doc) == {"counters", "gauges", "histograms"}
     assert list(doc["counters"]) == ["a", "z"]  # sorted
     assert doc["histograms"]["h"]["count"] == 1
-    assert doc["timers"]["t"]["total"] == 5
     # indent variant parses back to the same document
     assert json.loads(a.to_json(indent=2)) == json.loads(a.to_json())
 
@@ -156,7 +128,6 @@ def test_null_registry_records_nothing():
     reg = NullMetricsRegistry()
     reg.inc("a")
     reg.gauge_set("g", 1.0)
-    reg.gauge_max("g", 2.0)
     reg.observe("h", 5)
     assert reg.counter("a") == 0 and reg.gauge("g") == 0.0
     assert reg.as_dict()["histograms"] == {}

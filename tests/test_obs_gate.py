@@ -47,3 +47,15 @@ def test_obs_overhead_gate_document(gate):
     assert result["overhead_disabled_pct"] == 0.0
     assert result["pass"] is True
     assert result["matrix"]["repeats"] == 1
+    # The fabric leg: same three legs over a 64-core mesh, same bound.
+    fabric = result["fabric"]
+    assert fabric["off_s"] == fabric["null_s"] == fabric["on_s"] == 0.5
+    assert fabric["overhead_disabled_pct"] == 0.0
+    assert fabric["pass"] is True
+    assert fabric["matrix"] == {
+        "workload": "scaling-halo",
+        "cores": 64,
+        "topology": "mesh",
+        "settings": ["vl", "tuned"],
+    }
+    assert gate.THRESHOLD_PCT == 3.0

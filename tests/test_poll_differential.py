@@ -25,7 +25,6 @@ import pytest
 import repro.sim.kernel as kernel
 from repro.config import SystemConfig
 from repro.eval.runner import run_workload, setting_by_name
-from repro.mem.bus import PacketKind
 from repro.mem.cacheline import LineState
 from repro.sim.hooks import DeliveryHook, EventKind, TraceHook
 from repro.sim.transaction import TxnState
@@ -176,7 +175,7 @@ def _signature(system):
     return (
         system.env.now,
         system.env.events_processed,
-        system.network.packets(PacketKind.REQUEST),
+        system.network.counters.get("request"),
         [(c.pops, c.empty_cycles()) for c in system.library.consumers],
     )
 

@@ -289,22 +289,22 @@ def _front_hop(monkeypatch):
 
 
 def _lifo_server(monkeypatch):
-    # server -> (cycle, [(seq, extra_delay), ...], [finish, ...]): the
+    # server -> (cycle, [(seq, latency), ...], [finish, ...]): the
     # packets that arrived in the current cycle and their FIFO slots.
     batches = {}
 
-    def serve_then(self, extra_delay, fn, arg):
+    def serve_then(self, fn, arg):
         env = self.env
         now = env.now
         start = max(now, self._free_at)
         finish = start + self.service_time
         self._free_at = finish
         self.packets_served += 1
-        env.call_later(finish - now + extra_delay, fn, arg)
+        env.call_later(finish - now + self.latency, fn, arg)
         batch = batches.get(self)
         if batch is None or batch[0] != now:
             batch = batches[self] = (now, [], [])
-        batch[1].append((env._seq - 1, extra_delay))
+        batch[1].append((env._seq - 1, self.latency))
         batch[2].append(finish)
         # Newest arrival takes the earliest slot of this cycle.
         for (seq, extra), slot in zip(reversed(batch[1]), batch[2]):

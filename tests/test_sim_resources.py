@@ -129,15 +129,15 @@ def test_fifo_server_serializes(env):
     server = FifoServer(env, service_time=10)
     times = []
     for _ in range(3):
-        server.serve_then(0, lambda _: times.append(env.now), None)
+        server.serve_then(lambda _: times.append(env.now), None)
     env.run()
     assert times == [10, 20, 30]
 
 
 def test_fifo_server_busy_accounting(env):
     server = FifoServer(env, service_time=10)
-    server.serve_then(0, _ignore, None)
-    server.serve_then(0, _ignore, None)
+    server.serve_then(_ignore, None)
+    server.serve_then(_ignore, None)
     env.run()
     assert server.busy_cycles == 20
     assert server.packets_served == 2
@@ -146,7 +146,7 @@ def test_fifo_server_busy_accounting(env):
 
 def test_fifo_server_idle_gap_not_counted(env):
     server = FifoServer(env, service_time=5)
-    server.serve_then(0, _ignore, None)
+    server.serve_then(_ignore, None)
     env.run()
     env.call_later(95, noop)
     env.run()
@@ -155,9 +155,9 @@ def test_fifo_server_idle_gap_not_counted(env):
 
 
 def test_fifo_server_extra_delay(env):
-    server = FifoServer(env, service_time=10)
+    server = FifoServer(env, service_time=10, latency=7)
     times = []
-    server.serve_then(7, lambda _: times.append(env.now), None)
+    server.serve_then(lambda _: times.append(env.now), None)
     env.run()
     assert times == [17]
     # extra delay is propagation, not occupancy:
@@ -184,7 +184,7 @@ def test_fifo_server_conservation_property(arrivals, service):
         env.call_later(
             a,
             lambda _arg: server.serve_then(
-                0, lambda _: completions.append(env.now), None
+                lambda _: completions.append(env.now), None
             ),
         )
     env.run()

@@ -4,8 +4,8 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.errors import RegistrationError
-from repro.mem.bus import CoherenceNetwork
 from repro.mem.address import Segment
+from repro.registry import TOPOLOGIES
 from repro.sim.kernel import Environment
 from repro.spamer.delay import FixedDelay, NeverPush, ZeroDelay
 from repro.spamer.security import SecurityPolicy
@@ -16,9 +16,9 @@ from repro.vlink.packets import Message
 
 def make_srd(env, algorithm=None, security=None, **overrides):
     cfg = SystemConfig(num_cores=4, **overrides)
+    network = TOPOLOGIES.resolve(cfg.topology)(env, cfg)
     return SpamerRoutingDevice(
-        env, cfg, CoherenceNetwork(env, cfg), algorithm or ZeroDelay(),
-        security=security,
+        env, cfg, network, algorithm or ZeroDelay(), security=security,
     )
 
 

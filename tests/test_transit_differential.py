@@ -34,9 +34,9 @@ from repro.config import SystemConfig
 from repro.eval.autotune import saturated_bus_config
 from repro.eval.runner import multipush_setting, run_workload, setting_by_name
 from repro.eval.scaling import scaling_config
-from repro.mem.bus import CoherenceNetwork, PacketKind
 from repro.mem.coherence import CoherentMemorySystem
 from repro.net.singlebus import SingleBusTopology
+from repro.net.topology import PacketKind, Topology
 from repro.sim.hooks import BusHook, LinkHook
 from repro.sim.process import PARK, Process
 from repro.swqueue import run_software_pingpong
@@ -81,24 +81,25 @@ def _timer(env, delay):
     return event
 
 
-def _serve(server, extra_delay=0):
-    """``FifoServer.serve``: the completion is a timer event."""
+def _serve(server):
+    """``FifoServer.serve``: the completion is a timer event after the
+    service and the propagation latency."""
     start = max(server.env.now, server._free_at)
     finish = start + server.service_time
     server._free_at = finish
     server.packets_served += 1
-    return _timer(server.env, finish - server.env.now + int(extra_delay))
+    return _timer(server.env, finish - server.env.now + server.latency)
 
 
 def _traverse(topology, link, kind, src, dst):
     """``Link.traverse`` and ``Topology._traverse``."""
-    wait = link.server._free_at - topology.env.now
+    wait = link._free_at - topology.env.now
     if wait > 0:
         link.wait_cycles += wait
-    event = _serve(link.server, extra_delay=link.latency)
+    event = _serve(link)
     topology.packets_served += 1
     hooks = topology.hooks
-    if hooks is not None and LinkHook in hooks.wanted:
+    if LinkHook in hooks.wanted:
         hooks.publish(
             LinkHook(
                 tick=topology.env.now,
@@ -117,7 +118,7 @@ def _topology_transit(topology, kind, src, dst):
     """``SingleBusTopology.transit`` and ``Topology.transit``."""
     env = topology.env
     if isinstance(topology, SingleBusTopology):
-        return _serve(topology.server, extra_delay=topology.latency)
+        return _serve(topology.server)
     links = topology.route(src, dst)
     if not links:
         return _timer(env, topology.config.bus_occupancy)
@@ -137,11 +138,11 @@ def _topology_transit(topology, kind, src, dst):
 
 
 def _transit(network, kind, src=0, dst=0):
-    """``CoherenceNetwork.transit``."""
+    """The network's ``transit``: count, then the fabric's transit."""
     network.counters.counts[kind.value] += 1
     network.counters.counts["total_packets"] += 1
-    delivered = _topology_transit(network.topology, kind.value, src, dst)
-    if network.hooks is not None and BusHook in network.hooks.wanted:
+    delivered = _topology_transit(network, kind.value, src, dst)
+    if BusHook in network.hooks.wanted:
         network.hooks.publish(
             BusHook(tick=network.env.now, kind=kind.value,
                     busy_cycles=network.busy_cycles)
@@ -150,9 +151,9 @@ def _transit(network, kind, src=0, dst=0):
 
 
 def _response(network, src=0, dst=0):
-    """``CoherenceNetwork.response``."""
+    """The network's ``response``."""
     network.counters.counts["responses"] += 1
-    return _timer(network.env, network.topology.response_latency(src, dst))
+    return _timer(network.env, network.response_latency(src, dst))
 
 
 # Callers subscribed a lambda to the event (``library``, ``vlrd``,
@@ -193,8 +194,9 @@ def _run(monkeypatch, case, reference):
     with monkeypatch.context() as patch:
         patch.setattr(kernel, "heappop", pop)
         if reference:
-            patch.setattr(CoherenceNetwork, "transit_then", _transit_then)
-            patch.setattr(CoherenceNetwork, "response_then", _response_then)
+            for fabric in (Topology, SingleBusTopology):
+                patch.setattr(fabric, "transit_then", _transit_then)
+            patch.setattr(Topology, "response_then", _response_then)
             patch.setattr(CoherentMemorySystem, "_bus_packet", _bus_packet)
         result = case()
     return result, keys
@@ -252,8 +254,8 @@ def test_same_node_delivery_matches_event_form(monkeypatch):
         system = System(config=scaling_config(16, "mesh"), device="spamer",
                         algorithm="tuned")
         net = system.network
-        assert net.topology.hops(net.core_nodes[8], net.srd_nodes[0]) == 0
-        assert net.topology.hops(net.core_nodes[9], net.srd_nodes[0]) == 1
+        assert net.hops(net.core_nodes[8], net.srd_nodes[0]) == 0
+        assert net.hops(net.core_nodes[9], net.srd_nodes[0]) == 1
         lib = system.library
         q_ab, q_ba = lib.create_queue(), lib.create_queue()
         prod_a, cons_b = lib.open_producer(q_ab, 8), lib.open_consumer(q_ab, 9)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.errors import RegistrationError, WorkloadError
-from repro.mem.bus import PacketKind
 from repro.system import System
 from tests.conftest import build_pingpong
 
@@ -64,7 +63,7 @@ def test_pingpong_delivers_all_on_spamer(spamer_system):
 def test_vl_sends_one_request_per_message_when_uncongested(vl_system):
     build_pingpong(vl_system, rounds=30, compute=500)
     vl_system.run_to_completion(limit=10_000_000)
-    requests = vl_system.network.packets(PacketKind.REQUEST)
+    requests = vl_system.network.counters.get("request")
     # One unconditional fetch per pop; slow waits may add a rare refetch.
     assert 30 <= requests <= 40
 
@@ -72,7 +71,7 @@ def test_vl_sends_one_request_per_message_when_uncongested(vl_system):
 def test_spec_endpoints_send_no_requests(spamer_system):
     build_pingpong(spamer_system, rounds=30)
     spamer_system.run_to_completion(limit=10_000_000)
-    assert spamer_system.network.packets(PacketKind.REQUEST) == 0
+    assert spamer_system.network.counters.get("request") == 0
 
 
 def test_push_blocks_on_prodbuf_backpressure():

@@ -5,8 +5,8 @@ import pytest
 from repro.config import SystemConfig
 from repro.errors import RegistrationError
 from repro.mem.address import Segment
-from repro.mem.bus import CoherenceNetwork
 from repro.mem.cacheline import ConsumerLine
+from repro.registry import TOPOLOGIES
 from repro.sim.kernel import Environment
 from repro.vlink.endpoint import ConsumerEndpoint
 from repro.vlink.linktab import LinkTab
@@ -17,7 +17,8 @@ from repro.vlink.vlrd import VirtualLinkRoutingDevice
 @pytest.fixture
 def device(env):
     cfg = SystemConfig(num_cores=4)
-    return VirtualLinkRoutingDevice(env, cfg, CoherenceNetwork(env, cfg))
+    network = TOPOLOGIES.resolve(cfg.topology)(env, cfg)
+    return VirtualLinkRoutingDevice(env, cfg, network)
 
 
 def make_message(env, sqi=1, payload="data", txn=0):
@@ -108,7 +109,8 @@ def test_requests_for_different_lines_do_not_coalesce(env, device):
 
 def test_consbuf_overflow_drops_requests(env):
     cfg = SystemConfig(num_cores=4, consbuf_entries=2)
-    device = VirtualLinkRoutingDevice(env, cfg, CoherenceNetwork(env, cfg))
+    network = TOPOLOGIES.resolve(cfg.topology)(env, cfg)
+    device = VirtualLinkRoutingDevice(env, cfg, network)
     lines = [make_line(env, 0x1000 + i * 0x1000) for i in range(4)]
     for line in lines:
         device.accept_request(make_request(env, line))
