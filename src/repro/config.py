@@ -15,7 +15,7 @@ SRD       64 entries per prodBuf, consBuf, linkTab, and specBuf
 The latency parameters are not in the paper (they are implied by the gem5
 Ruby model); we pick values representative of a 16-core CMP at 2 GHz and
 document them here so that sensitivity to the substitution can be explored
-(see ``benchmarks/bench_ablation_latency.py``).
+(see ``benchmarks/bench_ablation.py::test_ablation_bus_latency``).
 """
 
 from __future__ import annotations

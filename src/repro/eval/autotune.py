@@ -20,7 +20,6 @@ from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.eval.metrics import RunMetrics
 from repro.eval.runner import (
-    multipush_setting,
     run_workload,
     setting_by_name,
     standard_settings,
@@ -245,8 +244,9 @@ def autotune_burst(
 ) -> BurstTuneResult:
     """Grid-search the (k, p_min) burst frontier for one workload.
 
-    Every grid cell runs on the same configuration (default:
-    :func:`saturated_bus_config`, the 64-core shared bus) through the
+    Every grid cell runs the ``multipush`` setting on the same
+    configuration (default: :func:`saturated_bus_config`, the 64-core
+    shared bus) with its (k, p_min) as ``burst_k``/``p_min``, through the
     deterministic multiprocess executor, so the report is bit-identical
     across ``jobs`` values.  With ``rho=None`` the grid is a closed batch
     scored by execution cycles; with a rho the tuned control's closed run
@@ -289,13 +289,14 @@ def autotune_burst(
         arrival_spec = arrival_spec_for(arrival, session_rate)
 
     grid = [(k, p) for k in ks for p in p_mins]
+    multipush = setting_by_name("multipush")
     requests = [
         RunRequest.from_setting(
             workload_name,
-            multipush_setting(k, p),
+            multipush,
             scale=scale,
             seed=seed,
-            config=config,
+            config=config.with_overrides(burst_k=k, p_min=p),
             arrival=arrival_spec,
         )
         for k, p in grid

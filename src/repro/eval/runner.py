@@ -155,38 +155,6 @@ def tuned_setting(params: TunedParams) -> Setting:
     return Setting(f"SPAMeR(tuned:{params.label()})", "spamer", TunedFactory(params))
 
 
-@dataclass(frozen=True)
-class MultiPushFactory:
-    """Zero-arg multi-push algorithm factory that survives pickling.
-
-    Carries the burst parameters across the process boundary (the autotune
-    grid fans (k, p_min) points out over :mod:`repro.eval.parallel`) and
-    rebuilds :class:`~repro.spamer.multipush.MultiPushDelay` — wrapping a
-    fresh :class:`TunedDelay` inner predictor — inside the worker.
-    """
-
-    burst_k: int
-    p_min: float
-    params: Optional[TunedParams] = None
-
-    def __call__(self):
-        from repro.spamer.multipush import MultiPushDelay
-
-        inner = TunedDelay(self.params) if self.params is not None else None
-        return MultiPushDelay(inner=inner, burst_k=self.burst_k, p_min=self.p_min)
-
-
-def multipush_setting(
-    burst_k: int, p_min: float, params: Optional[TunedParams] = None
-) -> Setting:
-    """A SPAMeR(multipush) setting with explicit (k, p_min) burst parameters."""
-    return Setting(
-        f"SPAMeR(multipush:k{burst_k},p{p_min:g})",
-        "spamer",
-        MultiPushFactory(burst_k, p_min, params),
-    )
-
-
 def collect_metrics(system: System, workload: Workload, setting: Setting) -> RunMetrics:
     """Assemble :class:`RunMetrics` from a finished run."""
     stats = system.aggregate_device_stats()

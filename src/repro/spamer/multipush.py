@@ -8,7 +8,9 @@ decoding (``n_draft``/``n_min``/``p_min`` in llama.cpp's
 SPORK): when a per-queue acceptance estimator — an EWMA over confirmed
 pops, seeded from the device's push precision counters — predicts the
 consumer will keep up, the policy claims up to ``k`` *consecutive* specBuf
-offsets of one entry and pushes a burst of ``k`` messages ahead.
+offsets of one entry and pushes a burst of ``k`` messages ahead.  ``k`` and
+the gate ``p_min`` are ``SystemConfig.burst_k``/``p_min``; the SPAMeR device
+builds this policy whenever ``burst_k > 1``, whatever its delay algorithm.
 
 Burst protocol:
 
@@ -58,30 +60,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 @ALGORITHMS.register("multipush")
-class MultiPushDelay(DelayAlgorithm):
-    """A delay algorithm carrier that turns on burst speculation.
+class MultiPushDelay(TunedDelay):
+    """The paper's ``tuned`` algorithm under the ``multipush`` label.
 
-    Delegates every timing decision to *inner* (the paper's ``tuned``
-    algorithm by default); ``burst_k``/``p_min`` override the system
-    config when not None.  The SPAMeR device recognizes this type and
-    plugs a :class:`MultiPushSpeculation` stage into its pipeline.
+    Burst speculation is not a property of the algorithm: any SPAMeR
+    setting bursts when ``SystemConfig.burst_k > 1`` (``p_min`` gates the
+    follower claims).  This label names the burst runs of the sweeps and
+    reports.
     """
 
-    def __init__(
-        self,
-        inner: Optional[DelayAlgorithm] = None,
-        burst_k: Optional[int] = None,
-        p_min: Optional[float] = None,
-    ) -> None:
-        self.inner = inner if inner is not None else TunedDelay()
-        self.burst_k = burst_k
-        self.p_min = p_min
 
-    def send_tick(self, entry: "SpecEntry", now: int) -> Optional[int]:
-        return self.inner.send_tick(entry, now)
-
-    def on_response(self, entry: "SpecEntry", hit: bool, now: int) -> None:
-        self.inner.on_response(entry, hit, now)
+#: EWMA weight of one confirm/rollback outcome in :class:`AcceptanceEstimator`.
+ACCEPTANCE_ALPHA = 0.2
 
 
 class AcceptanceEstimator:
@@ -92,11 +82,10 @@ class AcceptanceEstimator:
     accuracy instead of blind optimism.
     """
 
-    __slots__ = ("value", "alpha", "seeded")
+    __slots__ = ("value", "seeded")
 
-    def __init__(self, alpha: float = 0.2) -> None:
+    def __init__(self) -> None:
         self.value = 1.0
-        self.alpha = alpha
         self.seeded = False
 
     def seed(self, pushes: int, hits: int) -> None:
@@ -108,7 +97,7 @@ class AcceptanceEstimator:
 
     def record(self, accepted: bool) -> None:
         self.seeded = True
-        self.value += self.alpha * ((1.0 if accepted else 0.0) - self.value)
+        self.value += ACCEPTANCE_ALPHA * ((1.0 if accepted else 0.0) - self.value)
 
 
 class BurstClaim:
@@ -154,8 +143,6 @@ class MultiPushSpeculation(SpecBufSpeculation):
         linktab: LinkTab,
         stats: "Counter",
         device: "VirtualLinkRoutingDevice",
-        burst_k: int,
-        p_min: float,
         hooks: Optional[HookBus] = None,
     ) -> None:
         super().__init__(specbuf, algorithm, security, linktab, stats, hooks=hooks)
@@ -165,8 +152,8 @@ class MultiPushSpeculation(SpecBufSpeculation):
         #: so a strong reference back would leave every multi-push device
         #: a reference cycle after its run.
         self.device = weakref.proxy(device)
-        self.burst_k = burst_k
-        self.p_min = p_min
+        self.burst_k = device.config.burst_k
+        self.p_min = device.config.p_min
         self._bursts: Dict[int, BurstState] = {}
         self._estimators: Dict[int, AcceptanceEstimator] = {}
 

@@ -26,6 +26,7 @@ from repro.net.topology import Topology
 from repro.registry import DEVICES
 from repro.sim.hooks import HookBus
 from repro.spamer.delay import DelayAlgorithm
+from repro.spamer.multipush import MultiPushSpeculation
 from repro.spamer.policy import SpecBufSpeculation
 from repro.spamer.security import SecurityPolicy
 from repro.spamer.specbuf import SpecBuf
@@ -65,39 +66,22 @@ class SpamerRoutingDevice(VirtualLinkRoutingDevice):
         super().__init__(env, config, network, hooks=hooks)
 
     def _make_speculation(self) -> SpeculationPolicy:
-        # Burst (multi-push) speculation turns on when either the config
-        # asks for it (``burst_k > 1``) or the algorithm is the multipush
-        # carrier; with the single-push default the plain specBuf policy is
-        # built, keeping the golden runs bit-identical.
-        from repro.spamer.multipush import MultiPushDelay, MultiPushSpeculation
-
-        algorithm = self.algorithm
-        burst_k = self.config.burst_k
-        p_min = self.config.p_min
-        if isinstance(algorithm, MultiPushDelay):
-            if algorithm.burst_k is not None:
-                burst_k = algorithm.burst_k
-            if algorithm.p_min is not None:
-                p_min = algorithm.p_min
-            algorithm = algorithm.inner
-            multipush = True
-        else:
-            multipush = burst_k > 1
-        if multipush:
+        # ``burst_k > 1`` turns on burst (multi-push) speculation; the
+        # single-push default builds the plain specBuf policy, keeping the
+        # golden runs bit-identical.
+        if self.config.burst_k > 1:
             return MultiPushSpeculation(
                 self.specbuf,
-                algorithm,
+                self.algorithm,
                 self.security,
                 self.linktab,
                 self.stats,
                 device=self,
-                burst_k=burst_k,
-                p_min=p_min,
                 hooks=self.hooks,
             )
         return SpecBufSpeculation(
             self.specbuf,
-            algorithm,
+            self.algorithm,
             self.security,
             self.linktab,
             self.stats,

@@ -49,7 +49,7 @@ from hypothesis import given, settings, strategies as st
 import repro.sim.kernel as kernel
 from repro.config import SystemConfig
 from repro.errors import ConfigError
-from repro.eval.runner import multipush_setting, run_workload, standard_settings
+from repro.eval.runner import run_workload, setting_by_name, standard_settings
 from repro.sim.kernel import Environment, NORMAL, URGENT
 from repro.sim.process import PARK, Process
 from tests.conftest import QUEUE_IDS, noop
@@ -318,20 +318,23 @@ def test_watchdog_firing_point_identical(env):
 FIG8_QUICK = [("ping-pong", 0.05), ("incast", 0.05)]
 
 
-def fig8_quick_settings():
-    """The golden Figure-8 flavors plus burst-mode multipush: rollback
-    scheduling (doomed claims, invalidation transits) must be just as
-    order-exact as the single-push pipeline."""
-    return standard_settings() + [multipush_setting(4, 0.0)]
+def fig8_quick_cells(config):
+    """The golden Figure-8 flavors plus burst-mode multipush on its own
+    ``burst_k=4`` config, as (setting, config) pairs: rollback scheduling
+    (doomed claims, invalidation transits) must be just as order-exact as
+    the single-push pipeline."""
+    burst = config.with_overrides(burst_k=4, p_min=0.0)
+    return [(setting, config) for setting in standard_settings()] + [
+        (setting_by_name("multipush"), burst)
+    ]
 
 
 @pytest.mark.parametrize("name", ALT_QUEUE_IDS)
 def test_fig8_metrics_identical_across_schedulers(name):
     """Golden Figure-8 cells: every metric field of the heap run must
     match the sorted-list reference run."""
-    config = SystemConfig(num_cores=16)
     for workload, scale in FIG8_QUICK:
-        for setting in fig8_quick_settings():
+        for setting, config in fig8_quick_cells(SystemConfig(num_cores=16)):
             heap = run_workload(workload, setting, scale=scale, seed=7, config=config)
             with _reference_queue():
                 reference = run_workload(
@@ -343,15 +346,12 @@ def test_fig8_metrics_identical_across_schedulers(name):
 def test_oracle_matrix_agrees_across_schedulers(name):
     """The differential oracle on the sorted-list reference queue: every
     device flavor still delivers the bit-identical canonical stream."""
-    from repro.verify.oracle import run_differential
-    from tests.test_oracle_matrix import matrix_settings
+    from tests.test_oracle_matrix import run_matrix
 
     with _reference_queue():
-        report = run_differential(
-            "ping-pong", scale=0.02, settings=matrix_settings(),
-            config=SystemConfig(num_cores=16),
-        )
-    assert report.ok, "\n".join(report.mismatches)
+        reports = run_matrix("ping-pong", 0.02, SystemConfig(num_cores=16))
+    for report in reports:
+        assert report.ok, "\n".join(report.mismatches)
 
 
 @pytest.mark.parametrize("name", ALT_QUEUE_IDS)

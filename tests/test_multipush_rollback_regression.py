@@ -28,7 +28,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.errors import DeviceError, SimulationError
-from repro.eval.runner import multipush_setting
+from repro.eval.runner import setting_by_name
 from repro.net import PacketKind
 from repro.spamer.multipush import MultiPushSpeculation
 from repro.verify.fuzz import LinkSpec, ProgramSpec, run_fuzz_case
@@ -39,8 +39,8 @@ from repro.verify.fuzz import LinkSpec, ProgramSpec, run_fuzz_case
 INVALIDATION = ProgramSpec(
     links=(LinkSpec(2, 1, 16),), producer_compute=0, consumer_compute=0
 )
-CONFIG = SystemConfig(num_cores=8, lines_per_endpoint=4)
-SETTING = multipush_setting(4, 0.0)
+CONFIG = SystemConfig(num_cores=8, lines_per_endpoint=4, burst_k=4, p_min=0.0)
+SETTING = setting_by_name("multipush")
 
 
 def run_pinned(limit: int = 50_000_000):

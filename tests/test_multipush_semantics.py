@@ -18,7 +18,9 @@ Rollback interleavings are exercised both by the random programs (slow
 consumers overflow their line rings, so follower claims miss and drain)
 and by hand-picked regression specs with known-heavy rollback and
 invalidation activity.  Cross-flavor agreement pins the burst device to
-the canonical delivery streams of ``vl`` and single-push SPAMeR.
+the canonical delivery streams of ``vl`` and single-push SPAMeR: the burst
+participant runs on its own ``burst_k`` config, and ``vl``, which ignores
+``burst_k``, runs on both configs and anchors the two differentials.
 
 Follows the :mod:`tests.test_fuzz_semantics` idiom: the module skips
 cleanly when Hypothesis is absent.
@@ -29,7 +31,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SystemConfig
-from repro.eval.runner import multipush_setting, setting_by_name
+from repro.eval.runner import setting_by_name
 from repro.spamer.multipush import MultiPushSpeculation
 from repro.verify.fuzz import (
     FUZZ_CORES,
@@ -39,6 +41,7 @@ from repro.verify.fuzz import (
     run_fuzz_case,
     run_fuzz_differential,
 )
+from tests.conftest import burst_policy_at_k1
 
 if not HAVE_HYPOTHESIS:  # pragma: no cover - environment dependent
     pytest.skip("hypothesis is not installed", allow_module_level=True)
@@ -55,8 +58,12 @@ BURST_PROFILE = settings(
 )
 
 
-def burst_config(lines: int) -> SystemConfig:
-    return SystemConfig(num_cores=FUZZ_CORES, lines_per_endpoint=lines)
+MULTIPUSH = setting_by_name("multipush")
+
+
+def burst_config(lines: int, **burst) -> SystemConfig:
+    """*burst* sets ``burst_k``/``p_min``; the defaults are single-push."""
+    return SystemConfig(num_cores=FUZZ_CORES, lines_per_endpoint=lines, **burst)
 
 
 def assert_burst_balance(system) -> None:
@@ -97,10 +104,14 @@ def assert_burst_balance(system) -> None:
 )
 @BURST_PROFILE
 def test_multipush_fuzz_holds_all_invariants(spec, burst_k, p_min, lines):
-    """Checker + oracle + claim balance on random burst interleavings."""
-    result = run_fuzz_case(
-        spec, multipush_setting(burst_k, p_min), config=burst_config(lines)
-    )
+    """Checker + oracle + claim balance on random burst interleavings
+    (k=1 examples run the burst policy's degenerate head path)."""
+    with burst_policy_at_k1() as built:
+        result = run_fuzz_case(
+            spec, MULTIPUSH,
+            config=burst_config(lines, burst_k=burst_k, p_min=p_min),
+        )
+    assert built
     assert result.ok, result.mismatches() or result.violations
     assert_burst_balance(result.system)
 
@@ -110,15 +121,13 @@ def test_multipush_fuzz_holds_all_invariants(spec, burst_k, p_min, lines):
           suppress_health_check=[HealthCheck.too_slow])
 def test_multipush_agrees_with_every_other_flavor(spec, burst_k):
     """vl, single-push SPAMeR and the burst device deliver one stream."""
+    vl = setting_by_name("vl")
     mismatches = run_fuzz_differential(
         spec,
-        [
-            setting_by_name("vl"),
-            setting_by_name("0delay"),
-            setting_by_name("tuned"),
-            multipush_setting(burst_k, 0.0),
-        ],
+        [vl, setting_by_name("0delay"), setting_by_name("tuned")],
         config=burst_config(4),
+    ) + run_fuzz_differential(
+        spec, [vl, MULTIPUSH], config=burst_config(4, burst_k=burst_k, p_min=0.0)
     )
     assert not mismatches, "\n".join(mismatches)
 
@@ -128,11 +137,13 @@ def test_multipush_agrees_with_every_other_flavor(spec, burst_k):
           suppress_health_check=[HealthCheck.too_slow])
 def test_multipush_k1_matches_single_push_stream(spec):
     """k=1 is the degenerate case: the tuned stream, event for event."""
-    mismatches = run_fuzz_differential(
-        spec,
-        [setting_by_name("tuned"), multipush_setting(1, 0.75)],
-        config=burst_config(2),
-    )
+    with burst_policy_at_k1() as built:
+        mismatches = run_fuzz_differential(
+            spec,
+            [setting_by_name("tuned"), MULTIPUSH],
+            config=burst_config(2, p_min=0.75),
+        )
+    assert built
     assert not mismatches, "\n".join(mismatches)
 
 
@@ -152,8 +163,8 @@ INVALIDATION = ProgramSpec(
 @pytest.mark.parametrize("burst_k", [2, 4])
 def test_rollback_heavy_burst_stays_clean(burst_k):
     result = run_fuzz_case(
-        ROLLBACK_HEAVY, multipush_setting(burst_k, 0.0),
-        config=burst_config(4),
+        ROLLBACK_HEAVY, MULTIPUSH,
+        config=burst_config(4, burst_k=burst_k, p_min=0.0),
     )
     assert result.ok, result.mismatches() or result.violations
     assert_burst_balance(result.system)
@@ -163,7 +174,7 @@ def test_rollback_heavy_burst_stays_clean(burst_k):
 
 def test_doomed_claim_invalidation_path_is_exercised():
     result = run_fuzz_case(
-        INVALIDATION, multipush_setting(4, 0.0), config=burst_config(4)
+        INVALIDATION, MULTIPUSH, config=burst_config(4, burst_k=4, p_min=0.0)
     )
     assert result.ok, result.mismatches() or result.violations
     assert_burst_balance(result.system)
@@ -177,7 +188,7 @@ def test_doomed_claim_invalidation_path_is_exercised():
 def test_acceptance_gate_bounds_burst_width(p_min):
     """p_min=1.0 can only gate bursts off (EWMA<1 after any rollback)."""
     result = run_fuzz_case(
-        ROLLBACK_HEAVY, multipush_setting(4, p_min), config=burst_config(4)
+        ROLLBACK_HEAVY, MULTIPUSH, config=burst_config(4, burst_k=4, p_min=p_min)
     )
     assert result.ok, result.mismatches() or result.violations
     assert_burst_balance(result.system)

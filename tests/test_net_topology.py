@@ -7,6 +7,7 @@ from repro.errors import ConfigError
 from repro.net.topology import PacketKind, Topology, derive_mesh_dims
 from repro.registry import TOPOLOGIES
 from repro.sim.hooks import HookBus, LinkHook
+from repro.sim.kernel import Environment
 
 
 def _ignore(_arg):
@@ -189,7 +190,14 @@ def test_link_report_and_utilization(env):
     assert mesh.utilization(elapsed=100) == pytest.approx(
         3 / (100 * len(mesh.links()))
     )
-    assert mesh.utilization(elapsed=0) == 0.0 if env.now == 0 else True
+    # elapsed=0 takes the current clock as the window.
+    assert env.now == 15
+    assert mesh.utilization(elapsed=0) == mesh.utilization(elapsed=env.now)
+    assert mesh.utilization(elapsed=0) == pytest.approx(
+        3 / (15 * len(mesh.links()))
+    )
+    fresh = TOPOLOGIES.resolve("mesh")(Environment(), cfg(num_cores=16))
+    assert fresh.utilization(elapsed=0) == 0.0
 
 
 # ------------------------------------------------------------------- ring

@@ -59,3 +59,40 @@ def test_obs_overhead_gate_document(gate):
         "settings": ["vl", "tuned"],
     }
     assert gate.THRESHOLD_PCT == 3.0
+
+
+class DriftingClock:
+    """A perf_counter stand-in read twice per timed run (start, end):
+    every run takes 1.5% longer than the one before, like a host slowly
+    losing turbo or gaining a noisy neighbour."""
+
+    DRIFT = 1.015
+
+    def __init__(self) -> None:
+        self.t = 0.0
+        self.reads = 0
+        self.runs = 0
+
+    def __call__(self) -> float:
+        self.reads += 1
+        if self.reads % 2 == 0:
+            self.t += self.DRIFT ** self.runs
+            self.runs += 1
+        return self.t
+
+
+def test_upward_drift_does_not_fail_the_gate(gate):
+    """Under a steady upward drift the ``null`` leg's best run is one run
+    later than the ``off`` leg's (1.5%, inside the 3% bound), not a whole
+    leg of repeats later (3 runs, 4.6%, which fails): the legs
+    interleave, so drift cannot pile onto one of them."""
+    clock = DriftingClock()
+    result = gate.measure_obs_overhead(
+        repeats=3, scale=0.01, threshold_pct=3.0, clock=clock
+    )
+    assert clock.runs == 2 * 3 * 3
+    for doc in (result, result["fabric"]):
+        assert doc["null_s"] / doc["off_s"] == pytest.approx(1.015, abs=1e-3)
+        assert doc["overhead_disabled_pct"] < 3.0
+        assert doc["pass"] is True
+    assert result["pass"] is True

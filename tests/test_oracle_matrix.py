@@ -2,9 +2,12 @@
 
 Every registered zero-configuration setting must deliver a bit-identical
 canonical stream (per-producer FIFO projection) on each small workload —
-timings differ across devices, semantics must not.  The ``never`` ablation
-is excluded: it deadlocks fetch-skipping consumers by construction and is
-covered by the watchdog regression in ``test_verify_invariants.py``.
+timings differ across devices, semantics must not.  A burst participant
+runs on its own ``burst_k`` config, so the matrix is two differentials
+that both include ``vl`` (which ignores ``burst_k``) as their anchor.
+The ``never`` ablation is excluded: it deadlocks fetch-skipping consumers
+by construction and is covered by the watchdog regression in
+``test_verify_invariants.py``.
 """
 
 from __future__ import annotations
@@ -12,13 +15,14 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SystemConfig
-from repro.eval.runner import multipush_setting, setting_names
+from repro.eval.runner import setting_by_name, setting_names
 from repro.verify.oracle import (
     FunctionalQueueModel,
     StreamRecorder,
     run_differential,
     software_reference_stream,
 )
+from tests.conftest import burst_policy_at_k1
 
 SMALL = SystemConfig(num_cores=16)
 # Workloads here must push a *device-invariant* per-producer stream:
@@ -31,55 +35,83 @@ SMALL = SystemConfig(num_cores=16)
 WORKLOADS = [("ping-pong", 0.02), ("incast", 0.02), ("firewall", 0.02)]
 
 
-def matrix_settings():
-    """Every zero-config flavor, plus an explicitly burst-mode multipush.
+def matrix_runs(config=SMALL):
+    """The matrix as (settings, config) differentials.
 
-    The registered ``multipush`` setting inherits the config default
-    ``burst_k=1``, so without the extra participant the matrix would
-    never cross-check actual burst/rollback interleavings against the
-    other devices' canonical streams.
+    Every zero-config flavor runs on *config*, whose ``burst_k=1`` makes
+    every SPAMeR flavor single-push; ``vl`` and ``multipush`` then run on
+    the ``burst_k=4`` copy of it, so the matrix cross-checks actual
+    burst/rollback interleavings against the other devices' canonical
+    streams.
     """
     registered = [s for s in setting_names() if s.algorithm != "never"]
-    return registered + [multipush_setting(4, 0.0)]
+    burst = [setting_by_name("vl"), setting_by_name("multipush")]
+    return [
+        (registered, config),
+        (burst, config.with_overrides(burst_k=4, p_min=0.0)),
+    ]
+
+
+def run_matrix(workload, scale, config=SMALL):
+    """One oracle report per differential of :func:`matrix_runs`; the
+    ``vl`` stream of every report must be the same."""
+    reports = [
+        run_differential(workload, scale=scale, settings=settings, config=cfg)
+        for settings, cfg in matrix_runs(config)
+    ]
+    vl = setting_by_name("vl").label
+    for report in reports[1:]:
+        assert report.streams[vl] == reports[0].streams[vl], workload
+    return reports
 
 
 @pytest.mark.parametrize("workload,scale", WORKLOADS,
                          ids=[w for w, _ in WORKLOADS])
 def test_all_devices_agree_on_semantics(workload, scale):
-    report = run_differential(
-        workload, scale=scale, settings=matrix_settings(), config=SMALL
-    )
-    assert report.ok, "\n".join(report.mismatches)
+    reports = run_matrix(workload, scale)
+    for report in reports:
+        assert report.ok, "\n".join(report.mismatches)
     # Every flavor actually delivered something comparable.
-    totals = {label: s.total_delivered() for label, s in report.streams.items()}
+    totals = {
+        (label, cfg): s.total_delivered()
+        for report, cfg in zip(reports, ("single", "burst"))
+        for label, s in report.streams.items()
+    }
     assert len(set(totals.values())) == 1, totals
     assert next(iter(totals.values())) > 0
 
 
 def test_matrix_covers_every_registered_device():
-    devices = {s.device for s in matrix_settings()}
     from repro.registry import DEVICES
 
+    runs = matrix_runs()
+    devices = {s.device for settings, _ in runs for s in settings}
     assert devices == set(DEVICES.names())
-    assert any("multipush:k4" in s.label for s in matrix_settings())
+    burst_settings, burst_config = runs[1]
+    assert burst_config.burst_k == 4
+    assert [s.algorithm for s in burst_settings] == [None, "multipush"]
+    assert all(setting_by_name("vl") in settings for settings, _ in runs)
 
 
 def test_multipush_k1_metrics_bit_identical_to_tuned():
-    """With the default ``burst_k=1`` the burst device must degenerate to
-    single-push SPAMeR exactly: every RunMetrics field (cycles, push and
-    bus counters, occupancy averages, extras) equal bit for bit, not just
-    the delivered stream."""
+    """At ``burst_k=1`` the burst policy must degenerate to single-push
+    SPAMeR exactly: every RunMetrics field (cycles, push and bus
+    counters, occupancy averages, extras) equal bit for bit, not just the
+    delivered stream."""
     import dataclasses
 
-    from repro.eval.runner import run_workload, setting_by_name
+    from repro.eval.runner import run_workload
 
     for workload, scale in WORKLOADS:
         reference = run_workload(
             workload, setting_by_name("tuned"), scale=scale, config=SMALL
         )
-        candidate = run_workload(
-            workload, multipush_setting(1, 0.75), scale=scale, config=SMALL
-        )
+        with burst_policy_at_k1() as built:
+            candidate = run_workload(
+                workload, setting_by_name("multipush"), scale=scale,
+                config=SMALL.with_overrides(p_min=0.75),
+            )
+        assert built, workload
         assert dataclasses.replace(candidate, setting=reference.setting) \
             == reference, (workload, candidate, reference)
 

@@ -234,3 +234,71 @@ def test_reregistered_topology_and_arrival_miss_the_result_cache():
             arrival=ArrivalSpec.make("a-x", rate=0.002),
         ),
     )
+
+
+# ------------------------------------------------------------ one burst knob
+def test_multipush_is_the_tuned_algorithm_with_no_burst_arguments():
+    """``multipush`` is a label, not a second burst knob: the carrier has
+    no constructor of its own and no inner algorithm or burst fields."""
+    import inspect
+
+    from repro.spamer.multipush import MultiPushDelay
+
+    assert "__init__" not in vars(MultiPushDelay)
+    assert inspect.signature(MultiPushDelay) == inspect.signature(TunedDelay)
+    algo = MultiPushDelay()
+    assert isinstance(algo, TunedDelay) and algo.name == "multipush"
+    for attr in ("inner", "burst_k", "p_min"):
+        assert not hasattr(algo, attr), attr
+
+
+def test_runner_defines_nothing_named_after_multipush():
+    """Burst settings come from the registry plus ``SystemConfig``; the
+    runner defines nothing named after multi-push."""
+    import repro.eval.runner as runner
+
+    own = [name for name in vars(runner) if name.lower().startswith("multipush")]
+    assert own == []
+
+
+def test_burst_policy_reads_its_knobs_from_the_config():
+    import inspect
+
+    from repro.spamer.multipush import MultiPushSpeculation
+
+    params = inspect.signature(MultiPushSpeculation).parameters
+    assert "burst_k" not in params and "p_min" not in params
+
+
+@pytest.mark.parametrize("algorithm", ["tuned", "multipush"])
+@pytest.mark.parametrize("burst_k", [1, 2, 4])
+def test_burst_policy_built_exactly_when_burst_k_above_one(algorithm, burst_k):
+    from repro.spamer.multipush import MultiPushSpeculation
+    from repro.spamer.policy import SpecBufSpeculation
+    from repro.system import System
+
+    config = SystemConfig(num_cores=4, burst_k=burst_k, p_min=0.5)
+    system = System(config=config, device="spamer", algorithm=algorithm)
+    expected = MultiPushSpeculation if burst_k > 1 else SpecBufSpeculation
+    for device in system.devices:
+        policy = device.pipeline.speculation
+        assert type(policy) is expected
+        if burst_k > 1:
+            assert (policy.burst_k, policy.p_min) == (burst_k, 0.5)
+
+
+@pytest.mark.parametrize("burst_k", [1, 2])
+def test_tuned_and_multipush_run_alike_under_one_burst_config(burst_k):
+    """Same config, same run: the two labels differ only in ``setting``."""
+    import dataclasses
+
+    from repro.eval.runner import run_workload, setting_by_name
+
+    config = SystemConfig(num_cores=16, burst_k=burst_k, p_min=0.0)
+    tuned, multipush = (
+        run_workload("incast", setting_by_name(name), scale=0.02, config=config)
+        for name in ("tuned", "multipush")
+    )
+    assert multipush.setting != tuned.setting
+    assert dataclasses.replace(multipush, setting=tuned.setting) == tuned
+    assert (tuned.extra.get("burst_claims", 0) > 0) == (burst_k > 1)

@@ -32,7 +32,7 @@ import pytest
 import repro.sim.kernel as kernel
 from repro.config import SystemConfig
 from repro.eval.autotune import saturated_bus_config
-from repro.eval.runner import multipush_setting, run_workload, setting_by_name
+from repro.eval.runner import run_workload, setting_by_name
 from repro.eval.scaling import scaling_config
 from repro.mem.coherence import CoherentMemorySystem
 from repro.net.singlebus import SingleBusTopology
@@ -289,8 +289,9 @@ def test_rollback_invalidation_matches_event_form(monkeypatch):
                        consumer_compute=0)
 
     def case():
-        result = run_fuzz_case(spec, multipush_setting(4, 0.0),
-                               config=SystemConfig(num_cores=8, lines_per_endpoint=4))
+        result = run_fuzz_case(spec, setting_by_name("multipush"),
+                               config=SystemConfig(num_cores=8, lines_per_endpoint=4,
+                                                   burst_k=4, p_min=0.0))
         assert result.ok
         stats = result.system.aggregate_device_stats()
         return (result.stream, result.system.env.now,

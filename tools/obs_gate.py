@@ -3,8 +3,8 @@
 
     python tools/obs_gate.py
 
-Times three serial legs over the ``repro obs`` smoke matrix (single bus)
-and over ``scaling-halo`` at 64 cores on ``mesh``, best of three each,
+Times three interleaved legs over the ``repro obs`` smoke matrix (single
+bus) and over ``scaling-halo`` at 64 cores on ``mesh``, best of three each,
 prints one JSON document and exits 1 when, on either matrix, the ``null``
 leg costs 3% or more over the ``off`` leg.
 """
@@ -40,7 +40,10 @@ FABRIC_TOPOLOGY = "mesh"
 
 def _legs(cells, repeats: int, scale: float, seed: int, clock) -> Dict:
     """Time the ``off``, ``null`` and ``on`` legs over *cells*, each a
-    ``(workload, setting, config)`` triple, best-of-*repeats* each."""
+    ``(workload, setting, config)`` triple, best-of-*repeats* each.
+
+    Each round runs every leg once, in an order rotated by one each
+    round."""
     from repro.obs.collector import MetricsCollector
     from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 
@@ -48,15 +51,6 @@ def _legs(cells, repeats: int, scale: float, seed: int, clock) -> Dict:
         for workload, setting, config in cells:
             run_workload(workload, setting, scale=scale, seed=seed,
                          config=config, on_system=on_system)
-
-    def leg(on_system) -> float:
-        best = None
-        for _ in range(max(1, repeats)):
-            start = clock()
-            run_all(on_system)
-            wall = clock() - start
-            best = wall if best is None else min(best, wall)
-        return best
 
     def attach_null(system) -> None:
         system.metrics = NULL_METRICS
@@ -66,12 +60,19 @@ def _legs(cells, repeats: int, scale: float, seed: int, clock) -> Dict:
         system.metrics = registry
         MetricsCollector(system.hooks, registry)
 
+    legs = [("off", None), ("null", attach_null), ("on", attach_full)]
+    best: Dict[str, float] = {}
     # Untimed warmup pass: imports, registry resolution and allocator
     # warm-up otherwise land entirely on the first leg.
     run_all(None)
-    off = leg(None)
-    null = leg(attach_null)
-    on = leg(attach_full)
+    for round_ in range(max(1, repeats)):
+        shift = round_ % len(legs)
+        for name, on_system in legs[shift:] + legs[:shift]:
+            start = clock()
+            run_all(on_system)
+            wall = clock() - start
+            best[name] = min(best.get(name, wall), wall)
+    off, null, on = best["off"], best["null"], best["on"]
     overhead_null_pct = 100.0 * (null - off) / off if off else 0.0
     overhead_on_pct = 100.0 * (on - off) / off if off else 0.0
     return {
@@ -90,7 +91,7 @@ def measure_obs_overhead(
     threshold_pct: float = THRESHOLD_PCT,
     clock=time.perf_counter,
 ) -> Dict:
-    """Three serial legs, best-of-*repeats* each, over the smoke matrix
+    """Three interleaved legs, best-of-*repeats* each, over the smoke matrix
     (single bus) and again over the fabric matrix (``scaling-halo`` at 64
     cores on ``mesh``, same settings):
 
@@ -102,10 +103,12 @@ def measure_obs_overhead(
       for the docs, not gated: enabling observability may legitimately
       cost more).
 
-    Best-of-N damps scheduler noise; each leg finishes its repeats before
-    the next starts, so turbo/thermal drift biases against no particular
-    leg systematically.  The smoke matrix's numbers sit at the top level
-    of the document, the fabric matrix's under ``"fabric"``.
+    Best-of-N damps scheduler noise.  Each round runs every leg once and
+    the next round rotates their order, so host drift over the run (turbo,
+    thermal, a neighbour's load) spreads over all three legs instead of
+    piling onto whichever leg runs its repeats last.  The smoke matrix's
+    numbers sit at the top level of the document, the fabric matrix's
+    under ``"fabric"``.
     """
     from repro.eval.scaling import scaling_config
 
