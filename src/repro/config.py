@@ -167,8 +167,9 @@ class SystemConfig:
     #: SPAMeR device may claim up to this many *consecutive* specBuf
     #: offsets of one entry and push that many messages ahead
     #: (:mod:`repro.spamer.multipush`).  The default 1 is single-push
-    #: SPAMeR, bit-identical to the paper's model; values > 1 switch the
-    #: device's Stage-2 policy to burst speculation with rollback.
+    #: SPAMeR, bit-identical to the paper's model; values > 1 let the
+    #: device's one Stage-2 policy claim follower slots (burst speculation
+    #: with rollback).
     burst_k: int = 1
     #: Acceptance threshold gating burst (non-head) claims: a follower slot
     #: is only claimed while the per-queue acceptance estimator — an EWMA

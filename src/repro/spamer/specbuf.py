@@ -6,7 +6,11 @@ Every valid specBuf entry represents a segment of consumer memory
 pushes, so all registered lines take turns receiving data; the ``next``
 field links the entries of one SQI into a ring so successive predictions
 rotate across consumer endpoints; the ``on_fly`` bit throttles each entry
-to one outstanding speculative push (Section 3.5).
+to one outstanding speculative push (Section 3.5).  With burst
+speculation (``SystemConfig.burst_k > 1``, :mod:`repro.spamer.multipush`)
+an ``on_fly`` entry may carry younger follower pushes too: ``head`` is the
+packet of its latest selection, and ``burst`` its bookkeeping once a
+follower was claimed.
 
 Entries also carry the per-endpoint latch state of the delay-prediction
 algorithms (the yellow blocks of Figure 6): ``nfills``, ``last``, ``ddl``,
@@ -21,7 +25,9 @@ from repro.errors import RegistrationError
 from repro.mem.cacheline import ConsumerLine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.spamer.multipush import BurstState
     from repro.vlink.endpoint import ConsumerEndpoint
+    from repro.vlink.packets import ProdEntry
 
 
 class SpecEntry:
@@ -29,7 +35,7 @@ class SpecEntry:
 
     __slots__ = (
         "index", "sqi", "endpoint", "base", "length", "offset", "next_index",
-        "on_fly",
+        "on_fly", "head", "burst",
         # delay-prediction latch state (Figure 6)
         "nfills", "last", "ddl", "failed", "delay",
     )
@@ -43,6 +49,10 @@ class SpecEntry:
         self.offset = 0
         self.next_index = index  # singleton ring until linked
         self.on_fly = False
+        #: The packet the ring walk last selected this entry for.
+        self.head: Optional["ProdEntry"] = None
+        #: Burst bookkeeping, built when ``head`` takes its first follower.
+        self.burst: Optional["BurstState"] = None
         # Delay-algorithm state; interpreted by the active algorithm.
         self.nfills = 0
         self.last = 0

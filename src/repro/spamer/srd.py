@@ -14,7 +14,8 @@ security policy and the algorithm, and plugs them into the shared
 :class:`~repro.vlink.pipeline.MappingPipeline` as a
 :class:`~repro.spamer.policy.SpecBufSpeculation` stage — everything the
 speculation path does (Figure 6's latches, ``offset`` rotation on hits,
-throttling) lives in the policy, not in subclass overrides.
+throttling, and the multi-push bursts of ``SystemConfig.burst_k > 1``)
+lives in the policy, not in subclass overrides.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.net.topology import Topology
 from repro.registry import DEVICES
 from repro.sim.hooks import HookBus
 from repro.spamer.delay import DelayAlgorithm
-from repro.spamer.multipush import MultiPushSpeculation
 from repro.spamer.policy import SpecBufSpeculation
 from repro.spamer.security import SecurityPolicy
 from repro.spamer.specbuf import SpecBuf
@@ -66,25 +66,15 @@ class SpamerRoutingDevice(VirtualLinkRoutingDevice):
         super().__init__(env, config, network, hooks=hooks)
 
     def _make_speculation(self) -> SpeculationPolicy:
-        # ``burst_k > 1`` turns on burst (multi-push) speculation; the
-        # single-push default builds the plain specBuf policy, keeping the
-        # golden runs bit-identical.
-        if self.config.burst_k > 1:
-            return MultiPushSpeculation(
-                self.specbuf,
-                self.algorithm,
-                self.security,
-                self.linktab,
-                self.stats,
-                device=self,
-                hooks=self.hooks,
-            )
+        # One policy at every ``burst_k``: single push is the burst policy
+        # at k = 1 (repro.spamer.multipush).
         return SpecBufSpeculation(
             self.specbuf,
             self.algorithm,
             self.security,
             self.linktab,
             self.stats,
+            device=self,
             hooks=self.hooks,
         )
 

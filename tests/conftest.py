@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import pytest
 
 from repro.config import SystemConfig
 from repro.sim.hooks import TransactionHook
 from repro.sim.kernel import Environment
 from repro.sim.transaction import TxnState
-from repro.spamer.multipush import MultiPushSpeculation
-from repro.spamer.srd import SpamerRoutingDevice
 from repro.system import System
 
 
@@ -79,35 +75,6 @@ def collect_records(system: System):
 
     system.hooks.subscribe(TransactionHook, keep)
     return lambda kind="message": [r for r in kept if r.kind == kind]
-
-
-@contextmanager
-def burst_policy_at_k1():
-    """Give every ``multipush`` SPAMeR device the burst policy, even at
-    ``burst_k=1``.
-
-    The device builds :class:`MultiPushSpeculation` only when
-    ``burst_k > 1``; the k=1 differentials patch it in to pin the burst
-    policy's degenerate head path against single-push SPAMeR.  Devices
-    running any other algorithm keep their own choice.  Yields the list
-    of burst policies built, so a test can check the patch took.
-    """
-    built = []
-    original = SpamerRoutingDevice._make_speculation
-
-    def make(device):
-        if device.algorithm.name != "multipush":
-            return original(device)
-        policy = MultiPushSpeculation(
-            device.specbuf, device.algorithm, device.security,
-            device.linktab, device.stats, device=device, hooks=device.hooks,
-        )
-        built.append(policy)
-        return policy
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(SpamerRoutingDevice, "_make_speculation", make)
-        yield built
 
 
 @pytest.fixture

@@ -30,7 +30,7 @@ from repro.config import SystemConfig
 from repro.errors import DeviceError, SimulationError
 from repro.eval.runner import setting_by_name
 from repro.net import PacketKind
-from repro.spamer.multipush import MultiPushSpeculation
+from repro.spamer.policy import SpecBufSpeculation
 from repro.verify.fuzz import LinkSpec, ProgramSpec, run_fuzz_case
 
 #: Deterministic doomed-claim-lands shape: 2 producers race into one
@@ -74,7 +74,7 @@ def test_skipping_line_rollback_on_invalidation_is_detected(monkeypatch):
         burst.invalidations -= 1
         self._maybe_flush(burst, spec_entry)
 
-    monkeypatch.setattr(MultiPushSpeculation, "_invalidated", skipping)
+    monkeypatch.setattr(SpecBufSpeculation, "_invalidated", skipping)
     with pytest.raises(SimulationError):
         run_pinned(limit=300_000)
 
@@ -86,14 +86,14 @@ def test_double_charging_the_invalidation_network_is_detected(monkeypatch):
     cacheline rollback guard raises instead of double-counting wasted-push
     bytes silently.
     """
-    orig = MultiPushSpeculation.complete_rollback
+    orig = SpecBufSpeculation.complete_rollback
 
     def double_charging(self, entry, hit, now):
         if hit:
             # BUG: a duplicate of the hit branch of complete_rollback —
             # the same stash dispatches a second invalidation transit.
             spec_entry = self.specbuf.entry(entry.spec_entry_index)
-            burst = self._bursts[spec_entry.index]
+            burst = spec_entry.burst
             claim = burst.by_entry[id(entry)]
             burst.invalidations += 1
             network = self.device.network
@@ -110,7 +110,7 @@ def test_double_charging_the_invalidation_network_is_detected(monkeypatch):
         orig(self, entry, hit, now)
 
     monkeypatch.setattr(
-        MultiPushSpeculation, "complete_rollback", double_charging
+        SpecBufSpeculation, "complete_rollback", double_charging
     )
     with pytest.raises(
         DeviceError, match="only unconfirmed burst fills may be rolled back"

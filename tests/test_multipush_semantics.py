@@ -32,7 +32,6 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.eval.runner import setting_by_name
-from repro.spamer.multipush import MultiPushSpeculation
 from repro.verify.fuzz import (
     FUZZ_CORES,
     HAVE_HYPOTHESIS,
@@ -41,7 +40,6 @@ from repro.verify.fuzz import (
     run_fuzz_case,
     run_fuzz_differential,
 )
-from tests.conftest import burst_policy_at_k1
 
 if not HAVE_HYPOTHESIS:  # pragma: no cover - environment dependent
     pytest.skip("hypothesis is not installed", allow_module_level=True)
@@ -76,12 +74,13 @@ def assert_burst_balance(system) -> None:
     """
     stats = system.aggregate_device_stats()
     for device in system.devices:
-        policy = device.pipeline.speculation
-        if not isinstance(policy, MultiPushSpeculation):
+        if not device.supports_speculation:
             continue
-        assert policy._bursts == {}, (
+        bursts = {e.index: e.burst for e in device.specbuf.entries
+                  if e.burst is not None}
+        assert bursts == {}, (
             "unresolved bursts at quiesce: "
-            f"{ {i: vars(b) for i, b in policy._bursts.items()} }"
+            f"{ {i: vars(b) for i, b in bursts.items()} }"
         )
         assert device.specbuf.on_fly_count() == 0
     claims = stats.get("burst_claims")
@@ -105,13 +104,11 @@ def assert_burst_balance(system) -> None:
 @BURST_PROFILE
 def test_multipush_fuzz_holds_all_invariants(spec, burst_k, p_min, lines):
     """Checker + oracle + claim balance on random burst interleavings
-    (k=1 examples run the burst policy's degenerate head path)."""
-    with burst_policy_at_k1() as built:
-        result = run_fuzz_case(
-            spec, MULTIPUSH,
-            config=burst_config(lines, burst_k=burst_k, p_min=p_min),
-        )
-    assert built
+    (k=1 examples are single push: bursts of one head)."""
+    result = run_fuzz_case(
+        spec, MULTIPUSH,
+        config=burst_config(lines, burst_k=burst_k, p_min=p_min),
+    )
     assert result.ok, result.mismatches() or result.violations
     assert_burst_balance(result.system)
 
@@ -137,13 +134,11 @@ def test_multipush_agrees_with_every_other_flavor(spec, burst_k):
           suppress_health_check=[HealthCheck.too_slow])
 def test_multipush_k1_matches_single_push_stream(spec):
     """k=1 is the degenerate case: the tuned stream, event for event."""
-    with burst_policy_at_k1() as built:
-        mismatches = run_fuzz_differential(
-            spec,
-            [setting_by_name("tuned"), MULTIPUSH],
-            config=burst_config(2, p_min=0.75),
-        )
-    assert built
+    mismatches = run_fuzz_differential(
+        spec,
+        [setting_by_name("tuned"), MULTIPUSH],
+        config=burst_config(2, p_min=0.75),
+    )
     assert not mismatches, "\n".join(mismatches)
 
 

@@ -17,7 +17,7 @@ def gate():
 
 
 class FakeClock:
-    """Manually-advanced perf_counter stand-in."""
+    """Manually-advanced clock stand-in."""
 
     def __init__(self) -> None:
         self.t = 0.0
@@ -62,7 +62,7 @@ def test_obs_overhead_gate_document(gate):
 
 
 class DriftingClock:
-    """A perf_counter stand-in read twice per timed run (start, end):
+    """A clock stand-in read twice per timed run (start, end):
     every run takes 1.5% longer than the one before, like a host slowly
     losing turbo or gaining a noisy neighbour."""
 

@@ -264,27 +264,45 @@ def test_runner_defines_nothing_named_after_multipush():
 def test_burst_policy_reads_its_knobs_from_the_config():
     import inspect
 
-    from repro.spamer.multipush import MultiPushSpeculation
+    from repro.spamer.policy import SpecBufSpeculation
 
-    params = inspect.signature(MultiPushSpeculation).parameters
+    params = inspect.signature(SpecBufSpeculation).parameters
     assert "burst_k" not in params and "p_min" not in params
 
 
 @pytest.mark.parametrize("algorithm", ["tuned", "multipush"])
 @pytest.mark.parametrize("burst_k", [1, 2, 4])
-def test_burst_policy_built_exactly_when_burst_k_above_one(algorithm, burst_k):
-    from repro.spamer.multipush import MultiPushSpeculation
+def test_burst_policy_built_exactly_when_burst_k_above_one(
+    monkeypatch, algorithm, burst_k
+):
+    """One policy class serves every ``burst_k``; the burst bookkeeping
+    (``BurstState``/``BurstClaim``) is built only when a follower is
+    claimed, so a single-push run constructs none of it."""
+    from repro.eval.runner import run_workload, setting_by_name
+    from repro.spamer.multipush import BurstClaim, BurstState
     from repro.spamer.policy import SpecBufSpeculation
-    from repro.system import System
 
-    config = SystemConfig(num_cores=4, burst_k=burst_k, p_min=0.5)
-    system = System(config=config, device="spamer", algorithm=algorithm)
-    expected = MultiPushSpeculation if burst_k > 1 else SpecBufSpeculation
-    for device in system.devices:
-        policy = device.pipeline.speculation
-        assert type(policy) is expected
-        if burst_k > 1:
-            assert (policy.burst_k, policy.p_min) == (burst_k, 0.5)
+    built = []
+    for cls in (BurstState, BurstClaim):
+        def counting(self, *args, _init=cls.__init__, _cls=cls):
+            built.append(_cls)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    policies = []
+    config = SystemConfig(num_cores=16, burst_k=burst_k, p_min=0.5)
+    run_workload(
+        "incast", setting_by_name(algorithm), scale=0.02, config=config,
+        on_system=lambda system: policies.extend(
+            device.pipeline.speculation for device in system.devices),
+    )
+    assert {type(policy) for policy in policies} == {SpecBufSpeculation}
+    for policy in policies:
+        assert (policy.burst_k, policy.p_min) == (burst_k, 0.5)
+    if burst_k == 1:
+        assert built == []
+    else:
+        assert set(built) == {BurstState, BurstClaim}
 
 
 @pytest.mark.parametrize("burst_k", [1, 2])

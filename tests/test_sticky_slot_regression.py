@@ -79,7 +79,9 @@ def test_refused_retries_lose_fifo(workload):
 def _apply_prefix_mutation(monkeypatch):
     """Re-introduce the pre-fix behaviour: a miss releases the slot
     immediately and the retry hook gives up, so the packet re-enters the
-    pipeline while a younger packet can claim its slot."""
+    pipeline while a younger packet can claim its slot.
+    :class:`SpecBufSpeculation` is the one policy at every ``burst_k``,
+    so the patch reaches every SPAMeR device, burst or not."""
 
     def on_response(self, entry, hit, now):
         spec_entry = self.specbuf.entry(entry.spec_entry_index)

@@ -3,19 +3,22 @@
 
     python tools/obs_gate.py
 
-Times three interleaved legs over the ``repro obs`` smoke matrix (single
-bus) and over ``scaling-halo`` at 64 cores on ``mesh``, best of three each,
-prints one JSON document and exits 1 when, on either matrix, the ``null``
-leg costs 3% or more over the ``off`` leg.
+Times three interleaved legs in process CPU time over the ``repro obs``
+smoke matrix (single bus) and over ``scaling-halo`` at 64 cores on
+``mesh``, ``REPEATS`` rounds each, prints one JSON document and exits 1
+when, on either matrix, the ``null`` leg costs 3% or more over the ``off``
+leg (median over rounds).
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
-from typing import Dict
+from typing import Dict, List
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
@@ -29,7 +32,14 @@ from repro.obs.runner import (  # noqa: E402
     SMOKE_WORKLOADS,
 )
 
-REPEATS = 3
+#: Rounds per matrix.  One round's ``null``/``off`` ratio still varies by
+#: ±10% on a shared 2-vCPU VM, so the gated median needs many rounds: at
+#: 3 rounds (best-of, wall clock) unchanged code failed 6 of 8 gate runs.
+REPEATS = 60
+#: Passes over the smoke matrix (about 0.015 s each) per timed leg.
+BUS_PASSES = 2
+#: Passes over the fabric matrix (about 0.07 s each) per timed leg.
+FABRIC_PASSES = 1
 THRESHOLD_PCT = 3.0
 #: The fabric leg: a 64-core mesh, where every packet crosses the
 #: ``BusHook`` guard and each of its hops a ``LinkHook`` guard.
@@ -38,19 +48,22 @@ FABRIC_CORES = 64
 FABRIC_TOPOLOGY = "mesh"
 
 
-def _legs(cells, repeats: int, scale: float, seed: int, clock) -> Dict:
+def _legs(cells, repeats: int, passes: int, scale: float, seed: int,
+          clock) -> Dict:
     """Time the ``off``, ``null`` and ``on`` legs over *cells*, each a
-    ``(workload, setting, config)`` triple, best-of-*repeats* each.
+    ``(workload, setting, config)`` triple, for *repeats* rounds; a leg
+    runs *cells* *passes* times.
 
     Each round runs every leg once, in an order rotated by one each
-    round."""
+    round.  Reports each leg's best round and its overhead over ``off``."""
     from repro.obs.collector import MetricsCollector
     from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 
-    def run_all(on_system) -> None:
-        for workload, setting, config in cells:
-            run_workload(workload, setting, scale=scale, seed=seed,
-                         config=config, on_system=on_system)
+    def run_all(on_system, passes: int = passes) -> None:
+        for _ in range(passes):
+            for workload, setting, config in cells:
+                run_workload(workload, setting, scale=scale, seed=seed,
+                             config=config, on_system=on_system)
 
     def attach_null(system) -> None:
         system.metrics = NULL_METRICS
@@ -61,26 +74,37 @@ def _legs(cells, repeats: int, scale: float, seed: int, clock) -> Dict:
         MetricsCollector(system.hooks, registry)
 
     legs = [("off", None), ("null", attach_null), ("on", attach_full)]
-    best: Dict[str, float] = {}
+    walls: Dict[str, List[float]] = {name: [] for name, _ in legs}
     # Untimed warmup pass: imports, registry resolution and allocator
     # warm-up otherwise land entirely on the first leg.
-    run_all(None)
+    run_all(None, passes=1)
     for round_ in range(max(1, repeats)):
         shift = round_ % len(legs)
         for name, on_system in legs[shift:] + legs[:shift]:
-            start = clock()
-            run_all(on_system)
-            wall = clock() - start
-            best[name] = min(best.get(name, wall), wall)
-    off, null, on = best["off"], best["null"], best["on"]
-    overhead_null_pct = 100.0 * (null - off) / off if off else 0.0
-    overhead_on_pct = 100.0 * (on - off) / off if off else 0.0
+            # As timeit does: no leg pays for another leg's garbage.
+            gc.collect()
+            gc.disable()
+            try:
+                start = clock()
+                run_all(on_system)
+                walls[name].append(clock() - start)
+            finally:
+                gc.enable()
+
+    def overhead_pct(name: str) -> float:
+        """Median over rounds of the leg's wall over the same round's
+        ``off`` wall: the host's speed drifts over seconds, and the legs
+        of one round share it."""
+        ratios = [wall / off for wall, off in zip(walls[name], walls["off"])
+                  if off]
+        return 100.0 * (statistics.median(ratios) - 1.0) if ratios else 0.0
+
     return {
-        "off_s": round(off, 4),
-        "null_s": round(null, 4),
-        "on_s": round(on, 4),
-        "overhead_disabled_pct": round(overhead_null_pct, 2),
-        "overhead_enabled_pct": round(overhead_on_pct, 2),
+        "off_s": round(min(walls["off"]), 4),
+        "null_s": round(min(walls["null"]), 4),
+        "on_s": round(min(walls["on"]), 4),
+        "overhead_disabled_pct": round(overhead_pct("null"), 2),
+        "overhead_enabled_pct": round(overhead_pct("on"), 2),
     }
 
 
@@ -89,9 +113,9 @@ def measure_obs_overhead(
     scale: float = SMOKE_SCALE,
     seed: int = SMOKE_SEED,
     threshold_pct: float = THRESHOLD_PCT,
-    clock=time.perf_counter,
+    clock=time.process_time,
 ) -> Dict:
-    """Three interleaved legs, best-of-*repeats* each, over the smoke matrix
+    """Three interleaved legs, *repeats* rounds each, over the smoke matrix
     (single bus) and again over the fabric matrix (``scaling-halo`` at 64
     cores on ``mesh``, same settings):
 
@@ -103,12 +127,14 @@ def measure_obs_overhead(
       for the docs, not gated: enabling observability may legitimately
       cost more).
 
-    Best-of-N damps scheduler noise.  Each round runs every leg once and
-    the next round rotates their order, so host drift over the run (turbo,
-    thermal, a neighbour's load) spreads over all three legs instead of
-    piling onto whichever leg runs its repeats last.  The smoke matrix's
-    numbers sit at the top level of the document, the fabric matrix's
-    under ``"fabric"``.
+    *clock* defaults to process CPU time, so time the host hands to other
+    tenants does not count.  Each round runs every leg once and the next
+    round rotates their order, and the overhead is the median over rounds
+    of the leg's time over the same round's ``off`` time, so host drift
+    over the run (turbo, thermal, a neighbour's load) cancels within a
+    round instead of piling onto one leg.  The ``*_s`` fields are each
+    leg's best round.  The smoke matrix's numbers sit at the top level of
+    the document, the fabric matrix's under ``"fabric"``.
     """
     from repro.eval.scaling import scaling_config
 
@@ -116,8 +142,8 @@ def measure_obs_overhead(
     bus_cells = [(w, s, None) for w in SMOKE_WORKLOADS for s in settings]
     fabric_config = scaling_config(FABRIC_CORES, FABRIC_TOPOLOGY)
     fabric_cells = [(FABRIC_WORKLOAD, s, fabric_config) for s in settings]
-    bus = _legs(bus_cells, repeats, scale, seed, clock)
-    fabric = _legs(fabric_cells, repeats, scale, seed, clock)
+    bus = _legs(bus_cells, repeats, BUS_PASSES, scale, seed, clock)
+    fabric = _legs(fabric_cells, repeats, FABRIC_PASSES, scale, seed, clock)
     fabric["pass"] = fabric["overhead_disabled_pct"] < threshold_pct
     fabric["matrix"] = {
         "workload": FABRIC_WORKLOAD,
@@ -133,6 +159,7 @@ def measure_obs_overhead(
             "scale": scale,
             "seed": seed,
             "repeats": repeats,
+            "passes": {"bus": BUS_PASSES, "fabric": FABRIC_PASSES},
         },
         **bus,
         "fabric": fabric,
