@@ -209,7 +209,6 @@ class SystemConfig:
             "push_instruction_cost",
             "fetch_instruction_cost",
             "pop_fast_path_cost",
-            "poll_interval",
             "refetch_interval",
             "line_write_cost",
             "call_overhead",
@@ -217,10 +216,14 @@ class SystemConfig:
             "stale_scan_threshold",
             "slow_path_penalty",
             "spin_threshold",
-            "yield_penalty",
         ):
             if _cycle_count(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
+        # An idle poll re-arms itself this many cycles later: at 0 it
+        # re-arms in the same cycle forever and the clock never advances.
+        for name in ("poll_interval", "yield_penalty"):
+            if _cycle_count(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.lines_per_endpoint < 1:
             raise ConfigError("lines_per_endpoint must be >= 1")
         if self.burst_k < 1:

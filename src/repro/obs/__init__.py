@@ -3,14 +3,15 @@
 The package is strictly *observe-only*: every component here is a
 :class:`~repro.sim.hooks.HookBus` subscriber or a post-run reader, records
 simulation ticks (never wall-clock), and schedules no events — attaching
-the full stack cannot change a run's results, and leaving it off costs the
-hot paths nothing (the publishers' ``hooks.wanted`` guards stay False).
+the full stack cannot change a run's results, and with it off
+(``System(metrics=None)``, no subscriber) a run calls no code of this
+package: the publishers' ``hooks.wanted`` guards stay False
+(``tests/test_obs_silent.py`` counts the calls).
 
 Entry points:
 
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges, windowed
-  histograms; :data:`~repro.obs.metrics.NULL_METRICS` no-op stub when
-  disabled.
+  histograms; observability is off when no registry is attached.
 * :class:`~repro.obs.collector.MetricsCollector` — folds every bus event
   into a registry (metric catalogue in docs/OBSERVABILITY.md).
 * :class:`~repro.obs.perfetto.PerfettoTraceSink` /
@@ -26,21 +27,14 @@ from repro.obs.accuracy import (
     stage_latency_summary,
 )
 from repro.obs.collector import MetricsCollector, attach_collector, finalize_system
-from repro.obs.metrics import (
-    NULL_METRICS,
-    MetricsRegistry,
-    NullMetricsRegistry,
-    WindowedHistogram,
-)
+from repro.obs.metrics import MetricsRegistry, WindowedHistogram
 from repro.obs.perfetto import JsonlTraceSink, PerfettoTraceSink
 from repro.obs.runner import ObsRequest, ObsResult, collect_cell, run_obs, smoke_requests
 
 __all__ = [
-    "NULL_METRICS",
     "JsonlTraceSink",
     "MetricsCollector",
     "MetricsRegistry",
-    "NullMetricsRegistry",
     "ObsRequest",
     "ObsResult",
     "PerfettoTraceSink",

@@ -2,11 +2,12 @@
 
 Every instrument lives in one :class:`MetricsRegistry` keyed by a dotted
 metric name (``bus.packets.stash``, ``txn.stage.pushed->mapped``, …; the
-full catalogue is docs/OBSERVABILITY.md).  Hot paths hold an *optional*
-reference to a registry and guard every call with ``is not None`` — with
-observability off the reference is ``None`` and the instrumented code costs
-one attribute load per site, which is what keeps the golden metrics
-bit-identical and the perf-smoke wall time within the <3% overhead gate.
+full catalogue is docs/OBSERVABILITY.md).  Model code never holds a
+registry: a :class:`~repro.obs.collector.MetricsCollector` subscribed on
+the hook bus feeds it.  With observability off (``System(metrics=None)``)
+nothing subscribes, every publisher's ``hooks.wanted`` guard stays False
+and no code of this package runs (``tests/test_obs_silent.py`` counts the
+calls).
 
 Design constraints (shared with :mod:`repro.sim.hooks`):
 
@@ -119,11 +120,9 @@ class MetricsRegistry:
 
     The registry is plain bookkeeping: incrementing a counter allocates at
     most one dict slot, and export walks sorted keys so two identical runs
-    produce identical documents.  Use :data:`NULL_METRICS` (or ``None`` +
-    an ``is not None`` guard) where a disabled registry must cost nothing.
+    produce identical documents.  Observability is off when no registry is
+    attached at all (``metrics=None``): nothing then records or subscribes.
     """
-
-    enabled = True
 
     def __init__(
         self, histogram_bucket_width: int = 16, histogram_window: int = 4096
@@ -191,27 +190,3 @@ class MetricsRegistry:
             self.as_dict(), sort_keys=True, indent=indent,
             separators=(",", ": ") if indent else (",", ":"),
         )
-
-
-class NullMetricsRegistry(MetricsRegistry):
-    """No-op registry: every recording method is a cheap stub.
-
-    Handed to code that insists on *some* registry object; hot paths
-    should prefer a ``None`` reference with an ``is not None`` guard,
-    which is cheaper still.
-    """
-
-    enabled = False
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        pass
-
-    def gauge_set(self, name: str, value: float) -> None:
-        pass
-
-    def observe(self, name: str, value: int) -> None:
-        pass
-
-
-#: Shared no-op instance (stateless, so sharing is safe).
-NULL_METRICS = NullMetricsRegistry()

@@ -37,7 +37,8 @@ from repro.obs.perfetto import JsonlTraceSink, PerfettoTraceSink
 PID_BLOCK = 8
 
 #: The fig8 smoke matrix: small enough for CI, golden fixtures and the
-#: overhead gate (tools/obs_gate.py), large enough to exercise both devices.
+#: silent-run check (tests/test_obs_silent.py), large enough to exercise
+#: both devices.
 SMOKE_WORKLOADS = ("ping-pong", "incast")
 SMOKE_SETTINGS = ("vl", "tuned")
 SMOKE_SCALE = 0.05

@@ -125,7 +125,7 @@ class System:
         #: When set, a MetricsCollector subscribes before any event fires
         #: and run_to_completion() records the run-boundary gauges.
         self.metrics = metrics
-        if metrics is not None and getattr(metrics, "enabled", True):
+        if metrics is not None:
             from repro.obs.collector import MetricsCollector
 
             MetricsCollector(self.hooks, metrics)
@@ -179,7 +179,7 @@ class System:
         first.
         """
         self.env.run_until_complete(limit=limit)
-        if self.metrics is not None and getattr(self.metrics, "enabled", True):
+        if self.metrics is not None:
             from repro.obs.collector import finalize_system
 
             finalize_system(self, self.metrics)

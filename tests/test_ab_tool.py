@@ -4,7 +4,9 @@ Each case builds a throwaway git repository holding a copy of the tool, a
 ``BENCHMARK.json`` and a stub ``perfbench/run.py``.  The stub reads its
 numbers from ``src/value.json``, so base and head differ only under
 ``src/``, and appends one line per run to a log outside the repository, so
-the run order is visible.
+the run order is visible.  Its per-layer ``sim.events`` grows with the
+number of traced runs its side made before (by 0, 2, then 6), so a
+side's traced runs differ and their median is the middle one.
 """
 
 import importlib.util
@@ -25,11 +27,16 @@ from pathlib import Path
 root = Path(__file__).resolve().parent.parent
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 value = json.loads((root / "src" / "value.json").read_text())
-with open({log!r}, "a") as log:
+log_path = Path({log!r})
+runs = log_path.read_text().splitlines() if log_path.exists() else []
+traced_before = runs.count(f"{{value['side']}} 1 {{args['--seed']}}")
+with open(log_path, "a") as log:
     log.write(f"{{value['side']}} {{args['--trace']}} {{args['--seed']}}\\n")
 wall = value["wall_s"]
-metrics = {{"wall_s": wall, "setup_s": 1.0 / wall, "events_per_s": 100.0,
-           "sim.events": 10 * wall}}
+if args["--trace"] == "1":  # like perfbench: per-layer metrics only
+    metrics = {{"sim.events": 10 * wall + (0, 2, 6)[traced_before % 3]}}
+else:
+    metrics = {{"wall_s": wall, "setup_s": 1.0 / wall, "events_per_s": 100.0}}
 correct = value.get("correct", True)
 print("w seed=" + args["--seed"])
 print("report: " + json.dumps({{"provenance": {{"side": value["side"]}}, "values": {{}}}}))
@@ -105,17 +112,21 @@ def test_pairs_alternate_and_verdicts_follow_the_rule(repo, capsys):
     code, lines = run_tool(repo, capsys, "HEAD", "w", "--seed", "7")
     assert code == 0
 
-    expected = []
-    for i in range(10):
-        pair = ("base", "head") if i % 2 == 0 else ("head", "base")
-        expected += [f"{side} 0 7" for side in pair]
-    assert logged_runs(repo) == expected + ["base 1 7", "head 1 7"]
+    def alternating(pairs, trace):
+        runs = []
+        for i in range(pairs):
+            pair = ("base", "head") if i % 2 == 0 else ("head", "base")
+            runs += [f"{side} {trace} 7" for side in pair]
+        return runs
+
+    assert logged_runs(repo) == alternating(10, 0) + alternating(3, 1)
 
     record = json.loads(lines[-1])
     assert (record["workload"], record["seed"], record["pairs"]) == ("w", 7, 10)
+    assert record["traced"] == 3
     assert record["base"]["provenance"] == {"side": "base"}
     assert record["head"]["provenance"] == {"side": "head"}
-    assert record["base"]["attempted"] == record["head"]["attempted"] == 22
+    assert record["base"]["attempted"] == record["head"]["attempted"] == 26
     assert record["base"]["failed"] == record["head"]["failed"] == 0
 
     wall = record["end_to_end"]["wall_s"]
@@ -127,8 +138,11 @@ def test_pairs_alternate_and_verdicts_follow_the_rule(repo, capsys):
     rate = record["end_to_end"]["events_per_s"]
     assert (rate["wins"], rate["losses"], rate["ties"]) == (0, 0, 10)
     assert rate["verdict"] == "no_change"
+    # Each per-layer value is the median of its side's three traced runs.
     assert record["per_layer"]["sim.events"] == {
-        "unit": "count", "better": "lower", "base": 20.0, "head": 10.0}
+        "unit": "count", "better": "lower",
+        "base": 22.0, "base_runs": [20.0, 22.0, 26.0],
+        "head": 12.0, "head_runs": [10.0, 12.0, 16.0]}
     assert lines[0].startswith("w wall_s: base 2 [2, 2] -> head 1 [1, 1] s, wins 10/10")
 
 
@@ -141,7 +155,7 @@ def test_incorrect_run_exits_1_and_still_prints_the_record(repo, capsys, monkeyp
     assert git(repo, "worktree", "list", "--porcelain") == worktrees
     record = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert record["base"]["correct"] is True
-    assert record["head"]["correct"] is False and record["head"]["failed"] == 3
+    assert record["head"]["correct"] is False and record["head"]["failed"] == 5
 
 
 def test_refuses_when_the_benchmark_differs(repo, capsys):

@@ -13,12 +13,7 @@ from repro.obs.accuracy import (
     stage_latency_summary,
 )
 from repro.obs.collector import MetricsCollector, attach_collector, finalize_system
-from repro.obs.metrics import (
-    NULL_METRICS,
-    MetricsRegistry,
-    NullMetricsRegistry,
-    WindowedHistogram,
-)
+from repro.obs.metrics import MetricsRegistry, WindowedHistogram
 from repro.obs.perfetto import (
     JsonlTraceSink,
     PID_NETWORK,
@@ -124,17 +119,6 @@ def test_registry_export_is_deterministic():
     assert json.loads(a.to_json(indent=2)) == json.loads(a.to_json())
 
 
-def test_null_registry_records_nothing():
-    reg = NullMetricsRegistry()
-    reg.inc("a")
-    reg.gauge_set("g", 1.0)
-    reg.observe("h", 5)
-    assert reg.counter("a") == 0 and reg.gauge("g") == 0.0
-    assert reg.as_dict()["histograms"] == {}
-    assert reg.enabled is False and NULL_METRICS.enabled is False
-    assert MetricsRegistry.enabled is True
-
-
 # ----------------------------------------------------------- MetricsCollector
 def run_observed(device="spamer", algorithm="tuned", rounds=30):
     system = System(
@@ -234,17 +218,6 @@ def test_system_owned_registry_finalizes_on_completion():
     system.run_to_completion()
     assert registry.counter("push.messages") == 5
     assert registry.gauge("kernel.sim_time") == float(system.env.now)
-
-
-def test_system_skips_collector_for_null_registry():
-    system = System(config=SystemConfig(num_cores=4), device="spamer",
-                    algorithm="tuned", metrics=NULL_METRICS)
-    build_pingpong(system, rounds=5)
-    system.run_to_completion()  # must not crash, must not subscribe
-    from repro.sim.hooks import PushHook
-
-    assert PushHook not in system.hooks.wanted
-    assert NULL_METRICS.counter("push.messages") == 0
 
 
 # ----------------------------------------------------------- PerfettoTraceSink

@@ -103,6 +103,15 @@ def test_invalid_configs_rejected(field, value):
         SystemConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["poll_interval", "yield_penalty"])
+def test_zero_poll_quantum_rejected_naming_the_field(field):
+    """An idle poll re-arms *field* cycles later; at 0 the clock would
+    never advance, so the config refuses it up front."""
+    with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
+        SystemConfig(**{field: 0})
+    assert getattr(SystemConfig(**{field: 1}), field) == 1
+
+
 def test_config_is_frozen():
     with pytest.raises(Exception):
         DEFAULT_CONFIG.num_cores = 32  # type: ignore[misc]

@@ -8,9 +8,10 @@ BASE is checked out with ``git worktree`` under a temporary directory;
 the other side is the working tree.  Both must carry the same ``perfbench/``
 and ``BENCHMARK.json`` (exit 2 otherwise).  The tool runs ``PAIRS``
 alternating pairs of untraced perfbench runs (pair *i* runs BASE first when
-*i* is even), then one traced run per side for the per-layer metrics.  The
-window, the command and every metric with its unit, direction and bound come
-from ``BENCHMARK.json``.
+*i* is even), then ``TRACED`` alternating pairs of traced runs; each
+per-layer metric is the median of a side's traced runs.  The window, the
+command and every metric with its unit, direction and bound come from
+``BENCHMARK.json``.
 
 The last line of standard output is one JSON record (docs/PERFORMANCE.md §2);
 the lines before it give one verdict row per end-to-end metric.  Exit 1 when
@@ -31,6 +32,10 @@ from typing import Dict, List, Sequence, Tuple
 ROOT = Path(__file__).resolve().parents[1]
 #: Alternating pairs per comparison: the review rule's minimum.
 PAIRS = 10
+#: Alternating traced pairs: a per-layer value is the median of this many
+#: runs a side, as one traced run's self times can differ by a third
+#: between runs of the same code on a busy host.
+TRACED = 3
 REPORT_PREFIX = "report: "
 
 
@@ -96,25 +101,34 @@ def compare(base: Sequence[float], head: Sequence[float], better: str,
 
 def measure(sides: Dict[str, Path], bench: Dict, workload: str,
             seed: int) -> Dict:
-    """Run the pairs and the traced runs; returns the record."""
-    paired: Dict[str, List[Dict]] = {"base": [], "head": []}
+    """Run the pairs and the traced pairs; returns the record."""
     provenance: Dict[str, Dict] = {}
-    for i in range(PAIRS):
-        for name in ("base", "head") if i % 2 == 0 else ("head", "base"):
-            provenance[name], result = run_perfbench(
-                sides[name], bench, workload, seed, trace=0)
-            paired[name].append(result)
-            print(f"pair {i + 1}/{PAIRS} {name}: wall_s "
-                  f"{result['metrics']['wall_s']['value']:.4g}", file=sys.stderr)
-    traced = {name: run_perfbench(sides[name], bench, workload, seed, trace=1)[1]
-              for name in ("base", "head")}
 
-    def values(name: str, metric: str) -> List[float]:
-        return [r["metrics"][metric]["value"] for r in paired[name]]
+    def alternate(pairs: int, trace: int) -> Dict[str, List[Dict]]:
+        """*pairs* pairs of runs; pair *i* runs BASE first when *i* is even."""
+        runs: Dict[str, List[Dict]] = {"base": [], "head": []}
+        for i in range(pairs):
+            for name in ("base", "head") if i % 2 == 0 else ("head", "base"):
+                provenance[name], result = run_perfbench(
+                    sides[name], bench, workload, seed, trace=trace)
+                runs[name].append(result)
+                # A traced run reports only the per-layer metrics.
+                shown = ("" if trace else
+                         f": wall_s {result['metrics']['wall_s']['value']:.4g}")
+                print(f"{'traced ' if trace else ''}pair {i + 1}/{pairs} "
+                      f"{name}{shown}", file=sys.stderr)
+        return runs
 
-    record: Dict = {"workload": workload, "seed": seed, "pairs": PAIRS}
+    paired = alternate(PAIRS, trace=0)
+    traced = alternate(TRACED, trace=1)
+
+    def values(runs: Dict[str, List[Dict]], name: str, metric: str) -> List[float]:
+        return [r["metrics"][metric]["value"] for r in runs[name]]
+
+    record: Dict = {"workload": workload, "seed": seed, "pairs": PAIRS,
+                    "traced": TRACED}
     for name in ("base", "head"):
-        every = paired[name] + [traced[name]]
+        every = paired[name] + traced[name]
         record[name] = {
             "provenance": provenance[name],
             "attempted": sum(r["attempted"] for r in every),
@@ -123,16 +137,19 @@ def measure(sides: Dict[str, Path], bench: Dict, workload: str,
         }
     record["end_to_end"] = {
         m["name"]: {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
-                    **compare(values("base", m["name"]), values("head", m["name"]),
+                    **compare(values(paired, "base", m["name"]),
+                              values(paired, "head", m["name"]),
                               m["better"], m["bound"])}
         for m in bench["end_to_end"]
     }
-    record["per_layer"] = {
-        m["name"]: {"unit": m["unit"], "better": m["better"],
-                    "base": traced["base"]["metrics"][m["name"]]["value"],
-                    "head": traced["head"]["metrics"][m["name"]]["value"]}
-        for m in bench["per_layer"]
-    }
+    record["per_layer"] = {}
+    for m in bench["per_layer"]:
+        row = record["per_layer"][m["name"]] = {"unit": m["unit"],
+                                                "better": m["better"]}
+        for name in ("base", "head"):
+            runs = values(traced, name, m["name"])
+            row[name] = statistics.median(runs)
+            row[f"{name}_runs"] = runs
     return record
 
 
