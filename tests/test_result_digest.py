@@ -73,6 +73,7 @@ from repro.eval.experiments import trace_experiment
 from repro.eval.runner import run_workload, setting_by_name
 from repro.eval.scaling import scaling_config
 from repro.net.topology import Topology
+from repro.sim import kernel
 from repro.sim.hooks import EventKind
 from repro.sim.kernel import NORMAL, URGENT, Environment
 from repro.sim.process import Process
@@ -85,6 +86,7 @@ from repro.workloads.arrival import ArrivalSpec
 from repro.workloads.registry import workload_names
 
 GOLDEN = Path(__file__).parent / "golden" / "result_digest.json"
+KEYS_GOLDEN = Path(__file__).parent / "golden" / "dispatch_keys.json"
 SEED = 12648430
 SCALE = 0.05
 PINGPONG_MESSAGES = 100
@@ -180,40 +182,65 @@ def _run_fig7_cell(kwargs) -> bytes:
     return json.dumps([result.exec_cycles, rows], separators=(",", ":")).encode()
 
 
+def _recording_pop(keys):
+    """``kernel.heappop`` that appends each dispatched entry's
+    ``(time, seq, callback __qualname__)`` line to *keys*."""
+
+    def pop(queue):
+        entry = heapq.heappop(queue)
+        keys.append(f"{entry[0]} {entry[2]} {entry[3].__qualname__}\n")
+        return entry
+
+    return pop
+
+
 def compute_digest(stop_at_first_change=None):
-    """``{"cells": {name: sha256}, "sha256": overall}`` for the matrix.
+    """``{"cells": {name: sha256}, "keys": {name: sha256}, "sha256": overall}``
+    for the matrix: ``cells`` hashes each cell's result bytes, ``keys``
+    the dispatched key sequence observed through a patched
+    ``kernel.heappop``.
 
     With *stop_at_first_change* (a golden document), stop after the first
-    cell whose digest differs from it and return only the cells run so
-    far: a mutant is killed as soon as one cell moves.
+    cell whose result digest differs from it and return only the cells
+    run so far: a mutant is killed as soon as one cell moves.
     """
-    cells = {}
+    cells, keys = {}, {}
     overall = hashlib.sha256()
     for name, run, kwargs in _cells():
-        data = run(kwargs)
+        dispatched = []
+        kernel.heappop = _recording_pop(dispatched)
+        try:
+            data = run(kwargs)
+        finally:
+            kernel.heappop = heapq.heappop
         overall.update(data)
         cells[name] = hashlib.sha256(data).hexdigest()
+        keys[name] = hashlib.sha256("".join(dispatched).encode()).hexdigest()
         if (
             stop_at_first_change is not None
             and cells[name] != stop_at_first_change["cells"].get(name)
         ):
             break
-    return {"cells": cells, "sha256": overall.hexdigest()}
+    return {"cells": cells, "keys": keys, "sha256": overall.hexdigest()}
 
 
 def _golden():
-    return json.loads(GOLDEN.read_text())
+    return {**json.loads(GOLDEN.read_text()), "keys": json.loads(KEYS_GOLDEN.read_text())}
+
+
+def _moved(got, golden, field):
+    return sorted(
+        name for name in set(got[field]) | set(golden[field])
+        if got[field].get(name) != golden[field].get(name)
+    )
 
 
 def test_result_digest_matches_golden():
     golden = _golden()
     got = compute_digest()
-    moved = sorted(
-        name for name in set(got["cells"]) | set(golden["cells"])
-        if got["cells"].get(name) != golden["cells"].get(name)
-    )
-    assert moved == [], f"RunMetrics moved in: {moved}"
+    assert _moved(got, golden, "cells") == [], "RunMetrics moved"
     assert got["sha256"] == golden["sha256"]
+    assert _moved(got, golden, "keys") == [], "dispatch keys moved"
 
 
 # ------------------------------------------------------------------ mutants
@@ -384,6 +411,9 @@ def test_digest_kills_mutant(monkeypatch, mutant):
     assert any(
         digest != golden["cells"][name] for name, digest in got["cells"].items()
     ), f"{mutant} left every cell of the result digest unchanged"
+    assert any(
+        digest != golden["keys"][name] for name, digest in got["keys"].items()
+    ), f"{mutant} left every cell's dispatch keys unchanged"
 
 
 def test_fig7_cells_kill_now_vacate(monkeypatch):
@@ -400,6 +430,8 @@ def test_fig7_cells_kill_now_vacate(monkeypatch):
 
 if __name__ == "__main__":
     document = compute_digest()
+    keys = document.pop("keys")
     document = {"seed": SEED, "scale": SCALE, **document}
     GOLDEN.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN} ({len(document['cells'])} cells)", file=sys.stderr)
+    KEYS_GOLDEN.write_text(json.dumps(keys, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN} and {KEYS_GOLDEN} ({len(keys)} cells)", file=sys.stderr)
