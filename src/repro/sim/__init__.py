@@ -7,7 +7,7 @@ statistics, the instrumentation hook bus and seeded randomness.
 """
 
 from repro.sim.event import Event
-from repro.sim.kernel import Environment, NORMAL, URGENT
+from repro.sim.kernel import Environment
 from repro.sim.process import Process
 from repro.sim.resources import FifoServer, Resource
 from repro.sim.rng import RngPool, bithash
@@ -18,13 +18,11 @@ __all__ = [
     "Environment",
     "Event",
     "FifoServer",
-    "NORMAL",
     "Process",
     "Resource",
     "RngPool",
     "RunningStats",
     "StateTimer",
-    "URGENT",
     "bithash",
     "geometric_mean",
 ]

@@ -5,7 +5,7 @@ An :class:`Event` holds a name and, once triggered, a value and an
 failed one the exception it raised.  :class:`~repro.sim.process.Process`
 is the one kind of event the kernel builds; nothing subscribes to it,
 yields it or queues it.  The kernel has one queue-entry form,
-``(time, priority, seq, fn, arg)`` (:mod:`repro.sim.kernel`): a process
+``(time, seq, fn, arg)`` (:mod:`repro.sim.kernel`): a process
 sleeps by yielding a bare ``int``, parks until the callback it armed
 resumes it, and its exit is itself such an entry, which is how a run
 knows when every process has finished.

@@ -1,11 +1,11 @@
 """The discrete-event simulation kernel (:class:`Environment`).
 
 Pending work lives in one binary heap (a plain list driven by
-:mod:`heapq`) of entries of one form, ``(time, priority, seq, fn, arg)``;
-the dispatch loop pops the earliest entry, advances the clock, and calls
-``fn(arg)``.  The ``sequence`` tiebreak makes runs fully deterministic:
-two entries queued for the same cycle at the same priority run in
-queueing order, and tuple comparison never reaches ``fn``.
+:mod:`heapq`) of entries of one form, ``(time, seq, fn, arg)``; the
+dispatch loop pops the earliest entry, advances the clock, and calls
+``fn(arg)``.  Work due in the same cycle runs first in, first out: the
+``seq`` tiebreak is the queueing order, which makes runs fully
+deterministic, and tuple comparison never reaches ``fn``.
 
 Time is an integer cycle count.  All device latencies in this package are
 integral, which keeps the queue keys exact (no float comparisons) and runs
@@ -21,7 +21,7 @@ until the last one has exited, so joining needs no event.
 
 **Return-a-delay contract.**  A dispatched callback returns ``None`` or
 a non-negative ``int`` *delay*.  A delay re-arms the same ``(fn, arg)``
-at ``(now + delay, NORMAL, seq)``, its ``seq`` drawn right after the
+at ``(now + delay, seq)``, its ``seq`` drawn right after the
 callback returns: exactly the key a ``call_later(delay, fn, arg)`` made
 as the callback's last statement would have, so a re-arm changes no
 dispatch order.  A process's sleep (``Process._resume``) and an idle
@@ -42,14 +42,11 @@ docs/PERFORMANCE.md §5 records the comparison).
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from operator import index
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import SchedulingError, SimDeadlockError, SimulationError
 from repro.sim.process import Process
-
-#: Priority levels: URGENT callbacks run before NORMAL ones in the same cycle.
-URGENT = 0
-NORMAL = 1
 
 #: Window bound of an unbounded run: later than any reachable cycle, so
 #: the loop's window test stays one int compare per entry.
@@ -81,8 +78,8 @@ class Environment:
 
     def __init__(self, initial_time: int = 0) -> None:
         self._now: int = int(initial_time)
-        #: The heap of ``(time, priority, seq, fn, arg)`` entries.  ``seq``
-        #: is unique, so tuple comparisons never reach ``fn``.
+        #: The heap of ``(time, seq, fn, arg)`` entries.  ``seq`` is
+        #: unique, so tuple comparisons never reach ``fn``.
         self._queue: List[Tuple] = []
         self._seq: int = 0
         self._processed: int = 0
@@ -145,22 +142,27 @@ class Environment:
         return Process(self, generator, name=name)
 
     def call_later(
-        self,
-        delay: int,
-        callback: Callable[[Any], None],
-        arg: Any = None,
-        priority: int = NORMAL,
+        self, delay: int, callback: Callable[[Any], None], arg: Any = None
     ) -> None:
         """Enqueue *callback(arg)* ``delay`` cycles ahead.
 
-        The one way to queue work: the entry is the 5-tuple
-        ``(now + delay, priority, seq, callback, arg)``, its sequence
-        number drawn here.
+        The one way to queue work: the entry is
+        ``(now + delay, seq, callback, arg)``, its sequence number drawn
+        here.  *delay* is a non-negative integer (an ``int`` or anything
+        with ``__index__``); a negative or non-integral delay raises
+        :class:`~repro.errors.SchedulingError`.
         """
+        if delay.__class__ is not int:
+            try:
+                delay = index(delay)
+            except TypeError:
+                raise SchedulingError(
+                    f"delay must be an integral cycle count (delay={delay!r})"
+                ) from None
         if delay < 0:
             raise SchedulingError(f"cannot schedule into the past (delay={delay})")
         seq = self._seq
-        heappush(self._queue, (self._now + int(delay), priority, seq, callback, arg))
+        heappush(self._queue, (self._now + delay, seq, callback, arg))
         self._seq = seq + 1
 
     # -- watchdog ------------------------------------------------------------
@@ -222,7 +224,7 @@ class Environment:
     def _loop(self, limit: int, join: bool) -> None:
         """The dispatch loop behind :meth:`run` and :meth:`run_until_complete`.
 
-        Dispatches entries in ``(time, priority, seq)`` order and stops
+        Dispatches entries in ``(time, seq)`` order and stops
         when the queue is empty, the next entry lies past *limit*, or —
         with *join* — no process is live.  Callers read the stop reason
         off the queue and the live set.  Each entry leaves the queue
@@ -258,12 +260,12 @@ class Environment:
                     pop(queue)
                     self._now = when
                 processed += 1
-                fn = entry[3]
-                arg = entry[4]
+                fn = entry[2]
+                arg = entry[3]
                 delay = fn(arg)
                 if delay is not None:
                     seq = self._seq
-                    push(queue, (when + delay, NORMAL, seq, fn, arg))
+                    push(queue, (when + delay, seq, fn, arg))
                     self._seq = seq + 1
         finally:
             self._processed = processed

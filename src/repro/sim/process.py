@@ -6,8 +6,8 @@ kernel one of two things:
 * a non-negative ``int`` *delay* — a plain sleep.  The process resumes
   exactly *delay* cycles later with ``None``: :meth:`Process._resume`
   returns the delay, and the dispatch loop re-arms the same
-  ``(Process._resume, process)`` entry under ``(now + delay, NORMAL,
-  seq)`` with the sequence number drawn at the yield (the kernel's
+  ``(Process._resume, process)`` entry under ``(now + delay, seq)``
+  with the sequence number drawn at the yield (the kernel's
   return-a-delay contract, :mod:`repro.sim.kernel`).  This is the only
   way to sleep; a callback that must run later is itself a
   ``call_later``.
@@ -120,7 +120,7 @@ class Process(Event):
             )
 
     def _finish(self, ok: bool, value: Any) -> None:
-        """Record the outcome and queue the exit under ``(now, NORMAL, seq)``."""
+        """Record the outcome and queue the exit under ``(now, seq)``."""
         if self._value is not _PENDING:
             raise SchedulingError(f"process {self.name!r} resumed after it finished")
         self._ok = ok

@@ -47,7 +47,7 @@ class Resource:
         """Take one unit (``yield from`` inside a process).
 
         A free unit is taken at once and the process sleeps zero cycles,
-        so it resumes under the ``(now, NORMAL, seq)`` key drawn here.
+        so it resumes under the ``(now, seq)`` key drawn here.
         Otherwise the process parks at the back of the waiter queue until
         :meth:`release` hands it a unit.
         """
@@ -72,7 +72,8 @@ class Resource:
         """Return one unit; the oldest waiter, if any, gets it instead.
 
         The hand-off keeps the count unchanged and wakes the waiter with
-        a zero-delay NORMAL entry whose sequence number is drawn here.
+        a zero-delay entry whose sequence number is drawn here: it runs
+        after the work already queued for this cycle.
         """
         if self._in_use <= 0:
             raise SimulationError(f"{self.name}: release() without acquire()")

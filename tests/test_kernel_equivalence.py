@@ -1,20 +1,20 @@
 """Driver equivalence: every way of driving the kernel dispatches in the
-exact ``(time, priority, seq)`` order of a pure-Python sorted list.
+exact ``(time, seq)`` order of a pure-Python sorted list.
 
 :meth:`Environment.run`, windowed ``run(until)`` (also stepped one
 pending cycle at a time) and :meth:`Environment.run_until_complete` share
 one dispatch loop.  This suite pins that at three levels:
 
 1. **Reference model** — Hypothesis-generated programs of recursive
-   ``call_later`` (any priority), far-future, sleeping-process and
+   ``call_later``, far-future, sleeping-process and
    parked-process operations run twice per driver: once on the kernel as
    shipped (``heapq``) and once with the queue's push/pop swapped for
    ``bisect.insort``/``list.pop(0)`` on a plain sorted list, the simplest
    correct priority queue.  Every push goes through the swapped
    primitive: ``call_later``'s and the dispatch loop's re-arm of a
-   returned delay (a sleep, an idle poll) alike.  The dispatched ``(time, priority, seq)``
-   keys, the program's observable trace, the stop-point state and the
-   watchdog firings must match.
+   returned delay (a sleep, an idle poll) alike.  The dispatched
+   ``(time, seq)`` keys, which ascend, the program's observable trace,
+   the stop-point state and the watchdog firings must match.
 2. **Driver equivalence** — the windowed, stepped and
    ``run_until_complete`` drivers dispatch exactly what one ``run()``
    does, and the watchdog fires where a pure-Python walk over the
@@ -22,9 +22,9 @@ one dispatch loop.  This suite pins that at three levels:
 3. **Whole-system equivalence** — the golden Figure-8 cells and the
    differential oracle matrix run with the sorted list in place of the
    heap and must match the heap run bit for bit.
-4. **Mutation kills** — a reversed seq tiebreak and a priority-blind push,
-   swapped in for the kernel's ``heappush`` (so they reach ``call_later``
-   and the loop's re-arm alike), must make the trace diverge from the
+4. **Mutation kills** — a reversed seq tiebreak, swapped in for the
+   kernel's ``heappush`` (so it reaches ``call_later`` and the loop's
+   re-arm alike), must make the trace diverge from the
    reference, proving the harness has teeth.  A loop that draws the
    re-arm's seq before the callback runs instead of after is killed by
    ``tests/test_sim_process.py::test_sleep_and_timeout_dispatch_under_identical_keys``,
@@ -50,7 +50,7 @@ import repro.sim.kernel as kernel
 from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.eval.runner import run_workload, setting_by_name, standard_settings
-from repro.sim.kernel import Environment, NORMAL, URGENT
+from repro.sim.kernel import Environment
 from repro.sim.process import PARK, Process
 from tests.conftest import QUEUE_IDS, noop
 
@@ -66,7 +66,7 @@ DRIVERS = ("run", "windowed", "step", "until_complete")
 
 class Result(NamedTuple):
     trace: list  # the program's own observations: (tag, now, ident)
-    keys: list  # (time, priority, seq) of every dispatched queue entry
+    keys: list  # (time, seq) of every dispatched queue entry
     fires: list  # watchdog firing times
     marks: list  # driver stop-point snapshots
     now: int
@@ -103,12 +103,12 @@ def execute(program, driver="run", until=0, target_delays=(1,), reference=False,
     the dispatch loop itself, which is where window and stop handling can
     go wrong):
 
-    - ``("call", delay, priority, children)``  ``call_later`` at *priority*
-    - ``("far", delay)``                       far-future NORMAL call
-    - ``("sleep", delays)``                    generator process yielding
-                                               bare int delays
-    - ``("park", delays)``                     generator process that arms
-                                               its own resume and parks
+    - ``("call", delay, children)``  ``call_later``
+    - ``("far", delay)``             far-future call
+    - ``("sleep", delays)``          generator process yielding bare int
+                                     delays
+    - ``("park", delays)``           generator process that arms its own
+                                     resume and parks
 
     Every driver also runs a *target* process sleeping through
     *target_delays*; ``until_complete`` stops when the last process has
@@ -131,7 +131,7 @@ def execute(program, driver="run", until=0, target_delays=(1,), reference=False,
             kind = op[0]
             ident = next(ids)
             if kind == "call":
-                env.call_later(op[1], fire("c", ident, op[3]), priority=op[2])
+                env.call_later(op[1], fire("c", ident, op[2]))
             elif kind == "far":
                 env.call_later(op[1], fire("f", ident, ()))
             elif kind == "sleep":
@@ -172,8 +172,8 @@ def execute(program, driver="run", until=0, target_delays=(1,), reference=False,
 
     def pop(queue):
         entry = base_pop(queue)
-        keys.append(entry[:3])
-        last[0] = entry[3]
+        keys.append(entry[:2])
+        last[0] = entry[2]
         return entry
 
     with _queue_ops(push, pop):
@@ -213,17 +213,16 @@ def expected_fires(times):
 
 def _op_strategy():
     delays = st.lists(st.integers(0, 20), min_size=1, max_size=4)
-    priorities = st.sampled_from([-1, URGENT, NORMAL, 9])
     leaf = st.one_of(
         st.tuples(st.just("far"), st.integers(1500, 9000)),
-        st.tuples(st.just("call"), st.integers(0, 50), priorities, st.just(())),
+        st.tuples(st.just("call"), st.integers(0, 50), st.just(())),
         st.tuples(st.just("sleep"), delays),
         st.tuples(st.just("park"), delays),
     )
     return st.recursive(
         leaf,
         lambda children: st.tuples(st.just("call"), st.integers(0, 50),
-                                   priorities, st.lists(children, max_size=4)),
+                                   st.lists(children, max_size=4)),
         max_leaves=12,
     )
 
@@ -238,10 +237,9 @@ def check_driver(program, target_delays, driver, until=0):
 
     The heap run must equal the sorted-list run under the same driver
     (keys, trace, stop-point marks, watchdog firings, counters), and must
-    dispatch exactly what one reference ``run()`` does.  Dispatch times
-    never go backwards, though the keys need not be globally ascending:
-    an URGENT entry pushed for the current cycle sorts below NORMAL
-    entries of that cycle that were already dispatched.
+    dispatch exactly what one reference ``run()`` does.  The dispatched
+    keys ascend: an entry pushed for the current cycle draws a ``seq``
+    above every entry already dispatched.
     """
     kwargs = dict(driver=driver, until=until, target_delays=target_delays)
     result = execute(program, **kwargs)
@@ -251,8 +249,8 @@ def check_driver(program, target_delays, driver, until=0):
     assert result.keys == reference.keys
     assert (result.processed, result.scheduled) == (
         reference.processed, reference.scheduled)
+    assert result.keys == sorted(result.keys)
     times = [key[0] for key in result.keys]
-    assert times == sorted(times)
     assert result.fires == expected_fires(times)
     return result, reference
 
@@ -385,7 +383,7 @@ def test_config_validates_scheduler_name():
 
 def test_inline_fast_paths_exposed():
     """Each push path (call_later, a process start and its sleep) lands as
-    a ``(time, priority, seq, fn, arg)`` entry in the one heap list the
+    a ``(time, seq, fn, arg)`` entry in the one heap list the
     dispatch loop pops from."""
 
     def sleeper():
@@ -394,35 +392,30 @@ def test_inline_fast_paths_exposed():
     env = Environment()
     assert env._queue == []
     env.call_later(5, noop)
-    env.call_later(3, noop, priority=URGENT)
+    env.call_later(3, noop)
     proc = env.process(sleeper())
-    assert env._queue[0] == (0, NORMAL, 2, Process._resume, proc)
+    assert env._queue[0] == (0, 2, Process._resume, proc)
     env.run(until=0)
-    assert sorted(env._queue) == [(2, NORMAL, 3, Process._resume, proc),
-                                  (3, URGENT, 1, noop, None),
-                                  (5, NORMAL, 0, noop, None)]
+    assert sorted(env._queue) == [(2, 3, Process._resume, proc),
+                                  (3, 1, noop, None),
+                                  (5, 0, noop, None)]
     assert env.queue_length == len(env._queue) == 3
 
 
 # -------------------------------------------------------------- mutation kill
 def _reversed_seq_push(queue, entry):
-    """Mutant: LIFO within a (time, priority) pair — negated seq."""
-    heapq.heappush(queue, entry[:2] + (-entry[2],) + entry[3:])
-
-
-def _priority_blind_push(queue, entry):
-    """Mutant: drops URGENT-before-NORMAL — everything lands NORMAL."""
-    heapq.heappush(queue, (entry[0], NORMAL) + entry[2:])
+    """Mutant: LIFO within a cycle — negated seq."""
+    heapq.heappush(queue, (entry[0], -entry[1]) + entry[2:])
 
 
 def _mutant_trace(mutant, program, target_delays=(1,)):
     return execute(program, target_delays=target_delays, push=mutant).trace
 
 
-#: Same-key ties only between re-armed sleeps: p1 sleeps 5 from cycle 0,
-#: p2 (started by a call at cycle 1) sleeps 4, and both wake at (5,
-#: NORMAL) in the order their re-arms drew seq; the target wakes alone.
-REARM_TIE = [("sleep", (5,)), ("call", 1, NORMAL, [("sleep", (4,))])]
+#: Same-cycle ties only between re-armed sleeps: p1 sleeps 5 from cycle
+#: 0, p2 (started by a call at cycle 1) sleeps 4, and both wake at cycle
+#: 5 in the order their re-arms drew seq; the target wakes alone.
+REARM_TIE = [("sleep", (5,)), ("call", 1, [("sleep", (4,))])]
 
 
 def test_every_push_goes_through_the_heap_primitive():
@@ -432,7 +425,7 @@ def test_every_push_goes_through_the_heap_primitive():
     pushed = []
 
     def counting_push(queue, entry):
-        pushed.append(entry[3])
+        pushed.append(entry[2])
         heapq.heappush(queue, entry)
 
     program = REARM_TIE + [("park", (2, 3))]
@@ -442,7 +435,7 @@ def test_every_push_goes_through_the_heap_primitive():
 
 
 def test_harness_kills_broken_seq_tiebreak():
-    program = [("call", 5, NORMAL, ())] * 3
+    program = [("call", 5, ())] * 3
     reference = execute(program, reference=True).trace
     assert _mutant_trace(_reversed_seq_push, program) != reference
 
@@ -456,16 +449,9 @@ def test_harness_kills_broken_seq_tiebreak_in_the_rearm():
     assert sorted(mutant) == sorted(reference)
 
 
-def test_harness_kills_broken_urgent_priority():
-    program = [("call", 5, NORMAL, ()), ("call", 5, URGENT, ())]
-    reference = execute(program, reference=True).trace
-    assert _mutant_trace(_priority_blind_push, program) != reference
-
-
 def test_mutants_are_otherwise_plausible():
-    """The mutants pass a trivially-ordered program — the kills above are
+    """The mutant passes a trivially-ordered program — the kills above are
     detecting the specific broken guarantee, not generic breakage."""
-    program = [("call", 3, NORMAL, ()), ("call", 9, NORMAL, ())]
+    program = [("call", 3, ()), ("call", 9, ())]
     reference = execute(program, reference=True).trace
     assert _mutant_trace(_reversed_seq_push, program) == reference
-    assert _mutant_trace(_priority_blind_push, program) == reference

@@ -7,7 +7,7 @@ properties that nothing else in the suite pins directly:
 
 * every per-event / per-component class in ``sim/`` carries ``__slots__``
   (an instance ``__dict__`` would be the kernel's largest allocation);
-* every queue entry is a ``(time, priority, seq, fn, arg)`` call, so the
+* every queue entry is a ``(time, seq, fn, arg)`` call, so the
   dispatch loop has one branch-free body, and a process's exit is such
   an entry: nothing subscribes to an event;
 * only a sleep (``Process._resume``) and an idle line poll
@@ -22,6 +22,7 @@ import inspect
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.sim
@@ -38,7 +39,7 @@ from repro.config import SystemConfig
 from repro.errors import SchedulingError
 from repro.eval.runner import run_workload, setting_by_name
 from repro.sim.event import Event
-from repro.sim.kernel import Environment, NORMAL, URGENT
+from repro.sim.kernel import Environment
 from repro.sim.process import Process
 from repro.sim.resources import Resource
 from repro.system import System
@@ -122,7 +123,7 @@ def test_no_event_built_outside_sim():
 def test_incast_run_builds_only_threads_and_the_join(monkeypatch):
     """A scale-0.05 ``incast`` run under VL builds one ``Process`` per
     thread and nothing else (the join is the live-process set, not an
-    event), queues only ``(time, priority, seq, fn, arg)`` entries, and
+    event), queues only ``(time, seq, fn, arg)`` entries, and
     has producers wait on their prodBuf reserve."""
     built = Counter()
     widths = Counter()
@@ -149,7 +150,7 @@ def test_incast_run_builds_only_threads_and_the_join(monkeypatch):
         return_system=True,
     )
     assert dict(built) == {"Process": len(system.threads)}
-    assert list(widths) == [5] and widths[5] == system.env.events_scheduled
+    assert list(widths) == [4] and widths[4] == system.env.events_scheduled
     assert any(waits), "no push waited on its reserve"
 
 
@@ -272,7 +273,7 @@ def test_only_sleeps_and_idle_polls_rearm(monkeypatch):
 
     def push(queue, entry):
         if not in_call_later:
-            rearmed[entry[3]] += 1
+            rearmed[entry[2]] += 1
         heappush(queue, entry)
 
     monkeypatch.setattr(Environment, "call_later", tracked_call_later)
@@ -319,7 +320,7 @@ def test_second_subscriber_promotes_to_list(env):
     # Its seq falls between the three wakes and the exits they queue.
     env.call_later(1, lambda _arg: seen.append(sorted(env._queue)))
     env.run()
-    assert seen == [[(2, NORMAL, 7 + i, Process._exit, proc)
+    assert seen == [[(2, 7 + i, Process._exit, proc)
                      for i, proc in enumerate(procs)]]
 
 
@@ -353,14 +354,16 @@ def test_call_later_negative_delay_rejected(env):
         env.call_later(-1, lambda arg: None)
 
 
-def test_call_later_zero_delay_urgent_beats_normal(env):
-    """Two zero-delay calls for the current cycle: the URGENT one runs
-    first even though it was scheduled second (priority before seq)."""
-    order = []
-    env.call_later(0, lambda arg: order.append("normal"), priority=NORMAL)
-    env.call_later(0, lambda arg: order.append("urgent"), priority=URGENT)
+def test_call_later_non_integral_delay_rejected(env):
+    """A delay is an exact cycle count: 2.7 is rejected rather than
+    truncated, and an integer type with ``__index__`` is accepted."""
+    with pytest.raises(SchedulingError, match="integral"):
+        env.call_later(2.7, noop)
+    assert env.queue_length == 0
+    fired = []
+    env.call_later(np.int64(3), lambda arg: fired.append(env.now))
     env.run()
-    assert order == ["urgent", "normal"]
+    assert fired == [3]
 
 
 def test_call_later_zero_delay_runs_in_current_cycle(env):
@@ -375,41 +378,20 @@ def test_call_later_zero_delay_runs_in_current_cycle(env):
     assert fired == [3] and env.now == 3 and env.queue_length == 1
 
 
-def test_call_later_urgent_preempts_partially_drained_batch(env):
-    """A NORMAL callback scheduling an URGENT call for the *same* cycle:
-    the URGENT call must run before the rest of the NORMAL batch."""
+def test_call_later_same_cycle_call_runs_after_its_batch(env):
+    """A callback queueing a zero-delay call mid-batch: the call runs
+    after the rest of the cycle's batch, first in, first out."""
     order = []
 
     def first(arg):
         order.append("n1")
-        env.call_later(0, lambda a: order.append("urgent"), priority=URGENT)
+        env.call_later(0, lambda a: order.append("late"))
 
-    env.call_later(5, first, priority=NORMAL)
-    env.call_later(5, lambda a: order.append("n2"), priority=NORMAL)
-    env.call_later(5, lambda a: order.append("n3"), priority=NORMAL)
+    env.call_later(5, first)
+    env.call_later(5, lambda a: order.append("n2"))
+    env.call_later(5, lambda a: order.append("n3"))
     env.run()
-    assert order == ["n1", "urgent", "n2", "n3"]
-
-
-def test_call_later_reclaim_interleaves_repeatedly(env):
-    """Repeated same-cycle preemption: every NORMAL callback spawns an
-    URGENT one, which runs before the next NORMAL entry."""
-    order = []
-
-    def make_normal(i):
-        def cb(arg):
-            order.append(("n", i))
-            env.call_later(0, lambda a, i=i: order.append(("u", i)),
-                           priority=URGENT)
-        return cb
-
-    for i in range(4):
-        env.call_later(2, make_normal(i), priority=NORMAL)
-    env.run()
-    assert order == [
-        ("n", 0), ("u", 0), ("n", 1), ("u", 1),
-        ("n", 2), ("u", 2), ("n", 3), ("u", 3),
-    ]
+    assert order == ["n1", "n2", "n3", "late"]
 
 
 def test_call_later_passes_argument(env):
@@ -478,26 +460,13 @@ def test_ladder_refill_moves_whole_cycles():
     assert len(out) == _SPREAD + dense
 
 
-def test_ladder_urgent_insorts_ahead():
-    env = Environment()
-    order = []
-    env.call_later(3, lambda a: order.append("n"), priority=NORMAL)
-    env.call_later(3, lambda a: order.append("u"), priority=URGENT)
-    env.call_later(3, lambda a: order.append("custom-early"), priority=-1)
-    env.call_later(3, lambda a: order.append("custom-late"), priority=9)
-    env.run()
-    assert order == ["custom-early", "u", "n", "custom-late"]
-
-
 def test_ladder_deep_pending_dispatch_matches_heap():
     """5k entries across a wide time range dispatch in exact
-    ``(time, priority, seq)`` order."""
+    ``(time, seq)`` order."""
     env = Environment()
     out = []
     for i in range(5000):
-        env.call_later((i * 131) % 997, out.append, arg=i,
-                       priority=(URGENT, NORMAL)[i % 2])
+        env.call_later((i * 131) % 997, out.append, arg=i)
     env.run()
-    assert out == [i for _, _, i in sorted(
-        ((i * 131) % 997, (URGENT, NORMAL)[i % 2], i) for i in range(5000))]
+    assert out == sorted(range(5000), key=lambda i: ((i * 131) % 997, i))
     assert env.events_processed == 5000 and env.now == 996

@@ -8,7 +8,7 @@ The library now parks the process on a re-arming poll callback
 the poll acts.  Each case here runs once with the reference loop
 monkeypatched in and once with the library as it is, and requires
 byte-identical results *and* the identical sequence of dispatched
-``(time, priority, seq)`` queue keys.
+``(time, seq)`` queue keys.
 
 The cases cover the knobs the benchmark never sets: ``spin_then_yield``,
 ``inline_library=False``, a legacy endpoint whose refetch backs off to the
@@ -118,7 +118,7 @@ def _run(monkeypatch, case, reference):
 
     def pop(queue):
         entry = heapq.heappop(queue)
-        keys.append(entry[:3])
+        keys.append(entry[:2])
         return entry
 
     with monkeypatch.context() as patch:

@@ -18,17 +18,22 @@ reserve, against 4 in ``incast/vl`` and none in any other cell), the
 software ping-pong on the MOESI substrate (:mod:`repro.mem.coherence`)
 on the shared bus and on a 16-core mesh, whose coherence packets cross
 two and three hops, and the Figure 7 trace experiment under VL and
-SPAMeR(0delay): 26 cells, about 0.5 s.  A ping-pong cell hashes its
+SPAMeR(0delay): 26 cells, about 0.7 s.  A ping-pong cell hashes its
 ``(total_cycles, coherence_packets)``; a Figure 7 cell hashes
 ``exec_cycles`` and the ten CSV fields of every traced transaction.
+Each cell also hashes the ``(time, seq, callback __qualname__)`` of
+every entry the kernel dispatches, read through a patched
+``kernel.heappop`` (``tests/golden/dispatch_keys.json``), so an entry
+that moves without moving any result still shows.
 The kill pairs apply each mutant with ``monkeypatch`` and require the
-digest to move, so the digest is shown to see the tie orders it exists
-to pin:
+digest and the key hash to move, so both are shown to see the tie
+orders they exist to pin:
 
-* ``late-poll``: the parked pop's poll (``_poll_tick``) runs at the end
-  of its cycle (priority 2) instead of in scheduling order;
+* ``late-poll``: the parked pop's poll (``_poll_tick``) runs at the back
+  of its cycle (its ``seq`` moved by ``+2**40``) instead of in queueing
+  order;
 * ``front-hop``: every network hop (``Topology._enter``) completes at
-  the front of its cycle (priority -1);
+  the front of its cycle (``seq`` moved by ``-2**40``);
 * ``lifo-server``: a :class:`~repro.sim.resources.FifoServer` serves the
   packets that arrive within one cycle last-in first-out
   (``serve_then``);
@@ -36,8 +41,8 @@ to pin:
   after its back-off deadline;
 * ``lifo-wake``, ``urgent-wake``, ``late-wake``: a
   :class:`~repro.sim.resources.Resource` release hands the unit to its
-  newest waiter, or wakes the oldest at URGENT priority, or one cycle
-  late (prodBuf admission);
+  newest waiter, or wakes the oldest at the front of the cycle, or one
+  cycle late (prodBuf admission);
 * ``instant-grant``: a free admission credit is granted without the
   zero-delay entry the pushing process resumes from.
 
@@ -75,7 +80,7 @@ from repro.eval.scaling import scaling_config
 from repro.net.topology import Topology
 from repro.sim import kernel
 from repro.sim.hooks import EventKind
-from repro.sim.kernel import NORMAL, URGENT, Environment
+from repro.sim.kernel import Environment
 from repro.sim.process import Process
 from repro.sim.resources import FifoServer, Resource
 from repro.swqueue import run_software_pingpong
@@ -188,7 +193,7 @@ def _recording_pop(keys):
 
     def pop(queue):
         entry = heapq.heappop(queue)
-        keys.append(f"{entry[0]} {entry[2]} {entry[3].__qualname__}\n")
+        keys.append(f"{entry[0]} {entry[1]} {entry[2].__qualname__}\n")
         return entry
 
     return pop
@@ -244,18 +249,19 @@ def test_result_digest_matches_golden():
 
 
 # ------------------------------------------------------------------ mutants
-def _requeue(env, seq, time=None, priority=None) -> None:
-    """Rewrite the queue key of the already-scheduled entry *seq* in place.
+#: A sequence-number shift that takes an entry to the back (``+``) or
+#: the front (``-``) of its cycle: every real ``seq`` is far smaller.
+CYCLE_EDGE = 2**40
 
-    The entry keeps its sequence number, so only the named key field
-    changes relative to every other entry.
-    """
+
+def _requeue(env, seq, time=None, shift=0) -> None:
+    """Rewrite the queue key of the already-scheduled entry *seq* in place:
+    a new *time*, and its sequence number moved by *shift*."""
     queue = env._queue
     for i, entry in enumerate(queue):
-        if entry[2] == seq:
+        if entry[1] == seq:
             queue[i] = (
-                entry[0] if time is None else time,
-                entry[1] if priority is None else priority,
+                entry[0] if time is None else time, seq + shift
             ) + entry[2:]
             heapq.heapify(queue)
             return
@@ -265,14 +271,18 @@ def _requeue(env, seq, time=None, priority=None) -> None:
 def _late_poll(monkeypatch):
     call_later, poll_tick = Environment.call_later, library._poll_tick
 
-    def late(self, delay, callback, arg=None, priority=NORMAL):
-        if callback is late_tick:
-            priority = 2
-        call_later(self, delay, callback, arg, priority)
+    def late(self, delay, callback, arg=None):
+        if callback is not late_tick:
+            return call_later(self, delay, callback, arg)
+        seq = self._seq
+        heapq.heappush(
+            self._queue, (self._now + delay, seq + CYCLE_EDGE, callback, arg)
+        )
+        self._seq = seq + 1
 
     def late_tick(poll):
-        # An idle poll returns its quantum for the loop to re-arm at
-        # NORMAL; queue it through the late call_later instead.
+        # An idle poll returns its quantum for the loop to re-arm in
+        # queueing order; queue it through the late call_later instead.
         delay = poll_tick(poll)
         if delay is not None:
             poll.env.call_later(delay, late_tick, poll)
@@ -310,7 +320,7 @@ def _front_hop(monkeypatch):
     def front_of_cycle(self, link, kind, src, dst, fn, arg):
         enter(self, link, kind, src, dst, fn, arg)
         # The hop's completion is the entry its serve_then just queued.
-        _requeue(self.env, self.env._seq - 1, priority=-1)
+        _requeue(self.env, self.env._seq - 1, shift=-CYCLE_EDGE)
 
     monkeypatch.setattr(Topology, "_enter", front_of_cycle)
 
@@ -340,16 +350,18 @@ def _lifo_server(monkeypatch):
     monkeypatch.setattr(FifoServer, "serve_then", serve_then)
 
 
-def _reserve_wake(pick, delay=0, priority=NORMAL):
+def _reserve_wake(pick, delay=0, shift=0):
     """A :meth:`Resource.release` whose hand-off takes the waiter *pick*
-    returns and queues its wake *delay* cycles ahead at *priority*."""
+    returns and queues its wake *delay* cycles ahead, its sequence
+    number moved by *shift*."""
 
     def mutant(monkeypatch):
         def release(self):
             if self._waiters:
-                self.env.call_later(
-                    delay, Process._resume, pick(self._waiters), priority
-                )
+                env = self.env
+                env.call_later(delay, Process._resume, pick(self._waiters))
+                if shift:
+                    _requeue(env, env._seq - 1, shift=shift)
             else:
                 self._in_use -= 1
 
@@ -396,7 +408,9 @@ MUTANTS = {
     "lifo-server": _lifo_server,
     "late-refetch": _late_refetch,
     "lifo-wake": _reserve_wake(lambda waiters: waiters.pop()),
-    "urgent-wake": _reserve_wake(lambda waiters: waiters.popleft(), priority=URGENT),
+    "urgent-wake": _reserve_wake(
+        lambda waiters: waiters.popleft(), shift=-CYCLE_EDGE
+    ),
     "late-wake": _reserve_wake(lambda waiters: waiters.popleft(), delay=1),
     "instant-grant": _instant_grant,
 }

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import SchedulingError, SimDeadlockError, SimulationError
 from repro.sim.event import Event
-from repro.sim.kernel import NORMAL
 from repro.sim.process import PARK, Process
 
 
@@ -158,7 +157,7 @@ def test_allof_propagates_failure(env):
 
 def test_exit_is_one_normal_entry_carrying_the_process(env):
     """A finished process queues exactly one exit entry, keyed
-    ``(now, NORMAL, seq)`` like any zero-delay call."""
+    ``(now, seq)`` like any zero-delay call."""
     seen = []
 
     def body():
@@ -168,7 +167,7 @@ def test_exit_is_one_normal_entry_carrying_the_process(env):
 
     proc = env.process(body())
     env.run()
-    assert seen == [[(4, NORMAL, 3, Process._exit, proc)]]
+    assert seen == [[(4, 3, Process._exit, proc)]]
     assert proc.value == 7 and env.events_processed == 4
 
 

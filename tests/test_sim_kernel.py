@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SchedulingError, SimDeadlockError, SimulationError
-from repro.sim.kernel import Environment, NORMAL, URGENT
+from repro.sim.kernel import Environment
 from repro.sim.process import PARK
 from tests.conftest import noop
 
@@ -72,14 +72,6 @@ def test_same_cycle_fifo_order(env):
         env.call_later(7, lambda _arg, i=i: order.append(i))
     env.run()
     assert order == list(range(10))
-
-
-def test_urgent_priority_preempts_normal(env):
-    order = []
-    env.call_later(5, order.append, "normal", priority=NORMAL)
-    env.call_later(5, order.append, "urgent", priority=URGENT)
-    env.run()
-    assert order == ["urgent", "normal"]
 
 
 def test_run_until_complete_returns_process_value(env):

@@ -8,7 +8,7 @@ import pytest
 import repro.sim.kernel as kernel
 from repro.config import SystemConfig
 from repro.errors import SimDeadlockError, SimulationError
-from repro.sim.kernel import Environment, NORMAL
+from repro.sim.kernel import Environment
 from repro.sim.process import PARK, Process
 from repro.system import System
 from repro.verify.invariants import StallWatchdog
@@ -125,7 +125,7 @@ def test_yield_int_sleeps_exactly_delay_and_sends_none(env):
 
 
 def test_yield_zero_runs_after_pending_normal_work(env):
-    """``yield 0`` queues the wake behind NORMAL work already pending for
+    """``yield 0`` queues the wake behind the work already pending for
     this cycle: its key is drawn at the yield."""
     order = []
 
@@ -154,17 +154,17 @@ def test_target_is_none_while_sleeping(env):
     proc = env.process(work())
     env.run(until=1)
     assert proc.is_alive
-    assert env._queue == [(50, NORMAL, 1, Process._resume, proc)]
+    assert env._queue == [(50, 1, Process._resume, proc)]
 
 
 def _dispatch_keys(monkeypatch, body):
     """Run one process on a fresh Environment; return the dispatched
-    ``(time, priority, seq)`` keys."""
+    ``(time, seq)`` keys."""
     keys = []
 
     def pop(queue):
         entry = heapq.heappop(queue)
-        keys.append(entry[:3])
+        keys.append(entry[:2])
         return entry
 
     with monkeypatch.context() as patch:
@@ -225,9 +225,9 @@ def _early_seq_loop(self, limit, join):
         self._processed += 1
         seq = self._seq
         self._seq = seq + 1
-        delay = entry[3](entry[4])
+        delay = entry[2](entry[3])
         if delay is not None:
-            kernel.heappush(queue, (when + delay, NORMAL, seq, entry[3], entry[4]))
+            kernel.heappush(queue, (when + delay, seq, entry[2], entry[3]))
 
 
 def test_identical_keys_check_kills_an_early_rearm_seq(monkeypatch):
@@ -370,7 +370,7 @@ def test_target_reports_waited_event(env):
     proc = env.process(work())
     env.run(until=1)
     assert proc.is_alive
-    assert env._queue == [(50, NORMAL, 1, Process._resume, proc)]
+    assert env._queue == [(50, 1, Process._resume, proc)]
 
 
 def test_two_processes_interleave(env):

@@ -50,9 +50,9 @@ def test_resource_fifo_waiters(env):
 
 
 def test_resource_grant_and_wake_keys(env):
-    """A free unit resumes the process with a zero-delay NORMAL entry, and
-    a hand-off wakes the waiter the same way: both run after the NORMAL
-    work already queued for the cycle and before later work."""
+    """A free unit resumes the process with a zero-delay entry, and a
+    hand-off wakes the waiter the same way: both run after the work
+    already queued for the cycle and before later work."""
     res = Resource(env, capacity=1)
     order = []
 

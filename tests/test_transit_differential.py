@@ -12,8 +12,8 @@ continuation, ``transit_then(kind, fn, arg)``, and queues ``fn(arg)``
 with ``call_later`` where the events were scheduled.  Each case here
 runs once with a test-local copy of the Event form monkeypatched in and
 once with the library as it is, and requires byte-identical results
-*and* the identical sequence of dispatched ``(time, priority, seq)``
-queue keys.
+*and* the identical sequence of dispatched ``(time, seq)`` queue
+keys.
 
 The cases cover multi-hop transits (``scaling-halo`` on a 16-core mesh
 and torus), same-node and one-link deliveries, multi-push rollback (k=2 rollbacks, and the landed-claim
@@ -53,7 +53,7 @@ SCALE = 0.05
 class _OneShot:
     """A one-shot event: its subscribers run, in subscription order, from
     the one queue entry that :meth:`succeed` (or :func:`_timer`) queued,
-    under the ``(time, NORMAL, seq)`` key that scheduling the event drew."""
+    under the ``(time, seq)`` key that scheduling the event drew."""
 
     def __init__(self, env):
         self.env = env
@@ -188,7 +188,7 @@ def _run(monkeypatch, case, reference):
 
     def pop(queue):
         entry = heapq.heappop(queue)
-        keys.append(entry[:3])
+        keys.append(entry[:2])
         return entry
 
     with monkeypatch.context() as patch:
