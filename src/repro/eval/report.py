@@ -40,12 +40,6 @@ def format_speedup(x: float) -> str:
     return f"{x:.2f}x"
 
 
-def ascii_bar(value: float, scale: float = 20.0, maximum: float = 3.0) -> str:
-    """A tiny horizontal bar for figure-like console output."""
-    clamped = max(0.0, min(value, maximum))
-    return "#" * int(round(clamped * scale / maximum))
-
-
 def format_trace_rows(transactions, start: int, end: int) -> str:
     """Render a Figure 7 style listing of transactions in a time window."""
     lines = [
@@ -65,11 +59,6 @@ def format_trace_rows(transactions, start: int, end: int) -> str:
             f"{fmt(t.first_use)} {t.potential_saving:7d}"
         )
     return "\n".join(lines)
-
-
-def dict_table(title: str, data: Dict[str, object]) -> str:
-    """Two-column key/value table (Table 1 style)."""
-    return format_table(["field", "value"], list(data.items()), title=title)
 
 
 def format_accuracy_table(accuracies: Iterable[object]) -> str:

@@ -203,11 +203,9 @@ class MappingPipeline:
 
     # ------------------------------------------------------------ producer side
     def ingress(self, entry: ProdEntry) -> None:
-        """A push packet enters the pipeline (one stage-latency traversal)."""
-        self.env.call_later(self.stage_latency, self._map, entry)
-
-    def requeue(self, entry: ProdEntry) -> None:
-        """Figure 5: a missed packet re-enters the mapping pipeline."""
+        """A prodBuf entry traverses the mapping pipeline (one stage
+        latency): a push packet's first entry, and the Figure-5 re-entry
+        of a missed packet."""
         self.env.call_later(self.stage_latency, self._map, entry)
 
     def redispatch(self, entry: ProdEntry, spec: SpecTarget) -> None:

@@ -316,7 +316,7 @@ class VirtualLinkRoutingDevice:
             else:
                 entry.spec_entry_index = None
                 # Figure 5: the prodBuf entry re-enters the mapping pipeline.
-                self.pipeline.requeue(entry)
+                self.pipeline.ingress(entry)
         self.pipeline.kick(row)
 
     # -------------------------------------------------------- speculation API

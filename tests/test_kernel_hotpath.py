@@ -379,19 +379,22 @@ def test_call_later_zero_delay_runs_in_current_cycle(env):
 
 
 def test_call_later_same_cycle_call_runs_after_its_batch(env):
-    """A callback queueing a zero-delay call mid-batch: the call runs
-    after the rest of the cycle's batch, first in, first out."""
+    """Callbacks queueing zero-delay calls mid-batch: the calls run after
+    the rest of the cycle's batch, first in, first out."""
     order = []
 
-    def first(arg):
-        order.append("n1")
-        env.call_later(0, lambda a: order.append("late"))
+    def make(i):
+        def callback(arg):
+            order.append(("n", i))
+            env.call_later(0, lambda a: order.append(("late", i)))
+        return callback
 
-    env.call_later(5, first)
-    env.call_later(5, lambda a: order.append("n2"))
-    env.call_later(5, lambda a: order.append("n3"))
+    for i in range(3):
+        env.call_later(5, make(i))
     env.run()
-    assert order == ["n1", "n2", "n3", "late"]
+    assert order == [("n", 0), ("n", 1), ("n", 2),
+                     ("late", 0), ("late", 1), ("late", 2)]
+    assert env.now == 5
 
 
 def test_call_later_passes_argument(env):

@@ -2,8 +2,6 @@
 
 from repro.eval.experiments import Transaction
 from repro.eval.report import (
-    ascii_bar,
-    dict_table,
     format_pct,
     format_speedup,
     format_table,
@@ -24,17 +22,6 @@ def test_format_table_alignment():
 def test_format_helpers():
     assert format_pct(0.1234) == "12.3%"
     assert format_speedup(1.456) == "1.46x"
-
-
-def test_ascii_bar_clamps():
-    assert ascii_bar(0.0) == ""
-    assert len(ascii_bar(3.0, scale=20, maximum=3.0)) == 20
-    assert len(ascii_bar(99.0, scale=20, maximum=3.0)) == 20
-
-
-def test_dict_table():
-    out = dict_table("Config", {"Cores": "16x", "DRAM": "8 GiB"})
-    assert "Config" in out and "Cores" in out and "8 GiB" in out
 
 
 def test_format_trace_rows_classification():

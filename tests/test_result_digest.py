@@ -49,7 +49,9 @@ orders they exist to pin:
 Each of the first four moves at least three cells, and no one family of
 cells kills all four (``front-hop`` moves only the NoC cells).  Only
 ``incast/vl`` and the prodBuf cell see a reserve wait: ``lifo-wake`` and
-``late-wake`` move both, ``urgent-wake`` only the prodBuf cell.
+``late-wake`` move both, ``urgent-wake`` only the prodBuf cell.  The key
+hash is the finer pin: ``late-poll`` moves the results of 7 cells and
+the dispatched keys of 24.
 
 A fifth kill pair guards the Figure 7 cells, which see what no
 ``RunMetrics`` does: ``now-vacate`` publishes the back-dated

@@ -88,7 +88,7 @@ def test_checker_catches_specbuf_double_delivery():
             # neutralize the pool so the injected re-dispatch models only
             # the duplicated stash.
             entry.message.credit_pool = None
-            device.pipeline.requeue(entry)
+            device.pipeline.ingress(entry)
 
     device._on_response = double_delivering
     system.run_to_completion(limit=50_000_000)
