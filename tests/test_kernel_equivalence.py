@@ -24,8 +24,8 @@ one dispatch loop.  This suite pins that at three levels:
    heap and must match the heap run bit for bit.
 4. **Mutation kills** — a reversed seq tiebreak, swapped in for the
    kernel's ``heappush`` (so it reaches ``call_later`` and the loop's
-   re-arm alike), must make the trace diverge from the
-   reference, proving the harness has teeth.  A loop that draws the
+   re-arm alike), must make the trace diverge from the reference,
+   proving the harness has teeth.  A loop that draws the
    re-arm's seq before the callback runs instead of after is killed by
    ``tests/test_sim_process.py::test_sleep_and_timeout_dispatch_under_identical_keys``,
    which holds a sleep to the key of a resume armed with ``call_later``.

@@ -378,25 +378,6 @@ def test_call_later_zero_delay_runs_in_current_cycle(env):
     assert fired == [3] and env.now == 3 and env.queue_length == 1
 
 
-def test_call_later_same_cycle_call_runs_after_its_batch(env):
-    """Callbacks queueing zero-delay calls mid-batch: the calls run after
-    the rest of the cycle's batch, first in, first out."""
-    order = []
-
-    def make(i):
-        def callback(arg):
-            order.append(("n", i))
-            env.call_later(0, lambda a: order.append(("late", i)))
-        return callback
-
-    for i in range(3):
-        env.call_later(5, make(i))
-    env.run()
-    assert order == [("n", 0), ("n", 1), ("n", 2),
-                     ("late", 0), ("late", 1), ("late", 2)]
-    assert env.now == 5
-
-
 def test_call_later_passes_argument(env):
     got = []
     env.call_later(4, got.append, arg={"k": 1})

@@ -213,13 +213,14 @@ def compute_digest(stop_at_first_change=None):
     """
     cells, keys = {}, {}
     overall = hashlib.sha256()
+    pop = kernel.heappop
     for name, run, kwargs in _cells():
         dispatched = []
         kernel.heappop = _recording_pop(dispatched)
         try:
             data = run(kwargs)
         finally:
-            kernel.heappop = heapq.heappop
+            kernel.heappop = pop
         overall.update(data)
         cells[name] = hashlib.sha256(data).hexdigest()
         keys[name] = hashlib.sha256("".join(dispatched).encode()).hexdigest()
